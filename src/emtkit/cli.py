@@ -14,6 +14,7 @@ import time
 from . import __version__
 from .catalog import SCENARIOS, SPACETIMES, CatalogClaimError
 from .fieldtheory import OffShellError
+from .jets import JetOrderError
 from .suites import (
     CHECKS,
     RunConfig,
@@ -160,6 +161,10 @@ def cmd_verify(args):
         return EXIT_OFFSHELL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except JetOrderError as exc:
+        print(f"error: --jet-order {cfg.jet_order} is too low for the selected "
+              f"checks ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
     report = build_report(cfg, outcomes)

@@ -2,12 +2,15 @@
 tensors, and the conservation identities connecting them.
 
 A theory is a Lagrangian density L(grad psi, psi, g) written against the small
-algebra below (:class:`ArgTensor`), which forward-propagates derivatives of the
-evaluation with respect to every component of every argument.  Each tensor
-component of (grad psi, psi, g) is treated as an independent real; because the
-carried coefficients are spacetime jets, the extracted partials dL/d(grad psi),
-dL/dpsi and dL/dg come out as jet-valued tensors, ready for further covariant
-differentiation.  dL/dg is symmetrized after extraction.
+algebra below (:class:`ArgTensor`).  Evaluating it records a tape: each
+operation keeps its operands and the adjoint map back onto them.  One reverse
+sweep from bar_L = 1 then gives the derivative of L with respect to every
+component of every argument.  Each tensor component of (grad psi, psi, g) is
+treated as an independent real; the values are spacetime jets, which form a
+commutative ring, and the Lagrangians use only ring operations on their
+components, so the extracted partials dL/d(grad psi), dL/dpsi and dL/dg come
+out as jet-valued tensors, ready for further covariant differentiation.
+dL/dg is symmetrized after extraction.
 
 From these the module builds
 
@@ -40,14 +43,12 @@ import numpy as np
 
 from .jets import (
     Jet,
-    JetOrderError,
     constant_jet,
     differentiate,
     jet_einsum,
     lift,
     partial_in_var,
     zeros_jet,
-    _free_letters,
 )
 from .tensors import (
     TensorValue,
@@ -64,7 +65,6 @@ from .geometry import (
     covariant_derivative,
     evaluate,
     geometry_at,
-    jet_matrix_inverse,
 )
 
 __all__ = [
@@ -88,45 +88,41 @@ class OffShellError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# forward-derivative layer over the Lagrangian arguments
+# reverse-derivative layer over the Lagrangian arguments
 # --------------------------------------------------------------------------
 
 
 class ArgTensor:
-    """Tensor-valued expression carrying d(expression)/d(argument component).
+    """A node of the tape built while a Lagrangian is evaluated.
 
-    ``comps`` is the value (a Jet, or ndarray constant); ``grads`` maps an
-    argument key to the derivative array whose leading axes are the argument's
-    slots and whose trailing axes are this expression's slots.
+    ``comps`` is the node's value, a tensor-valued Jet whose value axes are
+    its slots.  ``parents`` lists ``(node, adjoint)`` pairs, one for each
+    operand the node was computed from: ``adjoint(bar)`` maps the adjoint of
+    this node (d L / d node, same shape as ``comps``) to its contribution to
+    the adjoint of ``node``.  The arguments of the Lagrangian are the leaves,
+    which have no parents.
     """
 
-    __slots__ = ("variance", "n", "comps", "grads")
+    __slots__ = ("comps", "parents")
 
-    def __init__(self, variance, n, comps, grads=None):
-        self.variance = tuple(variance)
-        self.n = n
+    def __init__(self, comps, parents=()):
         self.comps = comps
-        self.grads = dict(grads or {})
+        self.parents = tuple(parents)
 
     @property
     def rank(self):
-        return len(self.variance)
+        return self.comps.vdim
 
     def __add__(self, other):
         if isinstance(other, ArgTensor):
-            if other.variance != self.variance:
-                raise ValueError("ArgTensor addition needs matching slots")
-            grads = dict(self.grads)
-            for k, v in other.grads.items():
-                grads[k] = v if k not in grads else grads[k] + v
-            return ArgTensor(self.variance, self.n, self.comps + other.comps, grads)
-        return ArgTensor(self.variance, self.n, self.comps + other, self.grads)
+            return ArgTensor(self.comps + other.comps,
+                             ((self, lambda bar: bar), (other, lambda bar: bar)))
+        return ArgTensor(self.comps + other, ((self, lambda bar: bar),))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ArgTensor(self.variance, self.n, -self.comps,
-                         {k: -v for k, v in self.grads.items()})
+        return ArgTensor(-self.comps, ((self, lambda bar: -bar),))
 
     def __sub__(self, other):
         return self + (-other)
@@ -140,78 +136,80 @@ class ArgTensor:
             if self.rank == 0 and c.rank == 0:
                 return a_einsum(",->", self, c)
             raise ValueError("use a_einsum for general ArgTensor products")
-        return ArgTensor(self.variance, self.n, self.comps * c,
-                         {k: v * c for k, v in self.grads.items()})
+        return ArgTensor(self.comps * c, ((self, lambda bar: bar * c),))
 
     __rmul__ = __mul__
 
 
-_ARG_RANKS: dict = {}  # populated per evaluation; maps arg key -> slot count
+def a_einsum(subs: str, x: ArgTensor, y: ArgTensor) -> ArgTensor:
+    """Bilinear einsum on ArgTensors, recorded with the adjoint of each operand.
 
-
-def a_einsum(subs: str, x: ArgTensor, y: ArgTensor, ranks: dict | None = None) -> ArgTensor:
-    """Bilinear einsum on ArgTensors with the product rule on argument grads."""
-    ranks = _ARG_RANKS if ranks is None else ranks
+    The adjoint of an operand is the einsum of the output adjoint with the
+    other operand, back onto the operand's letters.  That needs every letter
+    of an operand to be distinct and to appear in the other operand or in the
+    output; other subscripts are rejected.
+    """
     lhs, out = subs.split("->")
     sx, sy = lhs.split(",")
-    comps = jet_einsum(subs, x.comps, y.comps)
-    grads = {}
-    for k, gx in x.grads.items():
-        pre = "".join(_free_letters(set(subs), ranks[k]))
-        grads[k] = jet_einsum(f"{pre}{sx},{sy}->{pre}{out}", gx, y.comps)
-    for k, gy in y.grads.items():
-        pre = "".join(_free_letters(set(subs), ranks[k]))
-        term = jet_einsum(f"{sx},{pre}{sy}->{pre}{out}", x.comps, gy)
-        grads[k] = term if k not in grads else grads[k] + term
-    n_out = x.n if isinstance(x, ArgTensor) else y.n
-    uplow = _infer_variance(subs, x, y)
-    return ArgTensor(uplow, n_out, comps, grads)
+    for s in (sx, sy):
+        if len(set(s)) != len(s):
+            raise ValueError(f"a_einsum '{subs}': a letter repeated within "
+                             f"operand '{s}' has no adjoint")
+    lonely = (set(sx) ^ set(sy)) - set(out)
+    if lonely:
+        raise ValueError(f"a_einsum '{subs}': letter(s) {''.join(sorted(lonely))} "
+                         "in one operand only and not in the output have no adjoint")
+    xc, yc = x.comps, y.comps
+    return ArgTensor(jet_einsum(subs, xc, yc), (
+        (x, lambda bar: jet_einsum(f"{out},{sy}->{sx}", bar, yc)),
+        (y, lambda bar: jet_einsum(f"{sx},{out}->{sy}", xc, bar)),
+    ))
 
 
-def _infer_variance(subs, x, y):
-    lhs, out = subs.split("->")
-    sx, sy = lhs.split(",")
-    lookup = {}
-    for letter, v in zip(sx, x.variance):
-        lookup[letter] = v
-    for letter, v in zip(sy, y.variance):
-        lookup[letter] = v
-    return tuple(lookup[c] for c in out)
-
-
-def a_transpose(x: ArgTensor, perm, ranks: dict | None = None) -> ArgTensor:
-    ranks = _ARG_RANKS if ranks is None else ranks
-    src = "".join(chr(ord("i") + k) for k in range(x.rank))
+def a_transpose(x: ArgTensor, perm) -> ArgTensor:
+    """Slot permutation: slot k of the result is slot ``perm[k]`` of ``x``."""
+    src = _slot_letters(x.rank)
     dst = "".join(src[p] for p in perm)
-    comps = jet_einsum(f"{src},->{dst}", x.comps, np.float64(1.0))
-    grads = {}
-    for k, g in x.grads.items():
-        pre = "".join(_free_letters(set(src), ranks[k]))
-        grads[k] = jet_einsum(f"{pre}{src},->{pre}{dst}", g, np.float64(1.0))
-    return ArgTensor(tuple(x.variance[p] for p in perm), x.n, comps, grads)
+    one = np.float64(1.0)
+    return ArgTensor(jet_einsum(f"{src},->{dst}", x.comps, one),
+                     ((x, lambda bar: jet_einsum(f"{dst},->{src}", bar, one)),))
 
 
-def _seed_arg(key: str, variance, n: int, comps: Jet) -> ArgTensor:
-    r = len(variance)
-    if r == 0:
-        ident = np.float64(1.0)
-    else:
-        ident = np.eye(n ** r).reshape((n,) * (2 * r))
-    _ARG_RANKS[key] = r
-    return ArgTensor(variance, n, comps, {key: ident})
+def _inverse_metric_arg(g_arg: ArgTensor, inv: Jet) -> ArgTensor:
+    """g^-1 as a tape node with value ``inv``; from d(g^-1)^ij/dg_pq =
+    -g^ip g^qj its adjoint is bar_g_pq = -g^ip bar_ij g^qj."""
+
+    def adjoint(bar):
+        return -jet_einsum("pj,qj->pq", jet_einsum("ip,ij->pj", inv, bar), inv)
+
+    return ArgTensor(inv, ((g_arg, adjoint),))
 
 
-def _inverse_metric_arg(g_arg: ArgTensor) -> ArgTensor:
-    """g^-1 as an ArgTensor: value by exact jet inversion, gradient from
-    d(g^-1)^ij/dg_pq = -g^ip g^qj."""
-    inv = jet_matrix_inverse(g_arg.comps) if isinstance(g_arg.comps, Jet) else np.linalg.inv(g_arg.comps)
-    grad = -jet_einsum("ip,qj->pqij", inv, inv)
-    return ArgTensor(("u", "u"), g_arg.n, inv, {"g": grad})
+def _adjoints(out: ArgTensor) -> dict:
+    """One reverse sweep from ``out`` with bar_out = 1: maps every node that
+    ``out`` depends on to d out / d node."""
+    order, seen, stack = [], set(), [(out, False)]
+    while stack:                      # iterative depth-first post-order
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((parent, False) for parent, _ in node.parents)
+    bars = {out: np.float64(1.0)}
+    for node in reversed(order):      # every consumer comes before its operands
+        bar = bars[node]
+        for parent, adjoint in node.parents:
+            term = adjoint(bar)
+            bars[parent] = term if parent not in bars else bars[parent] + term
+    return bars
 
 
 @dataclass
 class LagrangianContext:
-    """What a Lagrangian callable sees: seeded arguments plus chart constants."""
+    """What a Lagrangian callable sees: the arguments as tape leaves, plus chart
+    constants."""
 
     n: int
     _psi: dict
@@ -472,15 +470,10 @@ def evaluate_theory(theory: LagrangianTheory, fields: dict, frame: Frame) -> The
         psi[spec.label] = evaluate(fld, frame)
         dpsi[spec.label] = covariant_derivative(psi[spec.label], frame)
 
-    _ARG_RANKS.clear()
-    psi_args = {s.label: _seed_arg(f"psi:{s.label}", s.variance, frame.n,
-                                   psi[s.label].components)
-                for s in theory.fields}
-    dpsi_args = {s.label: _seed_arg(f"dpsi:{s.label}", tuple(s.variance) + ("d",),
-                                    frame.n, dpsi[s.label].components)
-                 for s in theory.fields}
-    g_arg = _seed_arg("g", ("d", "d"), frame.n, frame.g.components)
-    ginv_arg = _inverse_metric_arg(g_arg)
+    psi_args = {k: ArgTensor(v.components) for k, v in psi.items()}
+    dpsi_args = {k: ArgTensor(v.components) for k, v in dpsi.items()}
+    g_arg = ArgTensor(frame.g.components)
+    ginv_arg = _inverse_metric_arg(g_arg, frame.ginv.components)
     ctx = LagrangianContext(frame.n, psi_args, dpsi_args, g_arg, ginv_arg,
                             frame.coords[: frame.n])
     Larg = theory.lagrangian(ctx)
@@ -488,25 +481,23 @@ def evaluate_theory(theory: LagrangianTheory, fields: dict, frame: Frame) -> The
         raise ValueError("Lagrangian must evaluate to a scalar")
 
     L = Larg.comps
-    if not isinstance(L, Jet):
-        L = constant_jet(np.asarray(L, float), frame.g.components.nvars,
-                         frame.g.components.order - 1)
+    bars = _adjoints(Larg)
 
-    def grad_tensor(key, arg_variance):
+    def grad_tensor(arg, arg_variance):
         r = len(arg_variance)
-        g = Larg.grads.get(key)
+        shape = L.batch_shape + (frame.n,) * r
+        g = bars.get(arg)
         if g is None:
-            z = zeros_jet(L.nvars, L.order, r, L.batch_shape + (frame.n,) * r)
-            return TensorValue(_dual(arg_variance), frame.n, z)
-        if not isinstance(g, Jet):
-            g = constant_jet(np.asarray(g, float), L.nvars, L.order, vdim=r)
+            g = zeros_jet(L.nvars, L.order, r, shape)
+        elif not isinstance(g, Jet):
+            g = constant_jet(np.broadcast_to(g, shape), L.nvars, L.order, vdim=r)
         return TensorValue(_dual(arg_variance), frame.n, g)
 
-    dL_dpsi = {s.label: grad_tensor(f"psi:{s.label}", tuple(s.variance))
+    dL_dpsi = {s.label: grad_tensor(psi_args[s.label], tuple(s.variance))
                for s in theory.fields}
-    dL_ddpsi = {s.label: grad_tensor(f"dpsi:{s.label}", tuple(s.variance) + ("d",))
+    dL_ddpsi = {s.label: grad_tensor(dpsi_args[s.label], tuple(s.variance) + ("d",))
                 for s in theory.fields}
-    raw = grad_tensor("g", ("d", "d"))
+    raw = grad_tensor(g_arg, ("d", "d"))
     dL_dg = 0.5 * (raw + transpose_slots(raw, (1, 0)))
     return TheoryFrame(theory, frame, psi, dpsi, L, dL_dpsi, dL_ddpsi, dL_dg)
 

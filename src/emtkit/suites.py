@@ -11,6 +11,7 @@ report is a pure function of its configuration.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -150,17 +151,26 @@ class CheckOutcome:
 
     @property
     def max_abs(self):
-        return float(max((t.value_abs for t in self.targets), default=0.0))
+        return _max_residual([t.value_abs for t in self.targets])
 
     @property
     def max_rel(self):
-        return float(max((t.value_rel for t in self.targets), default=0.0))
+        return _max_residual([t.value_rel for t in self.targets])
 
     def passed(self, tolerance):
+        """A non-finite residual fails in either mode."""
+        if not (math.isfinite(self.max_abs) and math.isfinite(self.max_rel)):
+            return False
         v = self.max_abs if self.check.measure == "abs" else self.max_rel
         if self.check.mode == "below":
             return v <= tolerance
         return v >= tolerance
+
+
+def _max_residual(values) -> float:
+    """Largest value, NaN if any value is NaN wherever it sits (the builtin
+    max keeps or drops a NaN depending on its position)."""
+    return float(np.max(values)) if values else 0.0
 
 
 class RunContext:
@@ -234,6 +244,17 @@ def _stats(residual, scale) -> tuple:
     r = float(np.max(np.abs(_arr(residual)))) if _arr(residual).size else 0.0
     s = float(np.max(np.abs(_arr(scale)))) if _arr(scale).size else 0.0
     return r, r / max(s, 1e-300)
+
+
+def _worst(a: tuple, b: tuple) -> tuple:
+    """The larger of two ``(abs, rel)`` residual pairs, compared as tuples.
+
+    If either pair holds a NaN or inf, the componentwise maximum is returned
+    with NaN propagated, so a non-finite residual is never dropped.
+    """
+    if all(math.isfinite(v) for v in a + b):
+        return max(a, b)
+    return tuple(float(v) for v in np.maximum(a, b))
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +344,7 @@ def _chk_tilde_trace(ctx):
             q = t.rank - p
             res = tr - float(p - q) * t
             s = _stats(res, t)
-            worst = max(worst, s)
+            worst = _worst(worst, s)
         yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
 
 
@@ -353,7 +374,7 @@ def _chk_tilde_leibniz(ctx):
                          + (rt, rt + 1))
                 term2 = tensor_product(t, tilde(s))
                 res = lhs - transpose_slots(term1, perm1) - term2
-                worst = max(worst, _stats(res, lhs))
+                worst = _worst(worst, _stats(res, lhs))
                 pts += ctx.cfg.points
         yield Target(st_name, pts, *worst)
 
@@ -380,7 +401,7 @@ def _chk_lie_dual(ctx):
             t = evaluate(fld, fr)
             a = lie_derivative(t, xi, None)
             b = lie_derivative(t, xi, fr)
-            worst = max(worst, _stats(a - b, a))
+            worst = _worst(worst, _stats(a - b, a))
         yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
 
 
@@ -402,7 +423,7 @@ def _chk_killing(ctx):
                 continue
             xi = evaluate(v, fr)
             res = killing_residual(xi, fr)
-            worst = max(worst, _stats(res, fr.g))
+            worst = _worst(worst, _stats(res, fr.g))
             cnt += ctx.cfg.points
         yield Target(st_name, cnt, *worst)
 
@@ -425,7 +446,7 @@ def _chk_parallel(ctx):
                 continue
             xi = evaluate(v, fr)
             res = parallel_residual(xi, fr)
-            worst = max(worst, _stats(res, xi))
+            worst = _worst(worst, _stats(res, xi))
             cnt += ctx.cfg.points
         if cnt:
             yield Target(st_name, cnt, *worst)
@@ -445,7 +466,7 @@ def _chk_volume(ctx):
         for v in ctx.random_xis(st_name, 3):
             xi = evaluate(v, fr)
             res = volume_lie_residual(xi, fr)
-            worst = max(worst, _stats(res, fr.sqrt_g))
+            worst = _worst(worst, _stats(res, fr.sqrt_g))
         yield Target(st_name, 3 * ctx.cfg.points, *worst)
 
 
@@ -470,7 +491,7 @@ def _chk_curv_comm(ctx):
         for fld in _random_tensors(ctx, st_name, base_seed=60):
             t = evaluate(fld, fr)
             res = curvature_commutator_residual(t, fr)
-            worst = max(worst, _stats(res, fr.riemann))
+            worst = _worst(worst, _stats(res, fr.riemann))
         yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
 
 
@@ -490,7 +511,7 @@ def _chk_tilde_grad(ctx):
             t = evaluate(fld, fr)
             res = tilde_gradient_commutator_residual(t, fr)
             scale = covariant_derivative(t, fr)
-            worst = max(worst, _stats(res, scale))
+            worst = _worst(worst, _stats(res, scale))
         yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
 
 
@@ -511,7 +532,7 @@ def _chk_conn_dual(ctx):
             xi = evaluate(v, fr)
             a = lie_connection_tensor(xi, fr, form="direct")
             b = lie_connection_tensor(xi, fr, form="metric")
-            worst = max(worst, _stats(a - b, a))
+            worst = _worst(worst, _stats(a - b, a))
         yield Target(st_name, 3 * ctx.cfg.points, *worst)
 
 
@@ -533,7 +554,7 @@ def _chk_lie_grad(ctx):
             t = evaluate(fld, fr)
             got = lie_nabla_commutator(t, xi, fr)
             want = lie_nabla_from_connection(t, C)
-            worst = max(worst, _stats(got - want, got))
+            worst = _worst(worst, _stats(got - want, got))
         yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
 
 
@@ -558,7 +579,7 @@ def _chk_killing_commute(ctx):
                 t = evaluate(fld, fr)
                 res = lie_nabla_commutator(t, xi, fr)
                 scale = covariant_derivative(t, fr)
-                worst = max(worst, _stats(res, scale))
+                worst = _worst(worst, _stats(res, scale))
                 cnt += ctx.cfg.points
         yield Target(st_name, cnt, *worst)
 
@@ -584,7 +605,7 @@ def _chk_chain(ctx):
         for v in ctx.random_xis(sc.spacetime, 3):
             xi = evaluate(v, tf.frame)
             res = kinematic_lie_residual(tf, xi)
-            worst = max(worst, _stats(res, tf.L))
+            worst = _worst(worst, _stats(res, tf.L))
         yield Target(name, 3 * ctx.cfg.points, *worst)
 
 
@@ -604,7 +625,7 @@ def _chk_chain_negative(ctx):
     for v in ctx.random_xis(sc.spacetime, 3):
         xi = evaluate(v, fr)
         res = kinematic_lie_residual(tf, xi)
-        worst = max(worst, _stats(res, tf.L))
+        worst = _worst(worst, _stats(res, tf.L))
     yield Target("broken-scalar", 3 * ctx.cfg.points, *worst)
 
 
@@ -679,7 +700,7 @@ def _chk_master(ctx):
         for v in ctx.random_xis(sc.spacetime):
             xi = evaluate(v, tf.frame)
             lhs, rhs = master_identity_terms(tf, xi)
-            worst = max(worst, _stats(lhs - rhs, lhs))
+            worst = _worst(worst, _stats(lhs - rhs, lhs))
         yield Target(name, ctx.cfg.xi_count * ctx.cfg.points, *worst)
 
 
@@ -700,7 +721,7 @@ def _chk_110(ctx):
         for v in ctx.random_xis(sc.spacetime, 4):
             xi = evaluate(v, tf.frame)
             res = current_gradient_pairing_residual(tf, xi)
-            worst = max(worst, _stats(res, tf.emt_metric))
+            worst = _worst(worst, _stats(res, tf.emt_metric))
         yield Target(name, 4 * ctx.cfg.points, *worst)
 
 
@@ -722,7 +743,7 @@ def _chk_noether(ctx):
         for v in st.killing:
             xi = evaluate(v, tf.frame)
             res = current_divergence(tf, noether_current(tf, xi))
-            worst = max(worst, _stats(res, tf.emt_belinfante))
+            worst = _worst(worst, _stats(res, tf.emt_belinfante))
             cnt += ctx.cfg.points
         yield Target(name, cnt, *worst)
 
@@ -789,7 +810,7 @@ def _chk_can_div_magnitude(ctx):
     name = "schwarzschild-coulomb"
     tf = ctx.theory_frame(name)
     lhs, rhs = canonical_divergence_terms(tf)
-    v = min(max_abs(lhs), max_abs(rhs))
+    v = float(np.min([max_abs(lhs), max_abs(rhs)]))  # NaN-propagating
     yield Target(name, ctx.cfg.points, v, v)
 
 
@@ -809,7 +830,7 @@ def _chk_diff_current(ctx):
         for v in ctx.random_xis(sc.spacetime, 4):
             xi = evaluate(v, tf.frame)
             res = current_divergence(tf, difference_current(tf, xi))
-            worst = max(worst, _stats(res, tf.theta.components))
+            worst = _worst(worst, _stats(res, tf.theta.components))
         yield Target(name, 4 * ctx.cfg.points, *worst)
 
 
@@ -831,7 +852,7 @@ def _chk_current_decomp(ctx):
             b = alternative_current(tf, xi)
             c = difference_current(tf, xi)
             res = a - b + c
-            worst = max(worst, _stats(res, a))
+            worst = _worst(worst, _stats(res, a))
         yield Target(name, 4 * ctx.cfg.points, *worst)
 
 
@@ -853,7 +874,7 @@ def _chk_matter_current(ctx):
         for v in st.killing:
             xi = evaluate(v, tf.frame)
             res = current_divergence(tf, lie_matter_current(tf, xi))
-            worst = max(worst, _stats(res, tf.L))
+            worst = _worst(worst, _stats(res, tf.L))
             cnt += ctx.cfg.points
         yield Target(name, cnt, *worst)
 
@@ -874,7 +895,7 @@ def _chk_ee(ctx):
         sym = rhs - transpose_slots(rhs, (1, 0))
         r1 = _stats(res, lhs)
         r2 = _stats(sym, lhs)
-        worst = max(r1, r2)
+        worst = _worst(r1, r2)
         yield Target(name, ctx.cfg.points, *worst)
 
 

@@ -78,6 +78,15 @@ def test_bad_tolerance_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_too_low_jet_order_is_usage_error(capsys):
+    code = run_cli(["verify", "--suite", "emt-onshell", "--jet-order", "2",
+                    "--points", "4", "--quiet"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --jet-order 2")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_off_shell_gate_exit_code(capsys):
     code = run_cli(["verify", "--suite", "emt-onshell",
                     "--scenario", "scalar-blob-2d", "--points", "4"])

@@ -1,7 +1,7 @@
 """Lagrangian evaluation, energy-momentum tensors, currents, variations.
 
 Flat-space closed forms are recomputed here with plain numpy straight from
-the jet tables, independently of the ArgTensor differentiation layer.
+the jet tables, independently of the reverse-mode (tape) differentiation layer.
 """
 
 import numpy as np
@@ -18,7 +18,11 @@ from emtkit.catalog import (
     scenario_box,
 )
 from emtkit.fieldtheory import (
+    ArgTensor,
+    LagrangianContext,
+    LagrangianTheory,
     OffShellError,
+    a_einsum,
     alternative_current,
     broken_scalar_theory,
     canonical_divergence_terms,
@@ -36,7 +40,8 @@ from emtkit.fieldtheory import (
     scalar_theory,
     variational_pair,
 )
-from emtkit.geometry import evaluate, geometry_at
+from emtkit.geometry import MetricField, evaluate, geometry_at, jet_matrix_inverse
+from emtkit.jets import jet_einsum, partial_in_var
 from emtkit.tensors import max_abs, value_array
 
 MINK4 = SPACETIMES["minkowski4"]
@@ -269,3 +274,110 @@ def test_variational_support_guard():
     with pytest.raises(ValueError):
         variational_pair(scalar_theory(), {"phi": fld},
                          MINK2.metric, wide, MINK2.box, (16, 16))
+
+
+# --------------------------------------------------------------------------
+# the reverse sweep against an independent directional derivative
+# --------------------------------------------------------------------------
+
+
+def _gate4_case(st_name, kind):
+    """The random fields of acceptance gate 4 (kinematic chain rule)."""
+    st = SPACETIMES[st_name]
+    if kind == "scalar":
+        return scalar_theory(0.4), {"phi": random_tensor_field((), st.box, 403)}
+    if kind == "maxwell":
+        return maxwell_theory(), {"A": random_tensor_field(("d",), st.box, 404)}
+    return broken_scalar_theory(0.4), {"phi": random_tensor_field((), st.box, 403)}
+
+
+ADJOINT_CASES = (
+    [("scenario", name) for name in SCENARIOS]
+    + [(st_name, kind) for st_name in sorted(SPACETIMES)
+       for kind in ("scalar", "maxwell")]
+    + [("minkowski4", "broken-scalar")]
+)
+
+
+@pytest.mark.parametrize("where,what", ADJOINT_CASES,
+                         ids=[f"{a}-{b}" for a, b in ADJOINT_CASES])
+def test_reverse_derivatives_match_directional_derivative(where, what):
+    """Shift psi, grad psi and g along seeded random directions by eps, carried
+    as one extra jet variable; d/d eps L, taken by forward jet arithmetic alone,
+    must equal the reverse-mode derivatives contracted with the directions."""
+    if where == "scenario":
+        sc = SCENARIOS[what]
+        theory, fields, box = sc.theory, sc.fields, scenario_box(sc)
+        metric = spacetime(sc.spacetime).metric
+    else:
+        theory, fields = _gate4_case(where, what)
+        box, metric = SPACETIMES[where].box, SPACETIMES[where].metric
+    n = metric.n
+    pts = sample_points(box, 8, seed=811)
+    ext = MetricField(metric.name, n, metric.signature, lambda c: metric.fn(c[:n]))
+    frame = geometry_at(ext, np.concatenate([pts, np.zeros((8, 1))], axis=1), 3)
+    eps = frame.coords[n]
+    tf = evaluate_theory(theory, fields, frame)
+    rng = np.random.default_rng(812)
+
+    def shifted(jet, deriv):
+        """(jet + eps * direction, <derivative, direction> per point)."""
+        direction = rng.normal(size=jet.data[0].shape)
+        S = "abcd"[: jet.vdim]
+        pairing = np.einsum(f"p{S},p{S}->p", deriv.components.data[0], direction)
+        return ArgTensor(jet + jet_einsum(f",{S}->{S}", eps, direction)), pairing
+
+    psi, dpsi, want = {}, {}, 0.0
+    for spec in theory.fields:
+        label = spec.label
+        psi[label], p1 = shifted(tf.psi[label].components, tf.dL_dpsi[label])
+        dpsi[label], p2 = shifted(tf.dpsi[label].components, tf.dL_ddpsi[label])
+        want = want + p1 + p2
+    w = rng.normal(size=(8, n, n))
+    w = w + w.swapaxes(1, 2)           # dL/dg is the symmetrized derivative
+    g = frame.g.components + jet_einsum(",ab->ab", eps, w)
+    want = want + np.einsum("pab,pab->p", tf.dL_dg.components.data[0], w)
+
+    ctx = LagrangianContext(n, psi, dpsi, ArgTensor(g), ArgTensor(jet_matrix_inverse(g)),
+                            frame.coords[:n])
+    got = partial_in_var(theory.lagrangian(ctx).comps, n).data[0]
+    scale = np.max(np.abs(got))
+    assert scale > 1e-6
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_evaluate_theory_is_reentrant():
+    frame = mink4_frame(seed=9)
+    outer_fields = {"phi": random_tensor_field((), MINK4.box, seed=83)}
+    inner_fields = {"A": random_tensor_field(("d",), MINK4.box, seed=89)}
+    base, inner_theory = scalar_theory(0.6), maxwell_theory()
+    nested = []
+
+    def lag(ctx):
+        dphi = ctx.dpsi("phi")
+        ctx.einsum("a,a->", dphi, dphi)             # the outer tape is in use
+        nested.append(evaluate_theory(inner_theory, inner_fields, frame))
+        return base.lagrangian(ctx)
+
+    tf = evaluate_theory(LagrangianTheory("nested", base.fields, lag),
+                         outer_fields, frame)
+    pairs = [(tf, evaluate_theory(base, outer_fields, frame)),
+             (nested[0], evaluate_theory(inner_theory, inner_fields, frame))]
+    for got, alone in pairs:
+        for attr in ("dL_dpsi", "dL_ddpsi"):
+            for label, t in getattr(alone, attr).items():
+                assert np.array_equal(value_array(getattr(got, attr)[label]),
+                                      value_array(t))
+        assert np.array_equal(value_array(got.dL_dg), value_array(alone.dL_dg))
+        assert max_abs(alone.dL_dg) > 0.0
+
+
+@pytest.mark.parametrize("subs", ["aa,->", "ab,bb->a", "ab,b->", "a,b->a", "ab,c->b"])
+def test_a_einsum_rejects_subscripts_without_adjoint(subs):
+    frame = mink4_frame()
+    operands = {r: ArgTensor(evaluate(random_tensor_field(("u",) * r, MINK4.box, seed=97),
+                                      frame).components)
+                for r in range(3)}
+    sx, sy = subs.split("->")[0].split(",")
+    with pytest.raises(ValueError, match="no adjoint"):
+        a_einsum(subs, operands[len(sx)], operands[len(sy)])
