@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import jsin, jcos, jexp, jlog, jreciprocal, jsqrt, jet_stack
+from .jets import Jet, jsin, jcos, jexp, jlog, jreciprocal, jsqrt, jet_stack
 from .geometry import (
     MetricField,
     TensorField,
@@ -400,32 +400,6 @@ def sample_points(box, count: int, seed: int) -> np.ndarray:
     return lo + (hi - lo) * rng.uniform(size=(count, len(box)))
 
 
-def _poly_scalar_fn(box, rng, degree=3):
-    """Random polynomial in box-centered scaled coordinates, O(1) on the box."""
-    n = len(box)
-    center = np.array([(b[0] + b[1]) / 2 for b in box])
-    halfw = np.array([(b[1] - b[0]) / 2 for b in box])
-    terms = []
-    for total in range(degree + 1):
-        for powers in _monomials(n, total):
-            coef = rng.normal() / math.factorial(total + 1)
-            terms.append((coef, powers))
-
-    def fn(coords):
-        u = [(coords[i] - center[i]) * (1.0 / halfw[i]) for i in range(n)]
-        out = None
-        for coef, powers in terms:
-            t = None
-            for i, p in enumerate(powers):
-                for _ in range(p):
-                    t = u[i] if t is None else t * u[i]
-            t = coef if t is None else coef * t
-            out = t if out is None else out + t
-        return out + coords[0] * 0.0
-
-    return fn
-
-
 def _monomials(n, total):
     if n == 1:
         yield (total,)
@@ -435,26 +409,54 @@ def _monomials(n, total):
             yield (first,) + rest
 
 
-def random_tensor_field(variance, box, seed: int) -> TensorField:
-    """Seeded polynomial tensor field with O(1) components on the box."""
-    rng = np.random.default_rng(seed)
+def _poly_tensor_fn(box, rng, shape, degree=3):
+    """Random polynomial components in box-centered scaled coordinates,
+    O(1) on the box, evaluated through monomial jets shared by all of them."""
     n = len(box)
-    rank = len(variance)
-
-    def build(shape_left):
-        if not shape_left:
-            return _poly_scalar_fn(box, rng)
-        return [build(shape_left[1:]) for _ in range(shape_left[0])]
-
-    tree = build((n,) * rank)
+    center = np.array([(b[0] + b[1]) / 2 for b in box])
+    halfw = np.array([(b[1] - b[0]) / 2 for b in box])
+    # factor index chains u_i u_j ... with i <= j <= ..., in _monomials order
+    chains = [sum(((i,) * p for i, p in enumerate(powers)), ())
+              for total in range(degree + 1) for powers in _monomials(n, total)]
+    denom = np.array([float(math.factorial(len(c) + 1)) for c in chains])
+    coef = rng.normal(size=tuple(shape) + (len(chains),)) / denom
 
     def fn(coords):
-        def walk(node):
-            if isinstance(node, list):
-                return [walk(c) for c in node]
-            return node(coords)
-        return jet_stack(walk(tree)) if rank else tree(coords)
+        u = [(coords[i] - center[i]) * (1.0 / halfw[i]) for i in range(n)]
+        # each monomial is its prefix monomial times one more factor; the
+        # constant chain () comes first and carries no jet
+        mono = {}
+        for chain in chains[1:]:
+            head = chain[:-1]
+            mono[chain] = mono[head] * u[chain[-1]] if head else u[chain[0]]
+        zero = coords[0] * 0.0
+        nb = len(zero.batch_shape)
+        lead = (slice(None),) * nb + (None,) * len(shape)
+        data = []
+        for m in range(zero.order + 1):
+            tail = (None,) * m
+            acc = coef[..., 0] if m == 0 else None
+            for k, chain in enumerate(chains[1:], start=1):
+                term = coef[(..., k) + tail] * mono[chain].data[m][lead]
+                acc = term if acc is None else acc + term
+            acc += zero.data[m][lead]
+            data.append(acc)
+        return Jet(zero.nvars, zero.order, len(shape), data)
 
+    return fn
+
+
+def random_tensor_field(variance, box, seed: int) -> TensorField:
+    """Seeded polynomial tensor field with O(1) components on the box.
+
+    Each component is a cubic polynomial in box-centered scaled coordinates.
+    Coefficients are drawn component-major (row-major over the component
+    indices), each component's monomials in ``_monomials`` order of
+    increasing total degree, each divided by ``(degree + 1)!``.  All
+    components share one set of monomial jets per evaluation.
+    """
+    rng = np.random.default_rng(seed)
+    fn = _poly_tensor_fn(box, rng, (len(box),) * len(variance))
     return TensorField(tuple(variance), fn, name=f"random-{seed}")
 
 

@@ -17,6 +17,7 @@ axes, which lets a whole grid of sample points flow through one einsum.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -214,6 +215,28 @@ def _free_letters(used, k):
     return pool[:k]
 
 
+@functools.lru_cache(maxsize=1024)
+def _leibniz_plan(sx: str, sy: str, so: str, order: int):
+    """Per output order m, the splits (i, subscripts, perms) of the Leibniz
+    sum: one einsum puts x's i derivative slots first, and each i-subset of
+    the m output slots, in ``combinations`` order, is that product with its
+    derivative axes permuted by ``perm`` (negative axis numbers)."""
+    dl = _free_letters(set(sx + sy + so), order)
+    plan = []
+    for m in range(order + 1):
+        dm = "".join(dl[:m])
+        splits = []
+        for i in range(m + 1):
+            subs = f"...{sx}{dm[:i]},...{sy}{dm[i:]}->...{so}{dm}"
+            perms = []
+            for pos in combinations(range(m), i):
+                src = pos + tuple(p for p in range(m) if p not in pos)
+                perms.append(tuple(src.index(p) - m for p in range(m)))
+            splits.append((i, subs, tuple(perms)))
+        plan.append(tuple(splits))
+    return tuple(plan)
+
+
 def jet_einsum(subs: str, x, y):
     """Bilinear einsum over value axes with the Leibniz rule on derivative axes.
 
@@ -229,20 +252,18 @@ def jet_einsum(subs: str, x, y):
         if x.nvars != y.nvars:
             raise ValueError("jet_einsum operands differ in nvars")
         order = min(x.order, y.order)
-        dl = _free_letters(set(sx + sy + so), order)
         data = []
-        for m in range(order + 1):
+        for m, splits in enumerate(_leibniz_plan(sx, sy, so, order)):
             acc = None
-            for i in range(m + 1):
-                for pos in combinations(range(m), i):
-                    inpos = set(pos)
-                    fl = "".join(dl[p] for p in pos)
-                    gl = "".join(dl[p] for p in range(m) if p not in inpos)
-                    term = np.einsum(
-                        f"...{sx}{fl},...{sy}{gl}->...{so}{''.join(dl[:m])}",
-                        x.data[i], y.data[m - i],
-                    )
-                    acc = term if acc is None else acc + term
+            for i, subs_i, perms in splits:
+                base = np.einsum(subs_i, x.data[i], y.data[m - i])
+                lead = tuple(range(base.ndim - m))
+                for perm in perms:
+                    term = base.transpose(lead + perm)
+                    if acc is None:
+                        acc = term
+                    else:
+                        acc += term
             data.append(acc)
         return Jet(x.nvars, order, len(so), data)
     if xj:

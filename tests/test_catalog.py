@@ -1,5 +1,8 @@
 """Catalog of spacetimes and field configurations, and its self-checks."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from emtkit.catalog import (
 )
 from emtkit.fieldtheory import scalar_theory
 from emtkit.geometry import VectorField, evaluate, geometry_at
+from emtkit import jets
 from emtkit.jets import jet_stack
 from emtkit.tensors import value_array
 
@@ -66,6 +70,88 @@ def test_random_fields_are_deterministic():
     assert not np.array_equal(value_array(f1), value_array(f3))
     v = evaluate(random_vector_field(box, seed=5), frame)
     assert v.variance == ("u",)
+
+
+def _reference_field(variance, box, seed):
+    """Per-component random field: every component its own cubic with its
+    own monomial products, the components stacked at the end."""
+    rng = np.random.default_rng(seed)
+    n = len(box)
+    center = np.array([(b[0] + b[1]) / 2 for b in box])
+    halfw = np.array([(b[1] - b[0]) / 2 for b in box])
+
+    def component():
+        terms = []
+        for total in range(4):
+            for powers in sorted(p for p in itertools.product(range(total + 1), repeat=n)
+                                 if sum(p) == total):
+                terms.append((rng.normal() / math.factorial(total + 1), powers))
+
+        def fn(coords):
+            u = [(coords[i] - center[i]) * (1.0 / halfw[i]) for i in range(n)]
+            out = None
+            for coef, powers in terms:
+                t = None
+                for i, p in enumerate(powers):
+                    for _ in range(p):
+                        t = u[i] if t is None else t * u[i]
+                t = coef if t is None else coef * t
+                out = t if out is None else out + t
+            return out + coords[0] * 0.0
+
+        return fn
+
+    def build(rank):
+        return component() if rank == 0 else [build(rank - 1) for _ in range(n)]
+
+    tree = build(len(variance))
+
+    def fn(coords):
+        def walk(node):
+            return [walk(c) for c in node] if isinstance(node, list) else node(coords)
+        return jet_stack(walk(tree)) if variance else tree(coords)
+
+    return fn
+
+
+@pytest.mark.parametrize("space,order,batch,aux", [
+    ("minkowski2", 3, (6,), 0),
+    ("minkowski2", 2, (2, 3), 1),
+    ("minkowski4", 3, (3,), 0),
+    ("minkowski4", 2, (2, 2), 2),
+])
+@pytest.mark.parametrize("variance", [(), ("d",), ("u", "d"), ("d", "u", "d")])
+def test_random_fields_match_per_component_reference(space, order, batch, aux,
+                                                     variance):
+    # shared monomial jets must not change a single bit of any table
+    st = SPACETIMES[space]
+    n = len(st.box)
+    pts = np.random.default_rng(3).uniform(0.2, 0.9, batch + (n + aux,))
+    frame = geometry_at(st.metric, pts, order)
+    got = evaluate(random_tensor_field(variance, st.box, seed=17), frame).components
+    want = _reference_field(variance, st.box, seed=17)(frame.coords[:n])
+    assert (got.nvars, got.order, got.vdim) == (want.nvars, want.order, want.vdim)
+    assert got.nvars == n + aux
+    for g, w in zip(got.data, want.data):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_random_field_evaluation_shares_monomial_products(monkeypatch):
+    # 30 monomial products in 4-D; one cubic per component would take ~800
+    calls = []
+    real = jets.jet_einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    st = SPACETIMES["minkowski4"]
+    frame = geometry_at(st.metric, sample_points(st.box, 4, seed=2), 3)
+    field = random_tensor_field(("d", "d"), st.box, seed=8)
+    monkeypatch.setattr(jets, "jet_einsum", counting)
+    evaluate(field, frame)
+    assert 0 < len(calls) <= 40
 
 
 def test_scenario_box_override():

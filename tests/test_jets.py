@@ -5,11 +5,14 @@ The oracles are central finite differences with Richardson extrapolation
 exactness to machine precision is expected.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emtkit.jets import (
+    Jet,
     JetOrderError,
     constant_jet,
     differentiate,
@@ -138,6 +141,51 @@ def test_jet_einsum_product_rule():
              + np.einsum("...ije,...jd->...ide", A.data[1], B.data[1])
              + np.einsum("...ij,...jde->...ide", A.data[0], B.data[2]))
     assert np.allclose(C.data[2], want2, atol=1e-14)
+
+
+def _leibniz_reference(subs, x, y):
+    """One einsum per subset of derivative slots taken by x, summed in
+    ``combinations`` order."""
+    (sx, sy), so = subs.split("->")[0].split(","), subs.split("->")[1]
+    order = min(x.order, y.order)
+    dl = [c for c in "zyxwvutsrq"][:order]
+    out = []
+    for m in range(order + 1):
+        acc = None
+        for i in range(m + 1):
+            for pos in combinations(range(m), i):
+                fl = "".join(dl[p] for p in pos)
+                gl = "".join(dl[p] for p in range(m) if p not in pos)
+                t = np.einsum(f"...{sx}{fl},...{sy}{gl}->...{so}{''.join(dl[:m])}",
+                              x.data[i], y.data[m - i])
+                acc = t if acc is None else acc + t
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("subs", [",->", "ab,bc->ac", "a,b->ab", "abc,c->ab", "ab,ab->"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("bx,by", [((), ()), ((5,), (5,)), ((2, 1), (1, 3)), ((4,), ())])
+def test_jet_einsum_matches_per_subset_leibniz(subs, order, bx, by):
+    # random tables that are not symmetric in their derivative axes, so a
+    # slot permuted the wrong way shows; the sums must agree bit for bit
+    rng = np.random.default_rng(order)
+    dims = {"a": 3, "b": 4, "c": 5}
+    nv = 3
+    (sx, sy) = subs.split("->")[0].split(",")
+
+    def table_jet(batch, letters):
+        shape = batch + tuple(dims[c] for c in letters)
+        return Jet(nv, order, len(letters),
+                   [rng.normal(size=shape + (nv,) * m) for m in range(order + 1)])
+
+    x, y = table_jet(bx, sx), table_jet(by, sy)
+    got = jet_einsum(subs, x, y)
+    want = _leibniz_reference(subs, x, y)
+    assert got.order == order and len(got.data) == len(want)
+    for g, w in zip(got.data, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 def test_division_and_power():
