@@ -15,11 +15,15 @@ Index layout conventions used throughout:
 * ``ricci[c, b] = riemann[a, c, a, b]``.
 
 The covariant derivative of an arbitrary tensor is computed through the
-index-replacement map in one stroke:
+index-replacement map:
 
     D_a T = d_a T + Gamma^b_{ca} (tilde T)^c_b
 
 which reproduces the usual one-Gamma-per-slot prescription for every rank.
+The contraction with tilde T is taken slot by slot
+(:func:`~emtkit.tensors.tilde_contract`), so tilde T itself is never built;
+the Lie derivative and the curvature and connection-tensor commutators
+contract it the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .jets import (
     jsqrt,
     lift,
 )
-from .tensors import TensorValue, contract, tilde, transpose_slots
+from .tensors import TensorValue, contract, tilde, tilde_contract, transpose_slots
 
 __all__ = [
     "DegenerateMetricError",
@@ -245,9 +249,7 @@ def covariant_derivative(t: TensorValue, frame: Frame) -> TensorValue:
     dt = partial_tensor(t)
     if t.rank == 0:
         return dt
-    S = "".join(chr(ord("i") + k) for k in range(t.rank))
-    tt = tilde(t)  # [S, x(up), y(down)]
-    corr = jet_einsum(f"{S}xy,yxz->{S}z", tt.components, frame.gamma.components)
+    corr = tilde_contract(t, frame.gamma.components, 1)
     return dt + TensorValue(t.variance + ("d",), t.n, corr)
 
 
@@ -273,8 +275,7 @@ def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) 
         dt, dxi = covariant_derivative(t, frame), covariant_derivative(xi, frame)
     S = "".join(chr(ord("i") + k) for k in range(t.rank))
     term1 = jet_einsum(f"{S}a,a->{S}", dt.components, xi.components)
-    tt = tilde(t)
-    term2 = jet_einsum(f"{S}xy,yx->{S}", tt.components, dxi.components)
+    term2 = tilde_contract(t, dxi.components, 0)
     return TensorValue(t.variance, t.n, term1 - term2)
 
 
@@ -285,9 +286,7 @@ def curvature_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:
     r = t.rank
     perm = list(range(r)) + [r + 1, r]
     lhs = transpose_slots(d2, perm) - d2        # [S, a, b]: D_a D_b T - D_b D_a T
-    S = "".join(chr(ord("i") + k) for k in range(r))
-    tt = tilde(t)
-    rhs = jet_einsum(f"{S}cd,dcab->{S}ab", tt.components, frame.riemann.components)
+    rhs = tilde_contract(t, frame.riemann.components, 2)
     return lhs - TensorValue(t.variance + ("d", "d"), t.n, rhs)
 
 
@@ -346,9 +345,7 @@ def christoffel_deformation(h: TensorValue, frame: Frame) -> TensorValue:
 
 def lie_nabla_from_connection(t: TensorValue, C: TensorValue) -> TensorValue:
     """[Lie_xi, D] T from the connection tensor: D_{xi a} T = C^c_{ba} (tilde T)^b_c."""
-    S = "".join(chr(ord("i") + k) for k in range(t.rank))
-    tt = tilde(t)  # [S, b(up), c(down)]
-    comps = jet_einsum(f"{S}bc,cba->{S}a", tt.components, C.components)
+    comps = tilde_contract(t, C.components, 1)
     return TensorValue(t.variance + ("d",), t.n, comps)
 
 

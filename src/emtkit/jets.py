@@ -122,13 +122,13 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _add(self, _neg(other))
+        return _add(self, other, np.subtract)
 
     def __rsub__(self, other):
-        return _add(_neg(self), other)
+        return _add(other, self, np.subtract)
 
     def __neg__(self):
-        return _neg(self)
+        return Jet(self.nvars, self.order, self.vdim, [-t for t in self.data])
 
     def __mul__(self, other):
         return _mul(self, other)
@@ -151,26 +151,23 @@ def _is_const(x) -> bool:
     return not isinstance(x, Jet)
 
 
-def _neg(x):
-    if _is_const(x):
-        return -np.asarray(x, dtype=float)
-    return Jet(x.nvars, x.order, x.vdim, [-t for t in x.data])
-
-
-def _add(x, y):
+def _add(x, y, op=np.add):
+    """x + y, or x - y with ``op=np.subtract``, one pass per derivative table."""
     if _is_const(x) and _is_const(y):
-        return np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+        return op(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if _is_const(y):
-        x, y = y, x
+        c = np.asarray(y, dtype=float)
+        return Jet(x.nvars, x.order, x.vdim, [op(x.data[0], c), *x.data[1:]])
     if _is_const(x):
         c = np.asarray(x, dtype=float)
-        return Jet(y.nvars, y.order, y.vdim, [y.data[0] + c, *y.data[1:]])
+        tail = y.data[1:] if op is np.add else [-t for t in y.data[1:]]
+        return Jet(y.nvars, y.order, y.vdim, [op(c, y.data[0]), *tail])
     if x.nvars != y.nvars:
         raise ValueError("jet addition needs matching nvars")
     if x.vdim != y.vdim:
         raise ValueError("jet addition needs matching vdim")
     order = min(x.order, y.order)
-    return Jet(x.nvars, order, x.vdim, [x.data[m] + y.data[m] for m in range(order + 1)])
+    return Jet(x.nvars, order, x.vdim, [op(x.data[m], y.data[m]) for m in range(order + 1)])
 
 
 def _mul(x, y):

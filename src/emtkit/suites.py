@@ -1076,9 +1076,9 @@ def checks_for(suites) -> list:
 
 def run_checks(cfg: RunConfig, emit=None) -> list:
     """Run the configured checks, returning a list of CheckOutcome."""
-    unknown = [s for s in cfg.suites if s not in SUITE_ORDER]
-    if unknown:
-        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
+    for s in cfg.suites:
+        if s not in SUITE_ORDER:
+            raise ValueError(f"unknown suite '{s}' (have: {', '.join(SUITE_ORDER)})")
     ctx = RunContext(cfg)
     for st_name in (cfg.spacetimes or SPACETIMES):
         verify_spacetime_claims(spacetime(st_name), seed=cfg.seed)

@@ -13,10 +13,15 @@ tensor with that slot's index replaced by the new one, weighted with a
 Kronecker delta (plus sign for contravariant slots, minus for covariant).
 A scalar maps to the zero (1,1) tensor.  The two new slots are appended at
 the end of the slot list, contravariant first.
+
+Most of tilde T is zeros, and derivative formulas only ever contract it with
+a second tensor on both new slots.  :func:`tilde_contract` forms that
+contraction directly, one product per slot of T, without building tilde T.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations
 
 import numpy as np
@@ -26,6 +31,7 @@ from .jets import Jet, jet_einsum, zeros_jet, _LETTERS, _free_letters
 __all__ = [
     "TensorValue",
     "tilde",
+    "tilde_contract",
     "tensor_product",
     "contract",
     "transpose_slots",
@@ -80,14 +86,17 @@ class TensorValue:
         return f"TensorValue(variance={self.variance}, n={self.n})"
 
     def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
         if not isinstance(other, TensorValue):
             return NotImplemented
         if other.variance != self.variance or other.n != self.n:
             raise ValueError("tensor addition needs identical slot structure")
-        return TensorValue(self.variance, self.n, self.components + other.components)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return TensorValue(self.variance, self.n, op(self.components, other.components))
 
     def __neg__(self):
         return TensorValue(self.variance, self.n, -self.components)
@@ -129,24 +138,60 @@ def tilde(t: TensorValue) -> TensorValue:
     holding the new up index, times delta(old slot, new down index); for each
     covariant slot the summand is minus the tensor with that slot holding the
     new down index, times delta(new up index, old slot).  Scalars map to zero.
+
+    The deltas are never multiplied out: each summand is added, in slot
+    order, into the diagonal of one zero table where its delta is 1.
     """
     r = t.rank
-    out_var = t.variance + ("u", "d")
+    z = _zeros_like(t, t.variance + ("u", "d"))
     if r == 0:
-        return _zeros_like(t, out_var)
-    slots = list(_LETTERS[:r])
-    A, B = _free_letters(set(slots), 2)
-    eye = np.eye(t.n)
+        return z
+    c = t.components
+    jet = isinstance(c, Jet)
+    S = _LETTERS[:r]
+    A, B, *dl = _free_letters(set(S), 2 + (c.order if jet else 0))
+    pairs = zip(c.data, z.components.data) if jet else [(c, z.components)]
+    for m, (src, res) in enumerate(pairs):
+        dm = "".join(dl[:m])
+        nb = src.ndim - r - m
+        for k, v in enumerate(t.variance):
+            # slot k's axis moves to the new slot; slot k itself broadcasts
+            moved = np.expand_dims(np.moveaxis(src, nb + k, nb + r - 1), nb + k)
+            if v == "u":
+                diag = np.einsum(f"...{S}{A}{S[k]}{dm}->...{S}{A}{dm}", res)
+                diag += moved
+            else:
+                diag = np.einsum(f"...{S}{S[k]}{B}{dm}->...{S}{B}{dm}", res)
+                diag -= moved
+    return z
+
+
+def tilde_contract(t: TensorValue, m, extra: int):
+    """Components of (tilde T)^{S x}_y m[y, x, E], without building tilde T.
+
+    ``m`` is a jet or array whose value axes are [y, x] followed by ``extra``
+    slots E, which the result keeps after the slots S of ``t``.  Each
+    contravariant slot s adds T[s -> x] m[s, x, E] and each covariant slot
+    subtracts T[s -> y] m[y, s, E]: r products of T with m in place of the
+    rank-(r+2) tilde T and its contraction with m.
+    """
+    r = t.rank
+    S = _LETTERS[:r]
+    x, y, *E = _free_letters(set(S), 2 + extra)
+    E = "".join(E)
+    if r == 0:
+        # tilde T is zero; contracting its table keeps the jet order and
+        # batch shape that the general case would give
+        return jet_einsum(f"{x}{y},{y}{x}{E}->{E}", _zeros_like(t, ("u", "d")).components, m)
     acc = None
     for k, v in enumerate(t.variance):
-        src = slots.copy()
-        src[k] = A if v == "u" else B
-        subs = f"{''.join(src)},{slots[k]}{B if v == 'u' else A}->{''.join(slots)}{A}{B}"
-        term = jet_einsum(subs, t.components, eye)
-        if v == "d":
-            term = -term
-        acc = term if acc is None else acc + term
-    return TensorValue(out_var, t.n, acc)
+        if v == "u":
+            term = jet_einsum(f"{S[:k]}{x}{S[k + 1:]},{S[k]}{x}{E}->{S}{E}", t.components, m)
+            acc = term if acc is None else acc + term
+        else:
+            term = jet_einsum(f"{S[:k]}{y}{S[k + 1:]},{y}{S[k]}{E}->{S}{E}", t.components, m)
+            acc = -term if acc is None else acc - term
+    return acc
 
 
 def tensor_product(a: TensorValue, b: TensorValue) -> TensorValue:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from emtkit import geometry
 from emtkit.catalog import (
     SPACETIMES,
     bump2_conformal_factor,
@@ -164,6 +165,23 @@ def test_lie_nabla_commutator_from_connection():
     direct = lie_nabla_commutator(t, xi, frame)
     C = lie_connection_tensor(xi, frame, form="direct")
     assert max_abs(direct - lie_nabla_from_connection(t, C)) < 1e-10
+
+
+def test_covariant_and_lie_derivatives_do_not_materialise_tilde(monkeypatch):
+    fr = schw_frame()
+    t = evaluate(random_tensor_field(("u", "d"), SCHW.box, seed=5), fr)
+    xi = evaluate(random_vector_field(SCHW.box, seed=6), fr)
+    want_d = covariant_derivative(t, fr)
+    want_l = lie_derivative(t, xi, fr)
+
+    def no_tilde(_):
+        raise AssertionError("tilde(T) built only to be contracted")
+
+    monkeypatch.setattr(geometry, "tilde", no_tilde)
+    for got, want in ((covariant_derivative(t, fr), want_d),
+                      (lie_derivative(t, xi, fr), want_l)):
+        for g, w in zip(got.components.data, want.components.data):
+            assert np.array_equal(g, w)
 
 
 def test_killing_vectors_annihilate_metric():

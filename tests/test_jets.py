@@ -188,6 +188,23 @@ def test_jet_einsum_matches_per_subset_leibniz(subs, order, bx, by):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("lhs,rhs", [("jet", "jet"), ("jet", "const"), ("const", "jet")])
+def test_subtraction_is_adding_the_negation_bitwise(lhs, rhs):
+    rng = np.random.default_rng(3)
+
+    def operand(kind, order, batch):
+        if kind == "const":
+            return rng.normal(size=batch + (3,))
+        return Jet(2, order, 1, [rng.normal(size=batch + (3,) + (2,) * m)
+                                 for m in range(order + 1)])
+
+    x, y = operand(lhs, 3, (4, 1)), operand(rhs, 2, (5,))
+    got, want = x - y, x + (-y)
+    assert isinstance(got, Jet) and got.order == want.order
+    for g, w in zip(got.data, want.data):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_division_and_power():
     x = np.array([0.7, 1.3])
     t, u = lift(x, 2, 3)

@@ -1,8 +1,11 @@
 """Tensor values and the index-replacement operator.
 
 The main oracle is a deliberately naive loop implementation of the
-replacement operator over plain component arrays; the production path goes
-through einsum with delta factors and must agree exactly.
+replacement operator over plain component arrays; the production path adds
+each summand into a diagonal view of a zero table and must agree exactly.
+It must also agree bit for bit with the summands written as einsums against
+the identity matrix, and the slot-by-slot contraction ``tilde_contract``
+must agree with contracting the materialised tilde T.
 """
 
 import itertools
@@ -22,9 +25,11 @@ from emtkit.tensors import (
     symmetrize_pair,
     tensor_product,
     tilde,
+    tilde_contract,
     transpose_slots,
     value_array,
 )
+from emtkit.jets import Jet, jet_einsum
 
 
 def tilde_loops(variance, comps):
@@ -66,6 +71,78 @@ def test_tilde_matches_loop_oracle(variance, n):
     want, want_var = tilde_loops(variance, comps)
     assert got.variance == want_var
     assert np.allclose(value_array(got), want, atol=0, rtol=0)
+
+
+def tilde_eye_products(t):
+    """Index replacement as one einsum against the identity matrix per slot,
+    the summands negated and added in slot order."""
+    S = "abc"[:t.rank]
+    acc = None
+    for k, v in enumerate(t.variance):
+        src = S[:k] + ("x" if v == "u" else "y") + S[k + 1:]
+        delta = S[k] + ("y" if v == "u" else "x")
+        term = jet_einsum(f"{src},{delta}->{S}xy", t.components, np.eye(t.n))
+        if v == "d":
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def tables(c):
+    return c.data if isinstance(c, Jet) else (c,)
+
+
+def random_components(rng, rank, order, n=3, nvars=4, batch=(2, 3), vshape=None):
+    """Plain array components for order None, else a jet of that order."""
+    shape = batch + (vshape if vshape is not None else (n,) * rank)
+    if order is None:
+        return rng.normal(size=shape)
+    return Jet(nvars, order, len(shape) - len(batch),
+               [rng.normal(size=shape + (nvars,) * m) for m in range(order + 1)])
+
+
+ALL_VARIANCES = [v for r in range(4) for v in itertools.product("ud", repeat=r)]
+
+
+def variance_id(variance):
+    return "".join(variance) or "scalar"
+
+
+@pytest.mark.parametrize("variance", ALL_VARIANCES, ids=variance_id)
+@pytest.mark.parametrize("order", [None, 0, 1, 2, 3])
+def test_tilde_matches_eye_products_bitwise(variance, order):
+    seed = ALL_VARIANCES.index(variance) * 5 + (0 if order is None else order + 1)
+    rng = np.random.default_rng(seed)
+    t = TensorValue(variance, 3, random_components(rng, len(variance), order))
+    got = tilde(t)
+    assert got.variance == variance + ("u", "d")
+    if not variance:
+        assert all(not np.any(g) for g in tables(got.components))
+        return
+    want = tables(tilde_eye_products(t))
+    assert len(tables(got.components)) == len(want)
+    for g, w in zip(tables(got.components), want):
+        # + 0.0 maps -0.0 to +0.0 and leaves every other bit pattern alone
+        assert (g + 0.0).tobytes() == (w + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("variance", [("u",), ("d",), ("u", "d"), ("d", "d"),
+                                      ("d", "u", "u"), ()], ids=variance_id)
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("m_order", [None, 2])
+def test_tilde_contract_matches_materialised_tilde(variance, extra, m_order):
+    rng = np.random.default_rng(len(variance) * 7 + extra * 3 + (m_order or 0))
+    n = 3
+    t = TensorValue(variance, n, random_components(rng, len(variance), 3, n=n))
+    m = random_components(rng, 0, m_order, vshape=(n,) * (2 + extra))
+    E = "pq"[:extra]
+    S = "abc"[:t.rank]
+    want = tables(jet_einsum(f"{S}xy,yx{E}->{S}{E}", tilde(t).components, m))
+    got = tables(tilde_contract(t, m, extra))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * max(np.max(np.abs(w)), 1e-300)
 
 
 def test_tilde_scalar_is_zero():
