@@ -494,20 +494,21 @@ def bump_perturbation(box, seed: int, scale: float = 0.1,
 
 def verify_spacetime_claims(st: Spacetime, seed: int = 0, count: int = 12,
                             tol: float = 1e-10):
-    """Check every claimed Killing/parallel property at random points."""
+    """Check every claimed Killing/parallel property at random points; a
+    non-finite residual refutes the claim."""
     pts = sample_points(st.box, count, seed)
     fr = geometry_at(st.metric, pts, 2)
     for v in st.killing:
         xi = evaluate(v, fr)
         if v.claimed_killing:
             r = max_abs(killing_residual(xi, fr))
-            if r > tol:
+            if not r <= tol:
                 raise CatalogClaimError(
                     f"{st.name}: vector '{v.name}' claims Killing, "
                     f"residual {r:.3e} > {tol:.1e}")
         if v.claimed_parallel:
             r = max_abs(parallel_residual(xi, fr))
-            if r > tol:
+            if not r <= tol:
                 raise CatalogClaimError(
                     f"{st.name}: vector '{v.name}' claims parallel, "
                     f"residual {r:.3e} > {tol:.1e}")
@@ -515,12 +516,17 @@ def verify_spacetime_claims(st: Spacetime, seed: int = 0, count: int = 12,
 
 def verify_scenario_claims(sc: Scenario, seed: int = 0, count: int = 12,
                            gate: float = 1e-7):
-    """Check the scenario's on-shell claim at random points."""
+    """Check the scenario's on-shell claim at random points; a non-finite
+    equation-of-motion residual refutes either claim."""
     st = spacetime(sc.spacetime)
     pts = sample_points(scenario_box(sc), count, seed)
     fr = geometry_at(st.metric, pts, 3)
     tf = evaluate_theory(sc.theory, sc.fields, fr)
     r = tf.eom_max_residual()
+    if not math.isfinite(r):
+        raise CatalogClaimError(
+            f"scenario '{sc.name}' has a non-finite equation-of-motion "
+            f"residual ({r})")
     if sc.on_shell and r > gate:
         raise CatalogClaimError(
             f"scenario '{sc.name}' claims on-shell, equation-of-motion "

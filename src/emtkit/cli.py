@@ -7,6 +7,7 @@ configuration, 3 an on-shell precondition was violated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -30,6 +31,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_OFFSHELL = 3
+
+# a config file may set any RunConfig field, plus the report path
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig)) | {"report"}
 
 
 def _parse_tol(items):
@@ -61,60 +65,66 @@ def _load_config_file(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    allowed = {"suites", "scenarios", "spacetimes", "points", "seed",
-               "jet_order", "xi_count", "tolerances", "grid_2d", "grid_4d",
-               "report"}
-    unknown = set(data) - allowed
+    unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ValueError(f"config file has unknown keys: {', '.join(sorted(unknown))}")
     return data
 
 
 def _build_config(args):
-    base = {}
-    if args.config:
-        base = _load_config_file(args.config)
-
-    def pick(name, cli_value, default):
-        if cli_value is not None:
-            return cli_value
-        if name in base and base[name] is not None:
-            return base[name]
-        return default
-
-    suites = pick("suites", args.suite or None, list(SUITE_ORDER))
-    scenarios = pick("scenarios", args.scenario or None, None)
-    spacetimes = pick("spacetimes", args.spacetime or None, None)
+    """RunConfig from its own defaults, overridden by the config file, in turn
+    overridden by the flags.  Values are checked by ``_validate``."""
+    base = _load_config_file(args.config) if args.config else {}
+    flags = {"suites": args.suite, "scenarios": args.scenario,
+             "spacetimes": args.spacetime, "points": args.points,
+             "seed": args.seed, "jet_order": args.jet_order}
+    given = {}
+    for f in dataclasses.fields(RunConfig):
+        value = flags.get(f.name)
+        if value is None:
+            value = base.get(f.name)
+        if value is not None:
+            given[f.name] = tuple(value) if isinstance(value, list) else value
+    cfg = RunConfig(**given)
 
     global_tol, overrides = _parse_tol(args.tol)
-    tolerances = dict(base.get("tolerances") or {})
-    tolerances.update(overrides)
-    if global_tol is not None:
-        for check_id in CHECKS:
-            tolerances.setdefault(check_id, global_tol)
-
-    for name in tolerances:
-        if name not in CHECKS:
-            raise ValueError(f"config tolerance names unknown check '{name}'")
-
-    cfg = RunConfig(
-        suites=tuple(suites),
-        scenarios=None if scenarios is None else tuple(scenarios),
-        spacetimes=None if spacetimes is None else tuple(spacetimes),
-        points=int(pick("points", args.points, 16)),
-        seed=int(pick("seed", args.seed, 7)),
-        jet_order=int(pick("jet_order", args.jet_order, 3)),
-        xi_count=int(pick("xi_count", None, 16)),
-        tolerances=tolerances,
-        grid_2d=tuple(base.get("grid_2d", (64, 64))),
-        grid_4d=tuple(base.get("grid_4d", (16, 16, 16, 16))),
-    )
+    if isinstance(cfg.tolerances, dict):     # anything else fails _validate
+        cfg.tolerances = {**cfg.tolerances, **overrides}
+        if global_tol is not None:
+            for check_id in CHECKS:
+                cfg.tolerances.setdefault(check_id, global_tol)
     report_path = args.report if args.report is not None else base.get("report")
+    if not isinstance(report_path, (str, type(None))):
+        raise ValueError("report must be a file path")
     return cfg, report_path
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _validate(cfg):
     # unknown suites are rejected by run_checks
+    for key in ("suites", "scenarios", "spacetimes"):
+        names = getattr(cfg, key)
+        if names is not None and not (isinstance(names, tuple)
+                                      and all(isinstance(s, str) for s in names)):
+            raise ValueError(f"{key} must be a list of names")
+    for key in ("points", "seed", "jet_order", "xi_count"):
+        if not _is_int(getattr(cfg, key)):
+            raise ValueError(f"{key} must be an integer")
+    for key, dim in (("grid_2d", 2), ("grid_4d", 4)):
+        grid = getattr(cfg, key)
+        if not (isinstance(grid, tuple) and len(grid) == dim
+                and all(_is_int(m) and m >= 1 for m in grid)):
+            raise ValueError(f"{key} must be a list of {dim} positive integers")
+    if not (isinstance(cfg.tolerances, dict)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in cfg.tolerances.values())):
+        raise ValueError("tolerances must be an object mapping check ids to numbers")
+    for name in cfg.tolerances:
+        if name not in CHECKS:
+            raise ValueError(f"config tolerance names unknown check '{name}'")
     for s in cfg.scenarios or ():
         if s not in SCENARIOS:
             raise ValueError(f"unknown scenario '{s}' (have: {', '.join(sorted(SCENARIOS))})")
@@ -125,6 +135,8 @@ def _validate(cfg):
         raise ValueError("--points must be positive")
     if cfg.jet_order < 2:
         raise ValueError("--jet-order must be at least 2")
+    if cfg.xi_count < 1:
+        raise ValueError("xi_count must be at least 1")
 
 
 def cmd_verify(args):

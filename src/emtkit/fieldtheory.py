@@ -356,16 +356,18 @@ class TheoryFrame:
         return out
 
     def eom_max_residual(self) -> float:
-        worst = 0.0
+        """Largest |residual| over all fields; NaN if any component is NaN."""
+        peaks = [0.0]
         for t in self.eom_residual.values():
             arr = t.components.data[0] if isinstance(t.components, Jet) else t.components
             if arr.size:
-                worst = max(worst, float(np.max(np.abs(arr))))
-        return worst
+                peaks.append(np.max(np.abs(arr)))
+        return float(np.max(peaks))
 
     def require_on_shell(self, gate: float = 1e-7):
+        """Raise OffShellError unless the residual is finite and within gate."""
         r = self.eom_max_residual()
-        if r > gate:
+        if not r <= gate:
             raise OffShellError(
                 f"configuration violates the field equations: max residual "
                 f"{r:.3e} > gate {gate:.1e}"
@@ -381,6 +383,17 @@ class TheoryFrame:
             t = tilde(self.psi[spec.label])
             r = t.rank - 2
             out[spec.label] = raise_slot(t, r + 1, self.frame.ginv)
+        return out
+
+    @cached_property
+    def _G_tilde(self) -> dict:
+        """dL/d(grad_c psi) (tilde psi)^ab per label, slots [c, a, b]."""
+        out = {}
+        for spec in self.theory.fields:
+            G = self.dL_ddpsi[spec.label]
+            ttr = self._tilde_raised[spec.label]
+            S = _slot_letters(ttr.rank - 2)
+            out[spec.label] = jet_einsum(f"{S}c,{S}ab->cab", G.components, ttr.components)
         return out
 
     @cached_property
@@ -429,12 +442,7 @@ class TheoryFrame:
         """dL/d(grad_c psi) (tilde psi)^ab + Theta^cab, slots [c, a, b];
         symmetric in (a, b) by construction."""
         acc = self.theta  # Theta^cab in slots [c, a, b] is just theta itself
-        for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]
-            ttr = self._tilde_raised[spec.label]
-            r = ttr.rank - 2
-            S = _slot_letters(r)
-            term = jet_einsum(f"{S}c,{S}ab->cab", G.components, ttr.components)
+        for term in self._G_tilde.values():
             acc = acc + TensorValue(("u", "u", "u"), self.n, term)
         return acc
 
@@ -525,10 +533,7 @@ def master_identity_terms(tf: TheoryFrame, xi: TensorValue):
     """(D_a(T_B^ab xi_b), 1/2 T_M^ab (Lie_xi g)_ab) as scalar jets."""
     from .geometry import lie_derivative
 
-    xil = _lower(xi, tf.frame)
-    j = TensorValue(("u",), tf.n,
-                    jet_einsum("ab,b->a", tf.emt_belinfante.components, xil.components))
-    lhs = _div_current(j, tf.frame)
+    lhs = _div_current(noether_current(tf, xi), tf.frame)
     h = lie_derivative(tf.frame.g, xi, tf.frame)
     rhs = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, h.components)
     return lhs, rhs
@@ -536,11 +541,8 @@ def master_identity_terms(tf: TheoryFrame, xi: TensorValue):
 
 def current_gradient_pairing_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
     """D_a(T_B^ab xi_b) - T_M^ab D_a xi_b."""
-    xil = _lower(xi, tf.frame)
-    j = TensorValue(("u",), tf.n,
-                    jet_einsum("ab,b->a", tf.emt_belinfante.components, xil.components))
-    lhs = _div_current(j, tf.frame)
-    dxil = covariant_derivative(xil, tf.frame)   # [b, a] = D_a xi_b
+    lhs = _div_current(noether_current(tf, xi), tf.frame)
+    dxil = covariant_derivative(_lower(xi, tf.frame), tf.frame)   # [b, a] = D_a xi_b
     rhs = jet_einsum("ab,ba->", tf.emt_metric.components, dxil.components)
     return _scalar_values(lhs - rhs)
 
@@ -603,12 +605,7 @@ def canonical_divergence_terms(tf: TheoryFrame, gate: float = 1e-7):
     dT = covariant_derivative(tf.emt_canonical, tf.frame)
     lhs = contract(dT, 0, 2)                     # [b]
     acc = None
-    for spec in tf.theory.fields:
-        G = tf.dL_ddpsi[spec.label]
-        ttr = tf._tilde_raised[spec.label]
-        r = ttr.rank - 2
-        S = _slot_letters(r)
-        X = jet_einsum(f"{S}a,{S}cd->acd", G.components, ttr.components)
+    for X in tf._G_tilde.values():                # [a, c, d]
         term = jet_einsum("acd,badc->b", X, tf.frame.riemann.components)
         acc = term if acc is None else acc + term
     rhs = TensorValue(("u",), tf.n, acc)
@@ -623,11 +620,7 @@ def metric_derivative_identity_terms(tf: TheoryFrame, gate: float = 1e-7):
     acc = None
     for spec in tf.theory.fields:
         G = tf.dL_ddpsi[spec.label]
-        ttr = tf._tilde_raised[spec.label]
-        r = ttr.rank - 2
-        S = _slot_letters(r)
-        W = jet_einsum(f"{S}c,{S}ab->cab", G.components, ttr.components)
-        Wt = TensorValue(("u", "u", "u"), tf.n, W)
+        Wt = TensorValue(("u", "u", "u"), tf.n, tf._G_tilde[spec.label])
         dW = covariant_derivative(Wt, tf.frame)
         div = contract(dW, 0, 3)
         d = tf.dpsi[spec.label]

@@ -59,7 +59,6 @@ __all__ = [
     "jet_det",
     "partial_tensor",
     "covariant_derivative",
-    "covariant_divergence",
     "lie_derivative",
     "curvature_commutator_residual",
     "tilde_gradient_commutator_residual",
@@ -251,14 +250,6 @@ def covariant_derivative(t: TensorValue, frame: Frame) -> TensorValue:
         return dt
     corr = tilde_contract(t, frame.gamma.components, 1)
     return dt + TensorValue(t.variance + ("d",), t.n, corr)
-
-
-def covariant_divergence(t: TensorValue, frame: Frame, slot: int = 0) -> TensorValue:
-    """Contract the appended derivative slot of D T with the given up slot."""
-    if t.variance[slot] != "u":
-        raise ValueError("divergence needs a contravariant slot")
-    dt = covariant_derivative(t, frame)
-    return contract(dt, slot, dt.rank - 1)
 
 
 def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) -> TensorValue:

@@ -2,10 +2,15 @@
 energy-momentum identities, grouped for the command line runner.
 
 Each check measures a residual (or a required signal) over deterministic
-sample points and compares it against a tolerance.  A check aggregates over
-one or more targets (spacetimes or field scenarios); the report keeps the
-worst value seen.  All randomness is seeded from the run configuration, so a
-report is a pure function of its configuration.
+sample points and compares it against a tolerance.  A check body is a
+generator of ``(target_name, points, residual, scale)`` tuples, one per
+measurement; residual and scale are tensors, jets, arrays or numbers.
+``_register`` wraps the body into ``Check.fn``, which folds consecutive
+yields that share a target name (a spacetime or a field scenario) into one
+:class:`Target`: their points are summed and their ``_stats(residual,
+scale)`` pairs are combined by ``_worst``, so a NaN or inf is never dropped.
+All randomness is seeded from the run configuration, so a report is a pure
+function of its configuration.
 """
 
 from __future__ import annotations
@@ -40,12 +45,10 @@ from .geometry import (
     lie_nabla_commutator,
     lie_nabla_from_connection,
     parallel_residual,
-    partial_tensor,
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
 from .fieldtheory import (
-    OffShellError,
     alternative_current,
     broken_scalar_theory,
     canonical_divergence_terms,
@@ -205,14 +208,22 @@ class RunContext:
     def spacetime_names(self, default):
         return self.cfg.spacetimes if self.cfg.spacetimes else default
 
-    def scenario_names(self, on_shell=None):
-        if self.cfg.scenarios:
-            return self.cfg.scenarios
-        names = []
-        for name, sc in SCENARIOS.items():
-            if on_shell is None or sc.on_shell == on_shell:
-                names.append(name)
-        return tuple(names)
+    def scenarios(self, on_shell=None, require=False, where=None):
+        """``(name, scenario, theory_frame)`` for the configured scenarios, or
+        else for every catalog scenario whose on-shell claim is ``on_shell``
+        (None: all).  ``where(scenario)`` skips a scenario before its theory
+        is evaluated; ``require`` gates each one on its field equations."""
+        names = self.cfg.scenarios or [
+            name for name, sc in SCENARIOS.items()
+            if on_shell is None or sc.on_shell == on_shell]
+        for name in names:
+            sc = scenario(name)
+            if where is not None and not where(sc):
+                continue
+            tf = self.theory_frame(name)
+            if require:
+                tf.require_on_shell()
+            yield name, sc, tf
 
     def random_xis(self, st_name, count=None):
         st = spacetime(st_name)
@@ -225,11 +236,27 @@ CHECKS: dict[str, Check] = {}
 
 
 def _register(**kw):
-    def deco(fn):
-        check = Check(fn=fn, **kw)
+    def deco(body):
+        check = Check(fn=lambda ctx: _fold(body(ctx)), **kw)
         CHECKS[check.id] = check
-        return fn
+        return body
     return deco
+
+
+def _fold(yields) -> list:
+    """One Target per run of consecutive ``(name, points, residual, scale)``
+    yields sharing a name: points summed, ``_stats`` pairs combined by
+    ``_worst`` starting from (0, 0)."""
+    targets = []
+    for name, points, residual, scale in yields:
+        pair = _stats(residual, scale)
+        del residual, scale   # not kept alive while the body computes its next yield
+        if not targets or targets[-1].name != name:
+            targets.append(Target(name, 0, 0.0, 0.0))
+        t = targets[-1]
+        t.points += points
+        t.value_abs, t.value_rel = _worst((t.value_abs, t.value_rel), pair)
+    return targets
 
 
 def _arr(x):
@@ -280,10 +307,7 @@ def _random_tensors(ctx, st_name, ranks=_TENSOR_RANKS, base_seed=0):
 def _chk_tilde_identity(ctx):
     for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild")):
         n = spacetime(st_name).n
-        eye = TensorValue(("u", "d"), n, np.eye(n))
-        res = tilde(eye)
-        r = float(np.max(np.abs(value_array(res))))
-        yield Target(st_name, 1, r, r)
+        yield st_name, 1, tilde(TensorValue(("u", "d"), n, np.eye(n))), 1.0
 
 
 @_register(
@@ -302,8 +326,7 @@ def _chk_tilde_metric(ctx):
         t1 = jet_einsum("db,ca->abcd", fr.g.components, eye)
         t2 = jet_einsum("ad,cb->abcd", fr.g.components, eye)
         want = -(t1 + t2)
-        res = got.components - want
-        yield Target(st_name, ctx.cfg.points, *_stats(res, fr.g.components))
+        yield st_name, ctx.cfg.points, got.components - want, fr.g.components
 
 
 @_register(
@@ -320,9 +343,7 @@ def _chk_tilde_eps(ctx):
         got = tilde(eps)
         S = "".join(chr(ord("i") + k) for k in range(n))
         want = -np.einsum(f"{S},cd->{S}cd", eps.components, np.eye(n))
-        res = value_array(got) - want
-        r = float(np.max(np.abs(res)))
-        yield Target(st_name, 1, r, r)
+        yield st_name, 1, value_array(got) - want, 1.0
 
 
 @_register(
@@ -335,17 +356,12 @@ def _chk_tilde_eps(ctx):
 def _chk_tilde_trace(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild",)):
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
         for fld in _random_tensors(ctx, st_name):
             t = evaluate(fld, fr)
-            tt = tilde(t)
-            tr = contract(tt, t.rank, t.rank + 1)
-            p = sum(1 for v in t.variance if v == "u")
+            tr = contract(tilde(t), t.rank, t.rank + 1)
+            p = t.variance.count("u")
             q = t.rank - p
-            res = tr - float(p - q) * t
-            s = _stats(res, t)
-            worst = _worst(worst, s)
-        yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
+            yield st_name, ctx.cfg.points, tr - float(p - q) * t, t
 
 
 @_register(
@@ -359,8 +375,6 @@ def _chk_tilde_leibniz(ctx):
     for st_name in ctx.spacetime_names(("minkowski4",)):
         fr = ctx.frame(st_name)
         flds = _random_tensors(ctx, st_name, ranks=(("u",), ("d",), ("u", "d")))
-        worst = (0.0, 0.0)
-        pts = 0
         for i in range(len(flds)):
             for j in range(len(flds)):
                 t = evaluate(flds[i], fr)
@@ -374,9 +388,7 @@ def _chk_tilde_leibniz(ctx):
                          + (rt, rt + 1))
                 term2 = tensor_product(t, tilde(s))
                 res = lhs - transpose_slots(term1, perm1) - term2
-                worst = _worst(worst, _stats(res, lhs))
-                pts += ctx.cfg.points
-        yield Target(st_name, pts, *worst)
+                yield st_name, ctx.cfg.points, res, lhs
 
 
 # --------------------------------------------------------------------------
@@ -396,13 +408,10 @@ def _chk_lie_dual(ctx):
     for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
         xi = evaluate(ctx.random_xis(st_name, 1)[0], fr)
-        worst = (0.0, 0.0)
         for fld in _random_tensors(ctx, st_name, base_seed=40):
             t = evaluate(fld, fr)
             a = lie_derivative(t, xi, None)
-            b = lie_derivative(t, xi, fr)
-            worst = _worst(worst, _stats(a - b, a))
-        yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
+            yield st_name, ctx.cfg.points, a - lie_derivative(t, xi, fr), a
 
 
 @_register(
@@ -414,18 +423,10 @@ def _chk_lie_dual(ctx):
                 "the metric under the Lie derivative.")
 def _chk_killing(ctx):
     for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
-        st = spacetime(st_name)
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
-        cnt = 0
-        for v in st.killing:
-            if not v.claimed_killing:
-                continue
-            xi = evaluate(v, fr)
-            res = killing_residual(xi, fr)
-            worst = _worst(worst, _stats(res, fr.g))
-            cnt += ctx.cfg.points
-        yield Target(st_name, cnt, *worst)
+        for v in spacetime(st_name).killing:
+            if v.claimed_killing:
+                yield st_name, ctx.cfg.points, killing_residual(evaluate(v, fr), fr), fr.g
 
 
 @_register(
@@ -437,19 +438,11 @@ def _chk_killing(ctx):
                 "covariantly constant; the claim is re-derived numerically.")
 def _chk_parallel(ctx):
     for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
-        st = spacetime(st_name)
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
-        cnt = 0
-        for v in st.killing:
-            if not v.claimed_parallel:
-                continue
-            xi = evaluate(v, fr)
-            res = parallel_residual(xi, fr)
-            worst = _worst(worst, _stats(res, xi))
-            cnt += ctx.cfg.points
-        if cnt:
-            yield Target(st_name, cnt, *worst)
+        for v in spacetime(st_name).killing:
+            if v.claimed_parallel:
+                xi = evaluate(v, fr)
+                yield st_name, ctx.cfg.points, parallel_residual(xi, fr), xi
 
 
 @_register(
@@ -462,12 +455,9 @@ def _chk_parallel(ctx):
 def _chk_volume(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
         for v in ctx.random_xis(st_name, 3):
-            xi = evaluate(v, fr)
-            res = volume_lie_residual(xi, fr)
-            worst = _worst(worst, _stats(res, fr.sqrt_g))
-        yield Target(st_name, 3 * ctx.cfg.points, *worst)
+            res = volume_lie_residual(evaluate(v, fr), fr)
+            yield st_name, ctx.cfg.points, res, fr.sqrt_g
 
 
 # --------------------------------------------------------------------------
@@ -487,12 +477,9 @@ def _chk_volume(ctx):
 def _chk_curv_comm(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
         for fld in _random_tensors(ctx, st_name, base_seed=60):
-            t = evaluate(fld, fr)
-            res = curvature_commutator_residual(t, fr)
-            worst = _worst(worst, _stats(res, fr.riemann))
-        yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
+            res = curvature_commutator_residual(evaluate(fld, fr), fr)
+            yield st_name, ctx.cfg.points, res, fr.riemann
 
 
 @_register(
@@ -506,13 +493,10 @@ def _chk_curv_comm(ctx):
 def _chk_tilde_grad(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild",)):
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
         for fld in _random_tensors(ctx, st_name, base_seed=80):
             t = evaluate(fld, fr)
             res = tilde_gradient_commutator_residual(t, fr)
-            scale = covariant_derivative(t, fr)
-            worst = _worst(worst, _stats(res, scale))
-        yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
+            yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
 
 
 @_register(
@@ -527,13 +511,11 @@ def _chk_tilde_grad(ctx):
 def _chk_conn_dual(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
         for v in ctx.random_xis(st_name, 3):
             xi = evaluate(v, fr)
             a = lie_connection_tensor(xi, fr, form="direct")
             b = lie_connection_tensor(xi, fr, form="metric")
-            worst = _worst(worst, _stats(a - b, a))
-        yield Target(st_name, 3 * ctx.cfg.points, *worst)
+            yield st_name, ctx.cfg.points, a - b, a
 
 
 @_register(
@@ -547,15 +529,12 @@ def _chk_conn_dual(ctx):
 def _chk_lie_grad(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
         xi = evaluate(ctx.random_xis(st_name, 1)[0], fr)
         C = lie_connection_tensor(xi, fr, form="direct")
         for fld in _random_tensors(ctx, st_name, base_seed=90):
             t = evaluate(fld, fr)
             got = lie_nabla_commutator(t, xi, fr)
-            want = lie_nabla_from_connection(t, C)
-            worst = _worst(worst, _stats(got - want, got))
-        yield Target(st_name, ctx.cfg.points * len(_TENSOR_RANKS), *worst)
+            yield st_name, ctx.cfg.points, got - lie_nabla_from_connection(t, C), got
 
 
 @_register(
@@ -567,21 +546,15 @@ def _chk_lie_grad(ctx):
                 "so differentiation and flow commute on arbitrary tensors.")
 def _chk_killing_commute(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "minkowski4")):
-        st = spacetime(st_name)
         fr = ctx.frame(st_name)
-        worst = (0.0, 0.0)
-        cnt = 0
         flds = _random_tensors(ctx, st_name, ranks=((), ("u",), ("d", "d")),
                                base_seed=110)
-        for v in st.killing[:4]:
+        for v in spacetime(st_name).killing[:4]:
             xi = evaluate(v, fr)
             for fld in flds:
                 t = evaluate(fld, fr)
                 res = lie_nabla_commutator(t, xi, fr)
-                scale = covariant_derivative(t, fr)
-                worst = _worst(worst, _stats(res, scale))
-                cnt += ctx.cfg.points
-        yield Target(st_name, cnt, *worst)
+                yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
 
 
 # --------------------------------------------------------------------------
@@ -598,15 +571,10 @@ def _chk_killing_commute(ctx):
                 "derivative distributes over its arguments; holds for any "
                 "field configuration, on or off shell.")
 def _chk_chain(ctx):
-    for name in ctx.scenario_names():
-        tf = ctx.theory_frame(name)
-        sc = scenario(name)
-        worst = (0.0, 0.0)
+    for name, sc, tf in ctx.scenarios():
         for v in ctx.random_xis(sc.spacetime, 3):
-            xi = evaluate(v, tf.frame)
-            res = kinematic_lie_residual(tf, xi)
-            worst = _worst(worst, _stats(res, tf.L))
-        yield Target(name, 3 * ctx.cfg.points, *worst)
+            res = kinematic_lie_residual(tf, evaluate(v, tf.frame))
+            yield name, ctx.cfg.points, res, tf.L
 
 
 @_register(
@@ -621,12 +589,9 @@ def _chk_chain_negative(ctx):
     sc = scenario("scalar-wave-2d")
     fr = ctx.frame(sc.spacetime)
     tf = evaluate_theory(broken_scalar_theory(0.5), sc.fields, fr)
-    worst = (0.0, 0.0)
     for v in ctx.random_xis(sc.spacetime, 3):
-        xi = evaluate(v, fr)
-        res = kinematic_lie_residual(tf, xi)
-        worst = _worst(worst, _stats(res, tf.L))
-    yield Target("broken-scalar", 3 * ctx.cfg.points, *worst)
+        res = kinematic_lie_residual(tf, evaluate(v, fr))
+        yield "broken-scalar", ctx.cfg.points, res, tf.L
 
 
 # --------------------------------------------------------------------------
@@ -642,11 +607,9 @@ def _chk_chain_negative(ctx):
     description="Symmetry of T_M needs no field equations: the derivative "
                 "bracket it subtracts is built symmetric in its free slots.")
 def _chk_tm_sym(ctx):
-    for name in ctx.scenario_names():
-        tf = ctx.theory_frame(name)
+    for name, _, tf in ctx.scenarios():
         tm = tf.emt_metric
-        res = tm - transpose_slots(tm, (1, 0))
-        yield Target(name, ctx.cfg.points, *_stats(res, tm))
+        yield name, ctx.cfg.points, tm - transpose_slots(tm, (1, 0)), tm
 
 
 @_register(
@@ -658,13 +621,10 @@ def _chk_tm_sym(ctx):
                 "swapping its first slot pair, which is what makes its "
                 "double divergence vanish.")
 def _chk_theta_antisym(ctx):
-    for name in ctx.scenario_names():
-        tf = ctx.theory_frame(name)
+    for name, _, tf in ctx.scenarios():
         th = tf.theta
         res = th + transpose_slots(th, (1, 0, 2))
-        scale = max(max_abs(th), 1.0)
-        r = max_abs(res)
-        yield Target(name, ctx.cfg.points, r, r / scale)
+        yield name, ctx.cfg.points, res, max(max_abs(th), 1.0)
 
 
 @_register(
@@ -675,11 +635,8 @@ def _chk_theta_antisym(ctx):
     description="Adding the superpotential divergence to the canonical "
                 "tensor lands exactly on the metric tensor for solutions.")
 def _chk_tb_tm(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        res = tf.emt_belinfante - tf.emt_metric
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_metric))
+    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
+        yield name, ctx.cfg.points, tf.emt_belinfante - tf.emt_metric, tf.emt_metric
 
 
 @_register(
@@ -692,16 +649,10 @@ def _chk_tb_tm(ctx):
                 "current equals the metric tensor paired with the metric "
                 "flow.  Checked with a family of seeded random vectors.")
 def _chk_master(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        sc = scenario(name)
-        worst = (0.0, 0.0)
+    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
         for v in ctx.random_xis(sc.spacetime):
-            xi = evaluate(v, tf.frame)
-            lhs, rhs = master_identity_terms(tf, xi)
-            worst = _worst(worst, _stats(lhs - rhs, lhs))
-        yield Target(name, ctx.cfg.xi_count * ctx.cfg.points, *worst)
+            lhs, rhs = master_identity_terms(tf, evaluate(v, tf.frame))
+            yield name, ctx.cfg.points, lhs - rhs, lhs
 
 
 @_register(
@@ -713,16 +664,10 @@ def _chk_master(ctx):
                 "(unsymmetrized) gradient of xi; works because T_M is "
                 "symmetric.")
 def _chk_110(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        sc = scenario(name)
-        worst = (0.0, 0.0)
+    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
         for v in ctx.random_xis(sc.spacetime, 4):
-            xi = evaluate(v, tf.frame)
-            res = current_gradient_pairing_residual(tf, xi)
-            worst = _worst(worst, _stats(res, tf.emt_metric))
-        yield Target(name, 4 * ctx.cfg.points, *worst)
+            res = current_gradient_pairing_residual(tf, evaluate(v, tf.frame))
+            yield name, ctx.cfg.points, res, tf.emt_metric
 
 
 @_register(
@@ -733,19 +678,10 @@ def _chk_110(ctx):
     description="The improved current built from any catalog symmetry vector "
                 "is divergence-free on shell.")
 def _chk_noether(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        sc = scenario(name)
-        st = spacetime(sc.spacetime)
-        worst = (0.0, 0.0)
-        cnt = 0
-        for v in st.killing:
-            xi = evaluate(v, tf.frame)
-            res = current_divergence(tf, noether_current(tf, xi))
-            worst = _worst(worst, _stats(res, tf.emt_belinfante))
-            cnt += ctx.cfg.points
-        yield Target(name, cnt, *worst)
+    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
+        for v in spacetime(sc.spacetime).killing:
+            res = current_divergence(tf, noether_current(tf, evaluate(v, tf.frame)))
+            yield name, ctx.cfg.points, res, tf.emt_belinfante
 
 
 @_register(
@@ -756,12 +692,9 @@ def _chk_noether(ctx):
     description="Slot-wise conservation of the improved tensor for "
                 "solutions, on flat and curved backgrounds alike.")
 def _chk_tb_div(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        d = covariant_derivative(tf.emt_belinfante, tf.frame)
-        res = contract(d, 0, 2)
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_belinfante))
+    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
+        res = contract(covariant_derivative(tf.emt_belinfante, tf.frame), 0, 2)
+        yield name, ctx.cfg.points, res, tf.emt_belinfante
 
 
 @_register(
@@ -772,12 +705,9 @@ def _chk_tb_div(ctx):
     description="Conservation of the metric tensor for solutions; follows "
                 "from the exchange identity with arbitrary localized xi.")
 def _chk_tm_div(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        d = covariant_derivative(tf.emt_metric, tf.frame)
-        res = contract(d, 0, 2)
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_metric))
+    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
+        res = contract(covariant_derivative(tf.emt_metric, tf.frame), 0, 2)
+        yield name, ctx.cfg.points, res, tf.emt_metric
 
 
 @_register(
@@ -789,13 +719,10 @@ def _chk_tm_div(ctx):
                 "backgrounds; its divergence is an explicit curvature term. "
                 "Both sides are compared pointwise.")
 def _chk_can_div(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
+    for name, _, tf in ctx.scenarios(on_shell=True):
         lhs, rhs = canonical_divergence_terms(tf)
-        res = lhs - rhs
         scale = max(max_abs(lhs), max_abs(rhs), max_abs(tf.emt_canonical))
-        r = max_abs(res)
-        yield Target(name, ctx.cfg.points, r, r / max(scale, 1e-300))
+        yield name, ctx.cfg.points, lhs - rhs, scale
 
 
 @_register(
@@ -808,10 +735,9 @@ def _chk_can_div(ctx):
                 "must demonstrably fail to be conserved.")
 def _chk_can_div_magnitude(ctx):
     name = "schwarzschild-coulomb"
-    tf = ctx.theory_frame(name)
-    lhs, rhs = canonical_divergence_terms(tf)
-    v = float(np.min([max_abs(lhs), max_abs(rhs)]))  # NaN-propagating
-    yield Target(name, ctx.cfg.points, v, v)
+    lhs, rhs = canonical_divergence_terms(ctx.theory_frame(name))
+    v = np.min([max_abs(lhs), max_abs(rhs)])  # NaN-propagating
+    yield name, ctx.cfg.points, v, 1.0
 
 
 @_register(
@@ -823,15 +749,10 @@ def _chk_can_div_magnitude(ctx):
                 "divergence-free without field equations for its xi-part: "
                 "antisymmetry plus the symmetry of the Ricci tensor.")
 def _chk_diff_current(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        sc = scenario(name)
-        worst = (0.0, 0.0)
+    for name, sc, tf in ctx.scenarios(on_shell=True):
         for v in ctx.random_xis(sc.spacetime, 4):
-            xi = evaluate(v, tf.frame)
-            res = current_divergence(tf, difference_current(tf, xi))
-            worst = _worst(worst, _stats(res, tf.theta.components))
-        yield Target(name, 4 * ctx.cfg.points, *worst)
+            res = current_divergence(tf, difference_current(tf, evaluate(v, tf.frame)))
+            yield name, ctx.cfg.points, res, tf.theta
 
 
 @_register(
@@ -842,18 +763,13 @@ def _chk_diff_current(ctx):
     description="The two ways of writing the conserved current differ by "
                 "exactly the identically-conserved superpotential current.")
 def _chk_current_decomp(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        sc = scenario(name)
-        worst = (0.0, 0.0)
+    for name, sc, tf in ctx.scenarios(on_shell=True):
         for v in ctx.random_xis(sc.spacetime, 4):
             xi = evaluate(v, tf.frame)
             a = noether_current(tf, xi)
             b = alternative_current(tf, xi)
             c = difference_current(tf, xi)
-            res = a - b + c
-            worst = _worst(worst, _stats(res, a))
-        yield Target(name, 4 * ctx.cfg.points, *worst)
+            yield name, ctx.cfg.points, a - b + c, a
 
 
 @_register(
@@ -864,19 +780,10 @@ def _chk_current_decomp(ctx):
     description="A first-derivative current built from the field flow along "
                 "a symmetry vector; conserved on shell.")
 def _chk_matter_current(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
-        tf.require_on_shell()
-        sc = scenario(name)
-        st = spacetime(sc.spacetime)
-        worst = (0.0, 0.0)
-        cnt = 0
-        for v in st.killing:
-            xi = evaluate(v, tf.frame)
-            res = current_divergence(tf, lie_matter_current(tf, xi))
-            worst = _worst(worst, _stats(res, tf.L))
-            cnt += ctx.cfg.points
-        yield Target(name, cnt, *worst)
+    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
+        for v in spacetime(sc.spacetime).killing:
+            res = current_divergence(tf, lie_matter_current(tf, evaluate(v, tf.frame)))
+            yield name, ctx.cfg.points, res, tf.L
 
 
 @_register(
@@ -888,15 +795,10 @@ def _chk_matter_current(ctx):
                 "rebuilt entirely from the field sector; the right side is "
                 "secretly symmetric in its free slots.")
 def _chk_ee(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        tf = ctx.theory_frame(name)
+    for name, _, tf in ctx.scenarios(on_shell=True):
         lhs, rhs = metric_derivative_identity_terms(tf)
-        res = lhs - rhs
-        sym = rhs - transpose_slots(rhs, (1, 0))
-        r1 = _stats(res, lhs)
-        r2 = _stats(sym, lhs)
-        worst = _worst(r1, r2)
-        yield Target(name, ctx.cfg.points, *worst)
+        yield name, ctx.cfg.points, lhs - rhs, lhs
+        yield name, 0, rhs - transpose_slots(rhs, (1, 0)), lhs
 
 
 @_register(
@@ -908,14 +810,10 @@ def _chk_ee(ctx):
                 "superpotential bracket cancels identically, so T_M reduces "
                 "to the bare metric-derivative form.")
 def _chk_tm_closed(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        sc = scenario(name)
-        if not sc.theory.name.startswith(("scalar", "maxwell")):
-            continue
-        tf = ctx.theory_frame(name)
+    for name, _, tf in ctx.scenarios(on_shell=True, where=lambda sc: (
+            sc.theory.name.startswith(("scalar", "maxwell")))):
         want = 2.0 * tf.dL_dg + tf._g_up_L
-        res = tf.emt_metric - want
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_metric))
+        yield name, ctx.cfg.points, tf.emt_metric - want, tf.emt_metric
 
 
 @_register(
@@ -926,11 +824,8 @@ def _chk_tm_closed(ctx):
     description="On electromagnetic scenarios the machine-built T_M matches "
                 "the textbook field-strength expression exactly.")
 def _chk_em_form(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        sc = scenario(name)
-        if sc.theory.name != "maxwell" or sc.gauge_field is None:
-            continue
-        tf = ctx.theory_frame(name)
+    for name, sc, tf in ctx.scenarios(on_shell=True, where=lambda sc: (
+            sc.theory.name == "maxwell" and sc.gauge_field is not None)):
         dA = tf.dpsi[sc.gauge_field]        # [b, a] = D_a A_b
         F = transpose_slots(dA, (1, 0)) - dA
         ginv = tf.frame.ginv.components
@@ -939,8 +834,7 @@ def _chk_em_form(ctx):
         Fmix = jet_einsum("ac,cb->ab", ginv, F.components)
         want = jet_einsum("ac,bc->ab", Fup, Fmix) + \
             jet_einsum("ab,->ab", ginv, tf.L)
-        res = tf.emt_metric.components - want
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_metric))
+        yield name, ctx.cfg.points, tf.emt_metric.components - want, tf.emt_metric
 
 
 # --------------------------------------------------------------------------
@@ -949,17 +843,12 @@ def _chk_em_form(ctx):
 
 
 def _gauge_pairs(ctx):
-    for name in ctx.scenario_names(on_shell=True):
-        sc = scenario(name)
-        if sc.gauge_field is None:
-            continue
-        tf = ctx.theory_frame(name)
-        st = spacetime(sc.spacetime)
-        chi = random_tensor_field((), st.box, ctx.cfg.seed + 5000)
+    for name, sc, tf in ctx.scenarios(on_shell=True,
+                                      where=lambda sc: sc.gauge_field is not None):
+        chi = random_tensor_field((), spacetime(sc.spacetime).box, ctx.cfg.seed + 5000)
         shifted = dict(sc.fields)
         shifted[sc.gauge_field] = gauge_shifted(sc.fields[sc.gauge_field], chi)
-        tf2 = evaluate_theory(sc.theory, shifted, tf.frame)
-        yield name, tf, tf2
+        yield name, tf, evaluate_theory(sc.theory, shifted, tf.frame)
 
 
 @_register(
@@ -971,8 +860,7 @@ def _gauge_pairs(ctx):
                 "metric energy-momentum tensor unchanged pointwise.")
 def _chk_gauge_tm(ctx):
     for name, tf, tf2 in _gauge_pairs(ctx):
-        res = tf2.emt_metric - tf.emt_metric
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_metric))
+        yield name, ctx.cfg.points, tf2.emt_metric - tf.emt_metric, tf.emt_metric
 
 
 @_register(
@@ -985,7 +873,7 @@ def _chk_gauge_tm(ctx):
 def _chk_gauge_tb(ctx):
     for name, tf, tf2 in _gauge_pairs(ctx):
         res = tf2.emt_belinfante - tf.emt_belinfante
-        yield Target(name, ctx.cfg.points, *_stats(res, tf.emt_belinfante))
+        yield name, ctx.cfg.points, res, tf.emt_belinfante
 
 
 @_register(
@@ -998,9 +886,7 @@ def _chk_gauge_tb(ctx):
                 "passing vacuously.")
 def _chk_gauge_tc(ctx):
     for name, tf, tf2 in _gauge_pairs(ctx):
-        res = tf2.emt_canonical - tf.emt_canonical
-        v = max_abs(res)
-        yield Target(name, ctx.cfg.points, v, v)
+        yield name, ctx.cfg.points, tf2.emt_canonical - tf.emt_canonical, 1.0
 
 
 # --------------------------------------------------------------------------
@@ -1014,9 +900,7 @@ def _variational_target(ctx, scen_name, grid, box, seed_offset=0):
     h = bump_perturbation(box, ctx.cfg.seed + 9000 + seed_offset,
                           scale=0.1, width_frac=0.09)
     lhs, rhs = variational_pair(sc.theory, sc.fields, st.metric, h, box, grid)
-    diff = abs(lhs - rhs)
-    rel = diff / max(abs(lhs), abs(rhs), 1e-300)
-    return Target(scen_name, int(np.prod(grid)), diff, rel)
+    return scen_name, int(np.prod(grid)), lhs - rhs, max(abs(lhs), abs(rhs))
 
 
 @_register(

@@ -1,5 +1,6 @@
 """Catalog of spacetimes and field configurations, and its self-checks."""
 
+import dataclasses
 import itertools
 import math
 
@@ -220,3 +221,27 @@ def test_gauge_fields_flagged():
         if sc.gauge_field is not None:
             assert sc.gauge_field in sc.fields
             assert sc.fields[sc.gauge_field].variance == ("d",)
+
+
+def _nan_valued(fn):
+    return lambda coords: fn(coords) * float("nan")
+
+
+@pytest.mark.parametrize("claim", ["Killing", "parallel"])
+def test_non_finite_symmetry_residual_refutes_claim(claim):
+    st = SPACETIMES["minkowski2"]
+    v = next(v for v in st.killing if v.claimed_parallel)
+    bad = dataclasses.replace(v, fn=_nan_valued(v.fn),
+                              claimed_killing=claim == "Killing",
+                              claimed_parallel=claim == "parallel")
+    with pytest.raises(CatalogClaimError, match=f"claims {claim}"):
+        verify_spacetime_claims(dataclasses.replace(st, killing=(bad,)), seed=1)
+
+
+@pytest.mark.parametrize("name", ["scalar-wave-2d", "scalar-blob-2d"])  # on, off shell
+def test_non_finite_field_equation_residual_refutes_scenario_claim(name):
+    sc = SCENARIOS[name]
+    fields = {k: dataclasses.replace(f, fn=_nan_valued(f.fn))
+              for k, f in sc.fields.items()}
+    with pytest.raises(CatalogClaimError, match="non-finite"):
+        verify_scenario_claims(dataclasses.replace(sc, fields=fields), seed=1)

@@ -134,6 +134,27 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"grid_4d": 5},
+    {"grid_2d": [0, 4]},
+    {"grid_2d": [64]},
+    {"grid_4d": [8, 8, 8, 8.5]},
+    {"tolerances": [1]},
+    {"tolerances": {"master-identity": "tight"}},
+    {"xi_count": 0},
+    {"points": [16]},
+    {"suites": 5},
+    {"report": 1},
+], ids=lambda bad: json.dumps(bad))
+def test_config_file_malformed_value_is_usage_error(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["emt-onshell"], **bad}))
+    assert run_cli(["verify", "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert next(iter(bad)) in err
+
+
 def test_config_file_missing(tmp_path):
     assert run_cli(["verify", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 

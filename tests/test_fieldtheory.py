@@ -140,6 +140,17 @@ def test_on_shell_gate():
         tf_blob.require_on_shell()
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+def test_non_finite_field_equation_residual_fails_the_gate(nan_first):
+    _, tf = scenario_theory_frame("scalar-wave-4d", count=4)
+    good = tf.eom_residual["phi"]
+    bad = float("nan") * good
+    tf.eom_residual = {"a": bad, "b": good} if nan_first else {"a": good, "b": bad}
+    assert np.isnan(tf.eom_max_residual())
+    with pytest.raises(OffShellError):
+        tf.require_on_shell()
+
+
 def test_field_variance_validated():
     frame = mink4_frame()
     wrong = random_tensor_field(("d",), MINK4.box, seed=23)

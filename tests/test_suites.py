@@ -1,11 +1,23 @@
-"""Residual aggregation: a NaN or inf residual fails its check whatever the
-target order, in both "below" and "exceeds" modes."""
+"""Residual aggregation: the fold of check-body yields into Targets, and a
+NaN or inf residual failing its check whatever the target order, in both
+"below" and "exceeds" modes."""
 
 import math
 
+import numpy as np
 import pytest
 
-from emtkit.suites import CHECKS, CheckOutcome, RunConfig, Target, _worst, build_report
+from emtkit.suites import (
+    CHECKS,
+    CheckOutcome,
+    RunConfig,
+    RunContext,
+    Target,
+    _fold,
+    _stats,
+    _worst,
+    build_report,
+)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -57,3 +69,48 @@ def test_finite_targets_still_pass():
     oc = CheckOutcome(check, [Target("a", 1, 0.0, 0.0), Target("b", 1, 1e-15, 1e-15)], 0.0)
     assert oc.max_abs == 1e-15 and oc.passed(check.tolerance)
     assert CheckOutcome(check, [], 0.0).max_abs == 0.0
+
+
+def _residuals(seed, count):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(3, 4)) * 10.0 ** -k for k in range(count)]
+
+
+def test_fold_merges_consecutive_yields_of_one_target():
+    r = _residuals(1, 4)
+    yields = [("a", 2, r[0], 1.0), ("a", 3, r[1], r[0]), ("b", 1, r[2], 2.0),
+              ("a", 4, r[3], 1.0)]
+    got = _fold(iter(yields))
+    assert [(t.name, t.points) for t in got] == [("a", 5), ("b", 1), ("a", 4)]
+    assert (got[0].value_abs, got[0].value_rel) == _worst(_stats(r[0], 1.0),
+                                                         _stats(r[1], r[0]))
+    assert (got[2].value_abs, got[2].value_rel) == _stats(r[3], 1.0)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_fold_keeps_a_nan_residual_anywhere_in_a_target(position):
+    r = _residuals(2, 3)
+    r[position] = r[position].copy()
+    r[position][1, 2] = np.nan
+    (target,) = _fold(("t", 4, res, 1.0) for res in r)
+    assert target.points == 12
+    assert not (math.isfinite(target.value_abs) and math.isfinite(target.value_rel))
+
+
+def test_fold_of_a_body_that_yields_nothing_has_no_target():
+    assert _fold(iter(())) == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.5e-7, "array", "nan"])
+def test_fold_of_a_single_yield_is_its_stats_bit_for_bit(scale):
+    res = _residuals(3, 1)[0]
+    scale = {"array": res[::-1], "nan": float("nan")}.get(scale, scale)
+    (target,) = _fold([("only", 7, res, scale)])
+    want = Target("only", 7, *_stats(res, scale))
+    assert repr(target) == repr(want)
+
+
+def test_registered_check_returns_folded_targets():
+    targets = CHECKS["tilde-trace-collapse"].fn(RunContext(RunConfig(points=2)))
+    assert [(t.name, t.points) for t in targets] == [("schwarzschild", 10)]
+    assert all(isinstance(t, Target) for t in targets)
