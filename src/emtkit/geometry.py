@@ -41,7 +41,6 @@ from .jets import (
     jabs,
     jet_einsum,
     jexp,
-    jet_map,
     jsqrt,
     lift,
 )
@@ -143,9 +142,10 @@ def jet_det(g: Jet) -> Jet:
     N = Jet(g.nvars, g.order, 2, [np.zeros(a0.shape), *g.data[1:]])
     M = jet_einsum("ij,jk->ik", inv0, N)
     P = M
+    nb = a0.ndim - 2
     series = None
     for k in range(1, g.order + 1):
-        tr = jet_map("ii->", P)
+        tr = Jet(P.nvars, P.order, 0, [np.trace(t, axis1=nb, axis2=nb + 1) for t in P.data])
         term = ((-1.0) ** (k - 1) / k) * tr
         series = term if series is None else series + term
         if k < g.order:

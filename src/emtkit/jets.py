@@ -27,7 +27,6 @@ __all__ = [
     "Jet",
     "JetOrderError",
     "jet_einsum",
-    "jet_map",
     "jet_compose",
     "jexp",
     "jlog",
@@ -212,26 +211,100 @@ def _free_letters(used, k):
     return pool[:k]
 
 
+# Leading batch points from which a plain-matmul contraction goes through
+# one batched ``@`` instead of np.einsum.  Timed on the contractions of the
+# 4-D variational quadrature, ``@`` wins in sum from 16 points on, and from
+# 128 points on it loses only where it would at any batch (matrix-vector
+# shapes, and operands that need a transposing copy).  The 16-point suites
+# stay on np.einsum, bit for bit.
+_MATMUL_MIN_POINTS = 128
+
+
+@functools.lru_cache(maxsize=4096)
+def _contraction(sx: str, sy: str, so: str):
+    """The plan of the contraction ``...sx,...sy->...so``: its einsum
+    subscripts and, when it is a plain matmul, the layout that ``_contract``
+    turns into one batched ``@``.
+
+    The layout sorts the letters into batch (in both operands and the
+    output), x-only, contracted and y-only, as axis permutations of x, y and
+    of the ``@`` result.  Subscripts with a letter repeated within a term, a
+    letter summed in one operand only, or no contracted letter at all (an
+    outer or elementwise product, which ``@`` only slows down) get None.
+    """
+    subs = f"...{sx},...{sy}->...{so}"
+    batch = [c for c in so if c in sx and c in sy]
+    xo = [c for c in so if c in sx and c not in sy]
+    yo = [c for c in so if c in sy and c not in sx]
+    con = [c for c in sx if c in sy and c not in so]
+    plain = (all(len(set(s)) == len(s) for s in (sx, sy, so))
+             and len(batch) + len(xo) + len(yo) == len(so)
+             and len(batch) + len(xo) + len(con) == len(sx)
+             and len(batch) + len(con) + len(yo) == len(sy))
+    if not (plain and con):
+        return subs, None
+    mo = batch + xo + yo
+    return subs, (tuple(sx.index(c) for c in batch + xo + con),
+                  tuple(sy.index(c) for c in batch + con + yo),
+                  len(batch), len(xo), tuple(mo.index(c) for c in so))
+
+
+def _contract(step, points: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One two-operand contraction from its ``_contraction`` plan.
+
+    With at least ``_MATMUL_MIN_POINTS`` leading batch points, a plain
+    matmul with equal batch shapes becomes one ``@`` on transposed and
+    reshaped operands; the result is a writable view of that product, in
+    output order.  Everything else goes to np.einsum.
+    """
+    subs, layout = step
+    if layout is None or points < _MATMUL_MIN_POINTS:
+        return np.einsum(subs, a, b)
+    xperm, yperm, nb, nx, operm = layout
+    lead = a.ndim - len(xperm)
+    if lead < 0 or b.ndim - len(yperm) != lead:
+        return np.einsum(subs, a, b)
+    keep = tuple(range(lead))
+    # at: lead, batch, x-only, contracted; bt: lead, batch, contracted, y-only
+    at = a.transpose(keep + tuple(lead + p for p in xperm))
+    bt = b.transpose(keep + tuple(lead + p for p in yperm))
+    nb += lead
+    cut = nb + nx
+    bshape, xshape, csize = at.shape[:nb], at.shape[nb:cut], at.shape[cut:]
+    if bt.shape[:nb + len(csize)] != bshape + csize:
+        return np.einsum(subs, a, b)
+    yshape = bt.shape[nb + len(csize):]
+    n, k = math.prod(bshape), math.prod(csize)
+    prod = at.reshape(n, math.prod(xshape), k) @ bt.reshape(n, k, math.prod(yshape))
+    return prod.reshape(bshape + xshape + yshape).transpose(
+        keep + tuple(lead + p for p in operm))
+
+
 @functools.lru_cache(maxsize=1024)
-def _leibniz_plan(sx: str, sy: str, so: str, order: int):
-    """Per output order m, the splits (i, subscripts, perms) of the Leibniz
-    sum: one einsum puts x's i derivative slots first, and each i-subset of
-    the m output slots, in ``combinations`` order, is that product with its
-    derivative axes permuted by ``perm`` (negative axis numbers)."""
+def _leibniz_plan(subs: str, order: int, x_jet: bool, y_jet: bool):
+    """The value-axis count of x, the value rank of the output, and per
+    output order m the splits (i, step, perms) of the Leibniz sum: one
+    ``_contraction`` step puts x's i derivative slots first, and each
+    i-subset of the m output slots, in ``combinations`` order, is that
+    product with its derivative axes permuted by ``perm`` (negative axis
+    numbers; None for the identity).  A constant operand has no derivative
+    slots, so it keeps only the split where the jet takes all m of them.
+    """
+    (sx, sy), so = _parse_subs(subs)
     dl = _free_letters(set(sx + sy + so), order)
     plan = []
     for m in range(order + 1):
         dm = "".join(dl[:m])
         splits = []
-        for i in range(m + 1):
-            subs = f"...{sx}{dm[:i]},...{sy}{dm[i:]}->...{so}{dm}"
+        for i in range(0 if y_jet else m, (m if x_jet else 0) + 1):
             perms = []
             for pos in combinations(range(m), i):
                 src = pos + tuple(p for p in range(m) if p not in pos)
-                perms.append(tuple(src.index(p) - m for p in range(m)))
-            splits.append((i, subs, tuple(perms)))
+                perms.append(None if src == tuple(range(m))
+                             else tuple(src.index(p) - m for p in range(m)))
+            splits.append((i, _contraction(sx + dm[:i], sy + dm[i:], so + dm), tuple(perms)))
         plan.append(tuple(splits))
-    return tuple(plan)
+    return len(sx), len(so), tuple(plan)
 
 
 def jet_einsum(subs: str, x, y):
@@ -239,66 +312,38 @@ def jet_einsum(subs: str, x, y):
 
     ``subs`` uses plain letters for the value axes, e.g. ``'ij,jk->ik'``.
     Batch axes broadcast implicitly.  Either operand may be a plain
-    ndarray, treated as a derivative-free constant.
+    ndarray, treated as a derivative-free constant.  Every Leibniz split
+    goes through ``_contract``: from ``_MATMUL_MIN_POINTS`` batch points on,
+    a plain matmul runs as one batched ``@``, which sums in another order
+    than np.einsum and so agrees with it to roundoff, not bit for bit.
     """
-    (sx, sy), so = _parse_subs(subs)
     xj, yj = isinstance(x, Jet), isinstance(y, Jet)
-    if not (xj or yj):
-        return np.einsum(f"...{sx},...{sy}->...{so}", np.asarray(x, float), np.asarray(y, float))
     if xj and yj:
         if x.nvars != y.nvars:
             raise ValueError("jet_einsum operands differ in nvars")
         order = min(x.order, y.order)
-        data = []
-        for m, splits in enumerate(_leibniz_plan(sx, sy, so, order)):
-            acc = None
-            for i, subs_i, perms in splits:
-                base = np.einsum(subs_i, x.data[i], y.data[m - i])
-                lead = tuple(range(base.ndim - m))
-                for perm in perms:
-                    term = base.transpose(lead + perm)
-                    if acc is None:
-                        acc = term
-                    else:
-                        acc += term
-            data.append(acc)
-        return Jet(x.nvars, order, len(so), data)
-    if xj:
-        jet, const, sj, sc, jet_first = x, np.asarray(y, float), sx, sy, True
     else:
-        jet, const, sj, sc, jet_first = y, np.asarray(x, float), sy, sx, False
-    dl = _free_letters(set(sx + sy + so), jet.order)
+        order = x.order if xj else y.order if yj else 0
+    xs = x.data if xj else (np.asarray(x, float),)
+    ys = y.data if yj else (np.asarray(y, float),)
+    nx, vdim, plan = _leibniz_plan(subs, order, xj, yj)
+    points = math.prod(xs[0].shape[:xs[0].ndim - nx])
     data = []
-    for m in range(jet.order + 1):
-        dm = "".join(dl[:m])
-        if jet_first:
-            t = np.einsum(f"...{sj}{dm},...{sc}->...{so}{dm}", jet.data[m], const)
-        else:
-            t = np.einsum(f"...{sc},...{sj}{dm}->...{so}{dm}", const, jet.data[m])
-        data.append(t)
-    return Jet(jet.nvars, jet.order, len(so), data)
-
-
-def jet_map(subs: str, x, *consts):
-    """Linear einsum on one jet operand plus constant ndarray factors.
-
-    The jet must be the first operand in ``subs``.  Repeated output
-    letters are not supported (plain einsum semantics).
-    """
-    parts, so = _parse_subs(subs)
-    if len(parts) != 1 + len(consts):
-        raise ValueError("operand count mismatch")
-    if not isinstance(x, Jet):
-        arrs = [np.asarray(x, float)] + [np.asarray(c, float) for c in consts]
-        return np.einsum(",".join(f"...{p}" for p in parts) + f"->...{so}", *arrs)
-    dl = _free_letters(set("".join(parts) + so), x.order)
-    data = []
-    carrs = [np.asarray(c, float) for c in consts]
-    for m in range(x.order + 1):
-        dm = "".join(dl[:m])
-        ops = ",".join([f"...{parts[0]}{dm}"] + [f"...{p}" for p in parts[1:]])
-        data.append(np.einsum(f"{ops}->...{so}{dm}", x.data[m], *carrs))
-    return Jet(x.nvars, x.order, len(so), data)
+    for m, splits in enumerate(plan):
+        acc = None
+        for i, step, perms in splits:
+            base = _contract(step, points, xs[i], ys[m - i])
+            lead = tuple(range(base.ndim - m))
+            for perm in perms:
+                term = base if perm is None else base.transpose(lead + perm)
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+        data.append(acc)
+    if not (xj or yj):
+        return data[0]
+    return Jet((x if xj else y).nvars, order, vdim, data)
 
 
 def _set_partitions(m: int):

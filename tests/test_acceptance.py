@@ -5,9 +5,11 @@ pytest -s, or in the captured output on failure) and asserts the stated
 thresholds and runtime budgets.
 """
 
+import math
 import time
 
 import numpy as np
+import pytest
 
 from emtkit.catalog import (
     SCENARIOS,
@@ -82,6 +84,26 @@ def div_values(T, frame):
     return value_array(contract(covariant_derivative(T, frame), 0, 2))
 
 
+def fold_max(*values):
+    """The largest of ``values``, and NaN when any of them is NaN.
+
+    The builtin ``max`` keeps its running value when a later one is NaN
+    (``max(0.0, nan)`` is 0.0), so a NaN residual would drop out of a gate.
+    """
+    return float(np.max(np.asarray(values, dtype=float)))
+
+
+@pytest.mark.parametrize("values", [(math.nan, 1.0, 2.0), (1.0, math.nan, 2.0),
+                                    (1.0, 2.0, math.nan)], ids=["first", "middle", "last"])
+def test_fold_max_propagates_nan(values):
+    assert math.isnan(fold_max(*values))
+    worst = 0.0
+    for value in values:
+        worst = fold_max(worst, value)
+    assert math.isnan(worst)
+    assert fold_max(0.0, *(v for v in values if not math.isnan(v))) == 2.0
+
+
 def _gate(num, label, ok, detail):
     word = "PASS" if ok else "FAIL"
     print(f"[{word}] acceptance {num:02d} {label}: {detail}")
@@ -95,21 +117,21 @@ def test_gate_01_replacement_operator_algebra():
     for k in range(200):
         n = (2, 3, 4)[k % 3]
         eye = np.eye(n)
-        worst = max(worst, max_abs(tilde(TensorValue(("u", "d"), n, eye))))
-        worst = max(worst, max_abs(tilde(
+        worst = fold_max(worst, max_abs(tilde(TensorValue(("u", "d"), n, eye))))
+        worst = fold_max(worst, max_abs(tilde(
             TensorValue((), n, np.float64(rng.normal())))))
         gsym = rng.normal(size=(n, n))
         gsym = gsym + gsym.T
         got = value_array(tilde(TensorValue(("d", "d"), n, gsym)))
         want = -np.einsum("db,ca->abcd", gsym, eye) \
             - np.einsum("ad,cb->abcd", gsym, eye)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = fold_max(worst, float(np.max(np.abs(got - want))))
         t = TensorValue(("u",), n, rng.normal(size=n))
         s = TensorValue(("d", "u"), n, rng.normal(size=(n, n)))
         lhs = tilde(tensor_product(t, s))
         term1 = transpose_slots(tensor_product(tilde(t), s), (0, 3, 4, 1, 2))
         term2 = tensor_product(t, tilde(s))
-        worst = max(worst, max_abs(lhs - term1 - term2))
+        worst = fold_max(worst, max_abs(lhs - term1 - term2))
     dt = time.perf_counter() - t0
     _gate(1, "replacement-operator algebra",
           worst <= 1e-14 and dt < 1.0,
@@ -128,12 +150,12 @@ def test_gate_02_metric_and_volume_flow():
         dxil = covariant_derivative(xil, fr)          # [b, a] = D_a xi_b
         sym = dxil + transpose_slots(dxil, (1, 0))
         h = lie_derivative(fr.g, xi, fr)
-        worst_flow = max(worst_flow, max_abs(h - sym))
+        worst_flow = fold_max(worst_flow, max_abs(h - sym))
         vol = volume_lie_residual(xi, fr)
-        worst_flow = max(worst_flow, float(np.max(np.abs(vol.data[0]))))
+        worst_flow = fold_max(worst_flow, float(np.max(np.abs(vol.data[0]))))
         t = evaluate(random_tensor_field(("u", "d"), st.box, seed=204), fr)
         dual = lie_derivative(t, xi, fr) - lie_derivative(t, xi, frame=None)
-        worst_dual = max(worst_dual, max_abs(dual))
+        worst_dual = fold_max(worst_dual, max_abs(dual))
     dt = time.perf_counter() - t0
     _gate(2, "metric and volume flow",
           worst_flow <= 1e-10 and worst_dual <= 1e-12 and dt < 5.0,
@@ -148,7 +170,7 @@ def test_gate_03_commutator_suite():
     worst_curv = 0.0
     for variance in [(), ("u",), ("d",), ("u", "d")]:
         t = evaluate(random_tensor_field(variance, SCHW.box, seed=302), fr)
-        worst_curv = max(worst_curv, max_abs(
+        worst_curv = fold_max(worst_curv, max_abs(
             curvature_commutator_residual(t, fr)))
 
     xi = evaluate(random_vector_field(SCHW.box, seed=303), fr)
@@ -167,7 +189,7 @@ def test_gate_03_commutator_suite():
         kt = evaluate(random_tensor_field(("u", "d"), st.box, seed=306), kfr)
         for vf in st.killing:
             kxi = evaluate(vf, kfr)
-            worst_kill = max(worst_kill, max_abs(
+            worst_kill = fold_max(worst_kill, max_abs(
                 lie_nabla_commutator(kt, kxi, kfr)))
     dt = time.perf_counter() - t0
     _gate(3, "derivative commutators",
@@ -189,7 +211,7 @@ def test_gate_04_kinematic_chain_rule():
         ]
         for theory, fields in pairs:
             tf = evaluate_theory(theory, fields, fr)
-            worst = max(worst, float(np.max(np.abs(
+            worst = fold_max(worst, float(np.max(np.abs(
                 kinematic_lie_residual(tf, xi)))))
 
     st4 = SPACETIMES["minkowski4"]
@@ -210,20 +232,20 @@ def test_gate_05_minkowski_on_shell():
     assert len(kvs) == 10
     for name in MINKOWSKI_TRIO:
         sc, tf = theory_frame(name)
-        worst_eom = max(worst_eom, tf.eom_max_residual())
+        worst_eom = fold_max(worst_eom, tf.eom_max_residual())
         for T in (tf.emt_canonical, tf.emt_belinfante, tf.emt_metric):
-            worst_div = max(worst_div, float(np.max(np.abs(
+            worst_div = fold_max(worst_div, float(np.max(np.abs(
                 div_values(T, tf.frame)))))
-        worst_bm = max(worst_bm, max_abs(tf.emt_belinfante - tf.emt_metric))
+        worst_bm = fold_max(worst_bm, max_abs(tf.emt_belinfante - tf.emt_metric))
         for vf in kvs:
             xi = evaluate(vf, tf.frame)
             jn = noether_current(tf, xi)
             ja = alternative_current(tf, xi)
             jd = difference_current(tf, xi)
-            worst_cur = max(worst_cur,
-                            float(np.max(np.abs(current_divergence(tf, jn)))),
-                            float(np.max(np.abs(current_divergence(tf, ja)))))
-            worst_dec = max(worst_dec, max_abs(jn - (ja - jd)))
+            worst_cur = fold_max(worst_cur,
+                                 float(np.max(np.abs(current_divergence(tf, jn)))),
+                                 float(np.max(np.abs(current_divergence(tf, ja)))))
+            worst_dec = fold_max(worst_dec, max_abs(jn - (ja - jd)))
     ok = (worst_eom <= 1e-7 and worst_div <= 1e-8 and worst_bm <= 1e-8
           and worst_cur <= 1e-8 and worst_dec <= 1e-8)
     _gate(5, "flat-space on-shell batch", ok,
@@ -236,9 +258,9 @@ def test_gate_06_schwarzschild_on_shell():
     worst_eom, worst_bm, worst_div = 0.0, 0.0, 0.0
     for name in ("schwarzschild-scalar", "schwarzschild-coulomb"):
         sc, tf = theory_frame(name)
-        worst_eom = max(worst_eom, tf.eom_max_residual())
-        worst_bm = max(worst_bm, max_abs(tf.emt_belinfante - tf.emt_metric))
-        worst_div = max(worst_div, float(np.max(np.abs(
+        worst_eom = fold_max(worst_eom, tf.eom_max_residual())
+        worst_bm = fold_max(worst_bm, max_abs(tf.emt_belinfante - tf.emt_metric))
+        worst_div = fold_max(worst_div, float(np.max(np.abs(
             div_values(tf.emt_metric, tf.frame)))))
 
     _, tf_em = theory_frame("schwarzschild-coulomb")
@@ -249,8 +271,8 @@ def test_gate_06_schwarzschild_on_shell():
 
     _, tf_s = theory_frame("schwarzschild-scalar")
     lhs_s, rhs_s = canonical_divergence_terms(tf_s)
-    s_small = max(np.max(np.abs(value_array(lhs_s))),
-                  np.max(np.abs(value_array(rhs_s))))
+    s_small = fold_max(np.max(np.abs(value_array(lhs_s))),
+                       np.max(np.abs(value_array(rhs_s))))
 
     ok = (worst_eom <= 1e-7 and worst_bm <= 1e-7 and worst_div <= 1e-7
           and em_scale >= 1e-6 and em_agree <= 1e-8 and s_small <= 1e-9)
@@ -271,7 +293,7 @@ def test_gate_07_master_identity():
             assert max_abs(killing_residual(xi, tf.frame)) > 1e-6, \
                 f"seeded vector {k} is unexpectedly Killing on {name}"
             lhs, rhs = master_identity_terms(tf, xi)
-            worst = max(worst, float(np.max(np.abs(lhs.data[0] - rhs.data[0]))))
+            worst = fold_max(worst, float(np.max(np.abs(lhs.data[0] - rhs.data[0]))))
             checked += 1
     _gate(7, "master identity", worst <= 1e-8,
           f"max residual {worst:.2e} over {checked} generic flows")
@@ -282,8 +304,8 @@ def test_gate_08_metric_derivative_identity():
     for name in ON_SHELL:
         sc, tf = theory_frame(name)
         lhs, rhs = metric_derivative_identity_terms(tf)
-        worst_id = max(worst_id, max_abs(lhs - rhs))
-        worst_sym = max(worst_sym, max_abs(rhs - transpose_slots(rhs, (1, 0))))
+        worst_id = fold_max(worst_id, max_abs(lhs - rhs))
+        worst_sym = fold_max(worst_sym, max_abs(rhs - transpose_slots(rhs, (1, 0))))
 
         labels = {s.label for s in sc.theory.fields}
         if labels == {"phi"}:
@@ -291,7 +313,7 @@ def test_gate_08_metric_derivative_identity():
             dup = raise_slot(dphi, 0, tf.frame.ginv)
             want = np.einsum("...a,...b->...ab", value_array(dup),
                              value_array(dup))
-            worst_spec = max(worst_spec, float(np.max(np.abs(
+            worst_spec = fold_max(worst_spec, float(np.max(np.abs(
                 2.0 * value_array(tf.dL_dg) - want))))
         elif labels == {"A"}:
             dA = tf.dpsi["A"]                         # [i, a] = D_a A_i
@@ -300,7 +322,7 @@ def test_gate_08_metric_derivative_identity():
             Fmix = lower_slot(Fup, 1, tf.frame.g)     # [a, c] = F^a_c
             want = np.einsum("...ac,...bc->...ab", value_array(Fup),
                              value_array(Fmix))
-            worst_spec = max(worst_spec, float(np.max(np.abs(
+            worst_spec = fold_max(worst_spec, float(np.max(np.abs(
                 2.0 * value_array(tf.dL_dg) - want))))
     ok = worst_id <= 1e-9 and worst_sym <= 1e-9 and worst_spec <= 1e-9
     _gate(8, "metric-derivative identity", ok,
@@ -336,8 +358,8 @@ def test_gate_10_gauge_behavior():
     chi = random_tensor_field((), scenario_box(sc), seed=1001)
     shifted = gauge_shifted(sc.fields["A"], chi)
     tf1 = evaluate_theory(sc.theory, {"A": shifted}, tf0.frame)
-    inv = max(max_abs(tf1.emt_metric - tf0.emt_metric),
-              max_abs(tf1.emt_belinfante - tf0.emt_belinfante))
+    inv = fold_max(max_abs(tf1.emt_metric - tf0.emt_metric),
+                   max_abs(tf1.emt_belinfante - tf0.emt_belinfante))
     shift = max_abs(tf1.emt_canonical - tf0.emt_canonical)
     _gate(10, "gauge behavior", inv <= 1e-9 and shift >= 1e-4,
           f"invariant pair {inv:.2e}, canonical shift {shift:.2e}")

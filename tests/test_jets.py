@@ -5,12 +5,17 @@ The oracles are central finite differences with Richardson extrapolation
 exactness to machine precision is expected.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emtkit import jets
 from emtkit.jets import (
     Jet,
     JetOrderError,
@@ -186,6 +191,124 @@ def test_jet_einsum_matches_per_subset_leibniz(subs, order, bx, by):
     for g, w in zip(got.data, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+# plain matmuls (a batch letter, the 1024-point quadrature's largest jet
+# product), an outer product and a full contraction, then the two subscript
+# kinds that are not a plain matmul: a letter repeated within an operand and
+# a letter summed in one operand only
+ROUTE_SUBSCRIPTS = ["ab,bc->ac", "abc,ac->ab", "abde,cdf->abcfe", "a,b->ab", "ab,ab->",
+                    "aab,b->a", "ab,bc->c"]
+ROUTE_POINTS = jets._MATMUL_MIN_POINTS
+# operand kinds and batch shapes: a shared batch of one or two axes, batches
+# that only broadcast, and a constant with no batch axes
+ROUTE_OPERANDS = {
+    "jet-jet": ("jet", "jet", (ROUTE_POINTS,), (ROUTE_POINTS,)),
+    "jet-jet-two-axis": ("jet", "jet", (2, ROUTE_POINTS), (2, ROUTE_POINTS)),
+    "jet-jet-broadcast": ("jet", "jet", (ROUTE_POINTS, 1), (1, 3)),
+    "jet-const": ("jet", "const", (ROUTE_POINTS,), (ROUTE_POINTS,)),
+    "jet-const-no-batch": ("jet", "const", (ROUTE_POINTS,), ()),
+    "const-jet": ("const", "jet", (ROUTE_POINTS,), (ROUTE_POINTS,)),
+    "const-const": ("const", "const", (ROUTE_POINTS,), (ROUTE_POINTS,)),
+}
+
+
+def _route_operand(rng, kind, batch, letters, order, nv=2):
+    # not symmetric in the derivative axes, so a misplaced slot shows
+    dims = {"a": 3, "b": 2, "c": 4, "d": 3, "e": 2, "f": 3}
+    shape = batch + tuple(dims[c] for c in letters)
+    if kind == "const":
+        return rng.normal(size=shape)
+    return Jet(nv, order, len(letters), [rng.normal(size=shape + (nv,) * m)
+                                         for m in range(order + 1)])
+
+
+def _as_jet(x, like):
+    if isinstance(x, Jet):
+        return x
+    return Jet(like.nvars, like.order, x.ndim, [x] + [np.zeros(x.shape + (like.nvars,) * m)
+                                                     for m in range(1, like.order + 1)])
+
+
+@pytest.mark.parametrize("subs", ROUTE_SUBSCRIPTS)
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("operands", sorted(ROUTE_OPERANDS))
+def test_large_batch_contraction_matches_einsum(subs, order, operands):
+    rng = np.random.default_rng(order)
+    (sx, sy) = subs.split("->")[0].split(",")
+    kx, ky, bx, by = ROUTE_OPERANDS[operands]
+    x = _route_operand(rng, kx, bx, sx, order)
+    y = _route_operand(rng, ky, by, sy, order)
+    got = jet_einsum(subs, x, y)
+    if operands == "const-const":
+        got_tables = [got]
+        want = [np.einsum(f"...{sx},...{sy}->...{subs.split('->')[1]}", x, y)]
+    else:
+        like = x if isinstance(x, Jet) else y
+        assert got.order == order and got.nvars == like.nvars
+        got_tables = list(got.data)
+        want = _leibniz_reference(subs, _as_jet(x, like), _as_jet(y, like))
+    assert len(got_tables) == len(want)
+    for g, w in zip(got_tables, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_large_batch_jet_product_makes_no_einsum_call(monkeypatch):
+    # the largest contraction of the 1024-point quadrature chunks
+    rng = np.random.default_rng(11)
+    x = _route_operand(rng, "jet", (1024,), "abde", 2)
+    y = _route_operand(rng, "jet", (1024,), "cdf", 2)
+    calls = []
+    real = np.einsum
+
+    def counting(subs, *ops, **kw):
+        calls.append(subs)
+        return real(subs, *ops, **kw)
+    monkeypatch.setattr(np, "einsum", counting)
+    big = jet_einsum("abde,cdf->abcfe", x, y)
+    assert calls == []
+    # the 16-point suites stay on np.einsum: one call per Leibniz split
+    small = jet_einsum("abde,cdf->abcfe", _route_operand(rng, "jet", (16,), "abde", 2),
+                       _route_operand(rng, "jet", (16,), "cdf", 2))
+    assert len(calls) == 1 + 2 + 3
+    assert big.batch_shape == (1024,) and small.batch_shape == (16,)
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from emtkit.jets import Jet, jet_einsum
+
+rng = np.random.default_rng(5)
+
+
+def jet(shape, order):
+    return Jet(2, order, len(shape) - 1,
+               [rng.normal(size=shape + (2,) * m) for m in range(order + 1)])
+
+
+# many small products, and products big enough for a threaded gemm
+out = [jet_einsum("abde,cdf->abcfe", jet((256, 4, 4, 4, 4), 2), jet((256, 4, 4, 4), 2)),
+       jet_einsum("ab,bc->ac", jet((128, 96, 96), 0), jet((128, 96, 96), 0))]
+digest = hashlib.sha256()
+for j in out:
+    for t in j.data:
+        digest.update(np.ascontiguousarray(t).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_large_batch_contraction_is_bitwise_stable_across_blas_threads():
+    src = str(Path(jets.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("lhs,rhs", [("jet", "jet"), ("jet", "const"), ("const", "jet")])
