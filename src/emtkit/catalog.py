@@ -409,6 +409,12 @@ def _monomials(n, total):
             yield (first,) + rest
 
 
+def _take(v: Jet, idx) -> Jet:
+    """Entries ``idx`` of the value axis of a vector jet."""
+    nb = len(v.batch_shape)
+    return Jet(v.nvars, v.order, 1, [np.take(t, idx, axis=nb) for t in v.data])
+
+
 def _poly_tensor_fn(box, rng, shape, degree=3):
     """Random polynomial components in box-centered scaled coordinates,
     O(1) on the box, evaluated through monomial jets shared by all of them."""
@@ -420,28 +426,36 @@ def _poly_tensor_fn(box, rng, shape, degree=3):
               for total in range(degree + 1) for powers in _monomials(n, total)]
     denom = np.array([float(math.factorial(len(c) + 1)) for c in chains])
     coef = rng.normal(size=tuple(shape) + (len(chains),)) / denom
+    # the value axis of the degree-d monomial stack runs over the degree-d
+    # chains in chain order; degree 1 is (u_{n-1}, ..., u_0)
+    by_degree = [[c for c in chains if len(c) == d] for d in range(degree + 1)]
+    first = [c[0] for c in by_degree[1]]
+    steps = [([by_degree[d - 1].index(c[:-1]) for c in by_degree[d]],
+              [first.index(c[-1]) for c in by_degree[d]]) for d in range(2, degree + 1)]
 
     def fn(coords):
-        u = [(coords[i] - center[i]) * (1.0 / halfw[i]) for i in range(n)]
-        # each monomial is its prefix monomial times one more factor; the
-        # constant chain () comes first and carries no jet
-        mono = {}
-        for chain in chains[1:]:
-            head = chain[:-1]
-            mono[chain] = mono[head] * u[chain[-1]] if head else u[chain[0]]
         zero = coords[0] * 0.0
         nb = len(zero.batch_shape)
         lead = (slice(None),) * nb + (None,) * len(shape)
-        data = []
-        for m in range(zero.order + 1):
-            tail = (None,) * m
-            acc = coef[..., 0] if m == 0 else None
-            for k, chain in enumerate(chains[1:], start=1):
-                term = coef[(..., k) + tail] * mono[chain].data[m][lead]
-                acc = term if acc is None else acc + term
-            acc += zero.data[m][lead]
-            data.append(acc)
-        return Jet(zero.nvars, zero.order, len(shape), data)
+        # coefficient sums term by term in chain order; the constant chain ()
+        # comes first and carries no jet
+        acc = [coef[..., 0]] + [None] * zero.order
+        k = 1
+        u = mono = jet_stack([(coords[i] - center[i]) * (1.0 / halfw[i]) for i in first])
+        for d in range(1, degree + 1):
+            if d > 1:
+                # each monomial is its prefix monomial times one more factor
+                heads, last = steps[d - 2]
+                mono = _take(mono, heads)      # releases the degree d-1 stack
+                mono = mono * _take(u, last)
+            for j in range(len(by_degree[d])):
+                for m in range(zero.order + 1):
+                    term = coef[(..., k) + (None,) * m] * mono.data[m][lead + (j,)]
+                    acc[m] = term if acc[m] is None else acc[m] + term
+                k += 1
+        for a, z in zip(acc, zero.data):
+            a += z[lead]
+        return Jet(zero.nvars, zero.order, len(shape), acc)
 
     return fn
 
@@ -453,7 +467,8 @@ def random_tensor_field(variance, box, seed: int) -> TensorField:
     Coefficients are drawn component-major (row-major over the component
     indices), each component's monomials in ``_monomials`` order of
     increasing total degree, each divided by ``(degree + 1)!``.  All
-    components share one set of monomial jets per evaluation.
+    components share one set of monomial jets per evaluation, built one
+    degree at a time: one elementwise jet product per degree above 1.
     """
     rng = np.random.default_rng(seed)
     fn = _poly_tensor_fn(box, rng, (len(box),) * len(variance))

@@ -135,6 +135,11 @@ def _validate(cfg):
         raise ValueError("--points must be positive")
     if cfg.jet_order < 2:
         raise ValueError("--jet-order must be at least 2")
+    low = [c for c in checks_for(cfg.suites) if cfg.jet_order < c.min_jet_order]
+    if low:
+        need = max(c.min_jet_order for c in low)
+        raise ValueError(f"--jet-order {cfg.jet_order} is too low for the selected "
+                         f"checks ({', '.join(c.id for c in low)} need {need})")
     if cfg.xi_count < 1:
         raise ValueError("xi_count must be at least 1")
 

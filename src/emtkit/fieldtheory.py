@@ -323,7 +323,8 @@ def _slot_letters(r):
 
 class TheoryFrame:
     """A theory, a field configuration, and a frame, with every derived
-    quantity computed lazily and cached."""
+    quantity computed lazily and cached; the xi-independent parts of the
+    currents (such as D_c Theta^cab) are shared by all vector fields."""
 
     def __init__(self, theory: LagrangianTheory, frame: Frame,
                  psi: dict, dpsi: dict, L: Jet,
@@ -454,11 +455,15 @@ class TheoryFrame:
         return 2.0 * self.dL_dg - div + self._g_up_L
 
     @cached_property
+    def div_theta(self) -> TensorValue:
+        """D_c Theta^cab, slots [a, b]; shared by the improved tensor and
+        every difference current."""
+        return contract(covariant_derivative(self.theta, self.frame), 0, 3)
+
+    @cached_property
     def emt_belinfante(self) -> TensorValue:
         """T_B^ab = T_C^ab - D_c Theta^cab."""
-        dth = covariant_derivative(self.theta, self.frame)
-        div = contract(dth, 0, 3)
-        return self.emt_canonical - div
+        return self.emt_canonical - self.div_theta
 
 
 def evaluate_theory(theory: LagrangianTheory, fields: dict, frame: Frame) -> TheoryFrame:
@@ -567,9 +572,7 @@ def difference_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """V^a = (D_c Theta^cab) xi_b + Theta^cab D_c xi_b; its divergence vanishes
     because Theta is antisymmetric in (c, a) and the Ricci tensor is symmetric."""
     xil = _lower(xi, tf.frame)
-    dth = covariant_derivative(tf.theta, tf.frame)
-    divth = contract(dth, 0, 3)                   # [a, b]
-    t1 = jet_einsum("ab,b->a", divth.components, xil.components)
+    t1 = jet_einsum("ab,b->a", tf.div_theta.components, xil.components)
     dxil = covariant_derivative(xil, tf.frame)
     t2 = jet_einsum("cab,bc->a", tf.theta.components, dxil.components)
     return TensorValue(("u",), tf.n, t1 + t2)

@@ -3,7 +3,7 @@
 Everything here is evaluated at a batch of sample points wrapped in a
 :class:`Frame`: the metric and its exact coordinate derivatives (as jets),
 the inverse metric, the volume factor sqrt|det g|, the Christoffel symbols,
-and (lazily) the curvature tensors.
+and (lazily, cached on the frame) the curvature tensors and D g.
 
 Index layout conventions used throughout:
 
@@ -161,7 +161,10 @@ def partial_tensor(t: TensorValue) -> TensorValue:
 
 
 class Frame:
-    """Geometry of one metric evaluated at a batch of sample points."""
+    """Geometry of one metric evaluated at a batch of sample points.
+
+    The curvature tensors and D g are computed on first use and cached, so
+    every vector field evaluated on the frame shares them."""
 
     def __init__(self, metric: MetricField, coords: list[Jet], g: TensorValue):
         self.metric = metric
@@ -189,6 +192,12 @@ class Frame:
         X = t1 + t2 - t3
         comps = jet_einsum("bd,dac->bca", self.ginv.components, X.components)
         return TensorValue(("u", "d", "d"), self.n, _half(comps))
+
+    @cached_property
+    def dg(self) -> TensorValue:
+        """D g, slots [a, b, c] = D_c g_ab: zero up to roundoff, computed
+        once per frame because every Lie derivative of the metric reads it."""
+        return covariant_derivative(self.g, self)
 
     @cached_property
     def riemann(self) -> TensorValue:
@@ -263,7 +272,8 @@ def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) 
     if frame is None:
         dt, dxi = partial_tensor(t), partial_tensor(xi)
     else:
-        dt, dxi = covariant_derivative(t, frame), covariant_derivative(xi, frame)
+        dt = frame.dg if t is frame.g else covariant_derivative(t, frame)
+        dxi = covariant_derivative(xi, frame)
     S = "".join(chr(ord("i") + k) for k in range(t.rank))
     term1 = jet_einsum(f"{S}a,a->{S}", dt.components, xi.components)
     term2 = tilde_contract(t, dxi.components, 0)

@@ -581,18 +581,24 @@ def jet_stack(nested) -> Jet:
     # normalize once per leaf to avoid repeated work
     cache = {}
 
-    def build_cached(node, m):
-        if isinstance(node, (list, tuple)):
-            return np.stack([build_cached(el, m) for el in node], axis=len(batch))
+    def leaf(node):
         key = id(node)
         if key not in cache:
             cache[key] = norm(node)
-        return cache[key][m]
+        return cache[key]
 
     vdim_probe = 0
     probe = nested
     while isinstance(probe, (list, tuple)):
         vdim_probe += 1
         probe = probe[0]
-    data = [build_cached(nested, m) for m in range(order + 1)]
+    data = [_stack_tree(nested, m, leaf, len(batch)) for m in range(order + 1)]
     return Jet(nvars, order, vdim_probe, data)
+
+
+def _stack_tree(node, m, leaf, axis):
+    # module-level recursion: a recursive closure would be a reference cycle
+    # that keeps every leaf's tables alive until the cyclic collector runs
+    if isinstance(node, (list, tuple)):
+        return np.stack([_stack_tree(el, m, leaf, axis) for el in node], axis=axis)
+    return leaf(node)[m]

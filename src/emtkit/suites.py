@@ -103,6 +103,7 @@ class Check:
     measure: str            # "abs" or "rel"
     mode: str               # "below" or "exceeds"
     description: str
+    min_jet_order: int = 2  # lowest --jet-order at which the body can run
     fn: object = None
 
 
@@ -644,6 +645,7 @@ def _chk_tb_tm(ctx):
     identity="current divergence pairs with the metric flow",
     formula="D_a(T_B^ab xi_b) = 1/2 T_M^ab (Lie_xi g)_ab   for any xi",
     tolerance=1e-8, measure="abs", mode="below",
+    min_jet_order=3,
     description="The central exchange identity: for an arbitrary vector "
                 "field, not only symmetries, the divergence of the improved "
                 "current equals the metric tensor paired with the metric "
@@ -660,6 +662,7 @@ def _chk_master(ctx):
     identity="current divergence pairs with the vector gradient",
     formula="D_a(T_B^ab xi_b) = T_M^ab D_a xi_b   for any xi",
     tolerance=1e-8, measure="abs", mode="below",
+    min_jet_order=3,
     description="Equivalent form of the exchange identity with the full "
                 "(unsymmetrized) gradient of xi; works because T_M is "
                 "symmetric.")
@@ -675,6 +678,7 @@ def _chk_110(ctx):
     identity="conserved current along each metric symmetry",
     formula="D_a(T_B^ab xi_b) = 0   for Killing xi",
     tolerance=1e-8, measure="abs", mode="below",
+    min_jet_order=3,
     description="The improved current built from any catalog symmetry vector "
                 "is divergence-free on shell.")
 def _chk_noether(ctx):
@@ -689,6 +693,7 @@ def _chk_noether(ctx):
     identity="improved tensor is divergence-free on shell",
     formula="D_a T_B^ab = 0",
     tolerance=1e-8, measure="abs", mode="below",
+    min_jet_order=3,
     description="Slot-wise conservation of the improved tensor for "
                 "solutions, on flat and curved backgrounds alike.")
 def _chk_tb_div(ctx):
@@ -702,6 +707,7 @@ def _chk_tb_div(ctx):
     identity="metric tensor is divergence-free on shell",
     formula="D_a T_M^ab = 0",
     tolerance=1e-8, measure="abs", mode="below",
+    min_jet_order=3,
     description="Conservation of the metric tensor for solutions; follows "
                 "from the exchange identity with arbitrary localized xi.")
 def _chk_tm_div(ctx):
@@ -745,6 +751,7 @@ def _chk_can_div_magnitude(ctx):
     identity="difference current is identically conserved",
     formula="D_a[(D_c Theta^cab) xi_b + Theta^cab D_c xi_b] = 0   for any xi",
     tolerance=1e-8, measure="abs", mode="below",
+    min_jet_order=3,
     description="The current formed from the superpotential alone is "
                 "divergence-free without field equations for its xi-part: "
                 "antisymmetry plus the symmetry of the Ricci tensor.")

@@ -87,6 +87,22 @@ def test_too_low_jet_order_is_usage_error(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_jet_order_below_a_declared_minimum_is_rejected_before_any_check(capsys):
+    code = run_cli(["verify", "--suite", "emt-onshell", "--jet-order", "2",
+                    "--points", "4"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""                       # no check line, no summary
+    assert err.startswith("error: --jet-order 2 is too low")
+    assert err.count("\n") == 1 and "master-identity" in err
+
+
+def test_jet_order_two_runs_suites_that_declare_it(capsys):
+    code = run_cli(["verify", "--suite", "tilde-algebra", "--jet-order", "2",
+                    "--points", "4", "--quiet"])
+    assert code == EXIT_PASS
+
+
 def test_off_shell_gate_exit_code(capsys):
     code = run_cli(["verify", "--suite", "emt-onshell",
                     "--scenario", "scalar-blob-2d", "--points", "4"])

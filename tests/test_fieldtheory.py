@@ -7,6 +7,7 @@ the jet tables, independently of the reverse-mode (tape) differentiation layer.
 import numpy as np
 import pytest
 
+from emtkit import fieldtheory
 from emtkit.catalog import (
     SCENARIOS,
     spacetime,
@@ -40,9 +41,15 @@ from emtkit.fieldtheory import (
     scalar_theory,
     variational_pair,
 )
-from emtkit.geometry import MetricField, evaluate, geometry_at, jet_matrix_inverse
+from emtkit.geometry import (
+    MetricField,
+    covariant_derivative,
+    evaluate,
+    geometry_at,
+    jet_matrix_inverse,
+)
 from emtkit.jets import jet_einsum, partial_in_var
-from emtkit.tensors import max_abs, value_array
+from emtkit.tensors import TensorValue, contract, max_abs, value_array
 
 MINK4 = SPACETIMES["minkowski4"]
 MINK2 = SPACETIMES["minkowski2"]
@@ -181,6 +188,47 @@ def test_current_decomposition_and_conservation():
     assert max_abs(jn - (ja - jd)) < 1e-11
     # the difference current is conserved for any smooth vector field
     assert np.max(np.abs(current_divergence(tf, jd))) < 1e-9
+
+
+def _same_bits(got, want):
+    assert len(got.data) == len(want.data)
+    for g, w in zip(got.data, want.data):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_superpotential_divergence_is_shared_bit_for_bit():
+    sc, tf = scenario_theory_frame("schwarzschild-coulomb", count=4)
+    fr = tf.frame
+    div = contract(covariant_derivative(tf.theta, fr), 0, 3)      # [a, b]
+    _same_bits(tf.emt_belinfante.components, (tf.emt_canonical - div).components)
+    for seed in (61, 62):
+        xi = evaluate(random_vector_field(scenario_box(sc), seed=seed), fr)
+        xil = TensorValue(("d",), tf.n, jet_einsum("ab,b->a", fr.g.components,
+                                                   xi.components))
+        t1 = jet_einsum("ab,b->a", div.components, xil.components)
+        dxil = covariant_derivative(xil, fr)
+        t2 = jet_einsum("cab,bc->a", tf.theta.components, dxil.components)
+        _same_bits(difference_current(tf, xi).components, t1 + t2)
+
+
+def test_superpotential_is_differentiated_once_per_theory_frame(monkeypatch):
+    sc, tf = scenario_theory_frame("em-wave-4d", count=4)
+    xis = [evaluate(random_vector_field(scenario_box(sc), seed=70 + k), tf.frame)
+           for k in range(4)]
+    theta = tf.theta
+    seen = []
+    real = fieldtheory.covariant_derivative
+
+    def counting(t, frame):
+        seen.append(t)
+        return real(t, frame)
+
+    monkeypatch.setattr(fieldtheory, "covariant_derivative", counting)
+    for xi in xis:
+        difference_current(tf, xi)
+    tf.emt_belinfante
+    assert sum(t is theta for t in seen) == 1
 
 
 def test_symmetry_currents_conserved():

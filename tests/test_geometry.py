@@ -34,7 +34,7 @@ from emtkit.geometry import (
     volume_lie_residual,
 )
 from emtkit.jets import jet_stack, lift
-from emtkit.tensors import max_abs, value_array
+from emtkit.tensors import TensorValue, max_abs, value_array
 
 SCHW = SPACETIMES["schwarzschild"]
 MINK2 = SPACETIMES["minkowski2"]
@@ -182,6 +182,33 @@ def test_covariant_and_lie_derivatives_do_not_materialise_tilde(monkeypatch):
                       (lie_derivative(t, xi, fr), want_l)):
         for g, w in zip(got.components.data, want.components.data):
             assert np.array_equal(g, w)
+
+
+def test_lie_derivative_of_the_metric_reuses_its_gradient_bit_for_bit():
+    fr = schw_frame()
+    xi = evaluate(random_vector_field(SCHW.box, seed=8), fr)
+    fresh = TensorValue(fr.g.variance, fr.n, fr.g.components)   # not frame.g
+    want = lie_derivative(fresh, xi, fr)
+    got = lie_derivative(fr.g, xi, fr)
+    for g, w in zip(got.components.data, want.components.data):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_metric_gradient_is_computed_once_per_frame(monkeypatch):
+    fr = schw_frame(order=2)
+    xis = [evaluate(random_vector_field(SCHW.box, seed=s), fr) for s in (9, 10)]
+    seen = []
+    real = geometry.covariant_derivative
+
+    def counting(t, frame):
+        seen.append(t)
+        return real(t, frame)
+
+    monkeypatch.setattr(geometry, "covariant_derivative", counting)
+    for xi in xis:
+        lie_derivative(fr.g, xi, fr)
+    assert sum(t is fr.g for t in seen) == 1
 
 
 def test_killing_vectors_annihilate_metric():

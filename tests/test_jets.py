@@ -126,6 +126,24 @@ def test_derivative_tables_symmetric():
         assert np.allclose(T, np.transpose(T, perm), atol=1e-13)
 
 
+def test_jet_stack_releases_its_leaves_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    pts = np.random.default_rng(3).uniform(-1, 1, (5, 2))
+    t, u = lift(pts, 2, 2)
+    leaf = 2.0 * t
+    table = weakref.ref(leaf.data[1])
+    gc.disable()
+    try:
+        stacked = jet_stack([leaf, u])
+        del leaf
+        assert table() is None
+    finally:
+        gc.enable()
+    assert np.array_equal(stacked.data[1][:, 0], 2.0 * t.data[1])
+
+
 def test_jet_einsum_product_rule():
     pts = np.random.default_rng(2).uniform(-1, 1, (5, 2))
     t, u = lift(pts, 2, 2)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from emtkit.jets import JetOrderError
 from emtkit.suites import (
     CHECKS,
     CheckOutcome,
@@ -114,3 +115,18 @@ def test_registered_check_returns_folded_targets():
     targets = CHECKS["tilde-trace-collapse"].fn(RunContext(RunConfig(points=2)))
     assert [(t.name, t.points) for t in targets] == [("schwarzschild", 10)]
     assert all(isinstance(t, Target) for t in targets)
+
+
+# the variational checks build their frames at fixed orders of their own
+@pytest.mark.parametrize("check_id", [c for c, chk in CHECKS.items()
+                                      if chk.suite != "variational"])
+def test_declared_minimum_jet_order_is_the_lowest_that_runs(check_id):
+    check = CHECKS[check_id]
+
+    def run(order):
+        check.fn(RunContext(RunConfig(points=2, xi_count=1, jet_order=order)))
+
+    run(check.min_jet_order)
+    if check.min_jet_order > 2:
+        with pytest.raises(JetOrderError):
+            run(check.min_jet_order - 1)
