@@ -178,12 +178,31 @@ def _max_residual(values) -> float:
 
 
 class RunContext:
-    """Caches frames and theory evaluations across the checks of one run."""
+    """Caches what the checks of one run share, each computed on first use.
+
+    - ``_frames``: one metric frame per (spacetime, box, jet order).
+    - ``_theories``: one :class:`TheoryFrame` per scenario.
+    - ``_fields``: one evaluation of each seeded random field (the xis of
+      ``random_xis`` and the tensors of ``_random_tensors``) per
+      (variance, box, seed, frame).  Every frame a check evaluates on comes
+      from ``frame``, directly or as ``theory_frame(...).frame``, and stays
+      in ``_frames`` for the whole run, so frame identity names one set of
+      sample points and jet order; the key also holds the frame itself.
+    - ``_gauge``: T_M, T_B and T_C of each gauge scenario with its gauge
+      field shifted by the gradient of a seeded chi.  The shifted
+      TheoryFrame is dropped once they exist.
+
+    Catalog fields (Killing vectors, scenario fields) are evaluated afresh.
+    Every table of a cached evaluation is read-only, so an in-place write
+    raises instead of changing the input of every later check.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._frames = {}
         self._theories = {}
+        self._fields = {}
+        self._gauge = {}
         self._claims_checked = set()
 
     def frame(self, st_name, order=None, box=None):
@@ -226,11 +245,48 @@ class RunContext:
                 tf.require_on_shell()
             yield name, sc, tf
 
-    def random_xis(self, st_name, count=None):
-        st = spacetime(st_name)
+    def random_field(self, variance, box, seed, fr) -> TensorValue:
+        """The seeded random field of ``variance`` on ``box``, evaluated on
+        frame ``fr``; built and evaluated on first use only."""
+        key = (variance, box, seed, fr)
+        if key not in self._fields:
+            # a ("u",) random tensor field is the random vector field of its
+            # seed: same function, same coefficients
+            fld = (random_vector_field(box, seed) if variance == ("u",)
+                   else random_tensor_field(variance, box, seed))
+            self._fields[key] = _frozen(evaluate(fld, fr))
+        return self._fields[key]
+
+    def random_xis(self, st_name, fr, count=None) -> list:
+        """The first ``count`` (default ``xi_count``) seeded random vector
+        fields of a spacetime, evaluated on ``fr``."""
+        box = spacetime(st_name).box
         count = self.cfg.xi_count if count is None else count
-        return [random_vector_field(st.box, self.cfg.seed + 1000 + k)
+        return [self.random_field(("u",), box, self.cfg.seed + 1000 + k, fr)
                 for k in range(count)]
+
+    def gauge_shifted_emts(self, scen_name) -> tuple:
+        """``(T_M, T_B, T_C)`` of a gauge scenario with its gauge field
+        shifted by the gradient of a seeded random scalar chi."""
+        if scen_name not in self._gauge:
+            sc = scenario(scen_name)
+            fr = self.theory_frame(scen_name).frame
+            chi = random_tensor_field((), spacetime(sc.spacetime).box,
+                                      self.cfg.seed + 5000)
+            shifted = dict(sc.fields)
+            shifted[sc.gauge_field] = gauge_shifted(sc.fields[sc.gauge_field], chi)
+            tf = evaluate_theory(sc.theory, shifted, fr)
+            self._gauge[scen_name] = tuple(_frozen(t) for t in (
+                tf.emt_metric, tf.emt_belinfante, tf.emt_canonical))
+        return self._gauge[scen_name]
+
+
+def _frozen(t: TensorValue) -> TensorValue:
+    """``t`` with every table of its components marked read-only."""
+    comps = t.components
+    for table in (comps.data if isinstance(comps, Jet) else [comps]):
+        table.flags.writeable = False
+    return t
 
 
 CHECKS: dict[str, Check] = {}
@@ -290,12 +346,11 @@ def _worst(a: tuple, b: tuple) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def _random_tensors(ctx, st_name, ranks=_TENSOR_RANKS, base_seed=0):
-    st = spacetime(st_name)
-    out = []
-    for k, var in enumerate(ranks):
-        out.append(random_tensor_field(var, st.box, ctx.cfg.seed + base_seed + k))
-    return out
+def _random_tensors(ctx, st_name, fr, ranks=_TENSOR_RANKS, base_seed=0):
+    """Seeded random tensors of the given ranks, evaluated on ``fr``."""
+    box = spacetime(st_name).box
+    return [ctx.random_field(var, box, ctx.cfg.seed + base_seed + k, fr)
+            for k, var in enumerate(ranks)]
 
 
 @_register(
@@ -357,8 +412,7 @@ def _chk_tilde_eps(ctx):
 def _chk_tilde_trace(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild",)):
         fr = ctx.frame(st_name)
-        for fld in _random_tensors(ctx, st_name):
-            t = evaluate(fld, fr)
+        for t in _random_tensors(ctx, st_name, fr):
             tr = contract(tilde(t), t.rank, t.rank + 1)
             p = t.variance.count("u")
             q = t.rank - p
@@ -375,11 +429,9 @@ def _chk_tilde_trace(ctx):
 def _chk_tilde_leibniz(ctx):
     for st_name in ctx.spacetime_names(("minkowski4",)):
         fr = ctx.frame(st_name)
-        flds = _random_tensors(ctx, st_name, ranks=(("u",), ("d",), ("u", "d")))
-        for i in range(len(flds)):
-            for j in range(len(flds)):
-                t = evaluate(flds[i], fr)
-                s = evaluate(flds[j], fr)
+        ts = _random_tensors(ctx, st_name, fr, ranks=(("u",), ("d",), ("u", "d")))
+        for t in ts:
+            for s in ts:
                 lhs = tilde(tensor_product(t, s))
                 term1 = tensor_product(tilde(t), s)
                 rt = t.rank
@@ -408,9 +460,8 @@ def _chk_tilde_leibniz(ctx):
 def _chk_lie_dual(ctx):
     for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        xi = evaluate(ctx.random_xis(st_name, 1)[0], fr)
-        for fld in _random_tensors(ctx, st_name, base_seed=40):
-            t = evaluate(fld, fr)
+        (xi,) = ctx.random_xis(st_name, fr, 1)
+        for t in _random_tensors(ctx, st_name, fr, base_seed=40):
             a = lie_derivative(t, xi, None)
             yield st_name, ctx.cfg.points, a - lie_derivative(t, xi, fr), a
 
@@ -456,8 +507,8 @@ def _chk_parallel(ctx):
 def _chk_volume(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        for v in ctx.random_xis(st_name, 3):
-            res = volume_lie_residual(evaluate(v, fr), fr)
+        for xi in ctx.random_xis(st_name, fr, 3):
+            res = volume_lie_residual(xi, fr)
             yield st_name, ctx.cfg.points, res, fr.sqrt_g
 
 
@@ -478,8 +529,8 @@ def _chk_volume(ctx):
 def _chk_curv_comm(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        for fld in _random_tensors(ctx, st_name, base_seed=60):
-            res = curvature_commutator_residual(evaluate(fld, fr), fr)
+        for t in _random_tensors(ctx, st_name, fr, base_seed=60):
+            res = curvature_commutator_residual(t, fr)
             yield st_name, ctx.cfg.points, res, fr.riemann
 
 
@@ -494,8 +545,7 @@ def _chk_curv_comm(ctx):
 def _chk_tilde_grad(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild",)):
         fr = ctx.frame(st_name)
-        for fld in _random_tensors(ctx, st_name, base_seed=80):
-            t = evaluate(fld, fr)
+        for t in _random_tensors(ctx, st_name, fr, base_seed=80):
             res = tilde_gradient_commutator_residual(t, fr)
             yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
 
@@ -512,8 +562,7 @@ def _chk_tilde_grad(ctx):
 def _chk_conn_dual(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        for v in ctx.random_xis(st_name, 3):
-            xi = evaluate(v, fr)
+        for xi in ctx.random_xis(st_name, fr, 3):
             a = lie_connection_tensor(xi, fr, form="direct")
             b = lie_connection_tensor(xi, fr, form="metric")
             yield st_name, ctx.cfg.points, a - b, a
@@ -530,10 +579,9 @@ def _chk_conn_dual(ctx):
 def _chk_lie_grad(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)
-        xi = evaluate(ctx.random_xis(st_name, 1)[0], fr)
+        (xi,) = ctx.random_xis(st_name, fr, 1)
         C = lie_connection_tensor(xi, fr, form="direct")
-        for fld in _random_tensors(ctx, st_name, base_seed=90):
-            t = evaluate(fld, fr)
+        for t in _random_tensors(ctx, st_name, fr, base_seed=90):
             got = lie_nabla_commutator(t, xi, fr)
             yield st_name, ctx.cfg.points, got - lie_nabla_from_connection(t, C), got
 
@@ -548,12 +596,11 @@ def _chk_lie_grad(ctx):
 def _chk_killing_commute(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "minkowski4")):
         fr = ctx.frame(st_name)
-        flds = _random_tensors(ctx, st_name, ranks=((), ("u",), ("d", "d")),
-                               base_seed=110)
+        ts = _random_tensors(ctx, st_name, fr, ranks=((), ("u",), ("d", "d")),
+                             base_seed=110)
         for v in spacetime(st_name).killing[:4]:
             xi = evaluate(v, fr)
-            for fld in flds:
-                t = evaluate(fld, fr)
+            for t in ts:
                 res = lie_nabla_commutator(t, xi, fr)
                 yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
 
@@ -573,8 +620,8 @@ def _chk_killing_commute(ctx):
                 "field configuration, on or off shell.")
 def _chk_chain(ctx):
     for name, sc, tf in ctx.scenarios():
-        for v in ctx.random_xis(sc.spacetime, 3):
-            res = kinematic_lie_residual(tf, evaluate(v, tf.frame))
+        for xi in ctx.random_xis(sc.spacetime, tf.frame, 3):
+            res = kinematic_lie_residual(tf, xi)
             yield name, ctx.cfg.points, res, tf.L
 
 
@@ -590,8 +637,8 @@ def _chk_chain_negative(ctx):
     sc = scenario("scalar-wave-2d")
     fr = ctx.frame(sc.spacetime)
     tf = evaluate_theory(broken_scalar_theory(0.5), sc.fields, fr)
-    for v in ctx.random_xis(sc.spacetime, 3):
-        res = kinematic_lie_residual(tf, evaluate(v, fr))
+    for xi in ctx.random_xis(sc.spacetime, fr, 3):
+        res = kinematic_lie_residual(tf, xi)
         yield "broken-scalar", ctx.cfg.points, res, tf.L
 
 
@@ -652,8 +699,8 @@ def _chk_tb_tm(ctx):
                 "flow.  Checked with a family of seeded random vectors.")
 def _chk_master(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
-        for v in ctx.random_xis(sc.spacetime):
-            lhs, rhs = master_identity_terms(tf, evaluate(v, tf.frame))
+        for xi in ctx.random_xis(sc.spacetime, tf.frame):
+            lhs, rhs = master_identity_terms(tf, xi)
             yield name, ctx.cfg.points, lhs - rhs, lhs
 
 
@@ -668,8 +715,8 @@ def _chk_master(ctx):
                 "symmetric.")
 def _chk_110(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
-        for v in ctx.random_xis(sc.spacetime, 4):
-            res = current_gradient_pairing_residual(tf, evaluate(v, tf.frame))
+        for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
+            res = current_gradient_pairing_residual(tf, xi)
             yield name, ctx.cfg.points, res, tf.emt_metric
 
 
@@ -757,8 +804,8 @@ def _chk_can_div_magnitude(ctx):
                 "antisymmetry plus the symmetry of the Ricci tensor.")
 def _chk_diff_current(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True):
-        for v in ctx.random_xis(sc.spacetime, 4):
-            res = current_divergence(tf, difference_current(tf, evaluate(v, tf.frame)))
+        for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
+            res = current_divergence(tf, difference_current(tf, xi))
             yield name, ctx.cfg.points, res, tf.theta
 
 
@@ -771,8 +818,7 @@ def _chk_diff_current(ctx):
                 "exactly the identically-conserved superpotential current.")
 def _chk_current_decomp(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True):
-        for v in ctx.random_xis(sc.spacetime, 4):
-            xi = evaluate(v, tf.frame)
+        for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
             a = noether_current(tf, xi)
             b = alternative_current(tf, xi)
             c = difference_current(tf, xi)
@@ -850,12 +896,10 @@ def _chk_em_form(ctx):
 
 
 def _gauge_pairs(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True,
-                                      where=lambda sc: sc.gauge_field is not None):
-        chi = random_tensor_field((), spacetime(sc.spacetime).box, ctx.cfg.seed + 5000)
-        shifted = dict(sc.fields)
-        shifted[sc.gauge_field] = gauge_shifted(sc.fields[sc.gauge_field], chi)
-        yield name, tf, evaluate_theory(sc.theory, shifted, tf.frame)
+    """``(name, theory frame, (T_M, T_B, T_C) after the gauge shift)``."""
+    for name, _, tf in ctx.scenarios(on_shell=True,
+                                     where=lambda sc: sc.gauge_field is not None):
+        yield name, tf, ctx.gauge_shifted_emts(name)
 
 
 @_register(
@@ -866,8 +910,8 @@ def _gauge_pairs(ctx):
     description="Shifting the potential by an exact gradient leaves the "
                 "metric energy-momentum tensor unchanged pointwise.")
 def _chk_gauge_tm(ctx):
-    for name, tf, tf2 in _gauge_pairs(ctx):
-        yield name, ctx.cfg.points, tf2.emt_metric - tf.emt_metric, tf.emt_metric
+    for name, tf, (tm, _, _) in _gauge_pairs(ctx):
+        yield name, ctx.cfg.points, tm - tf.emt_metric, tf.emt_metric
 
 
 @_register(
@@ -878,8 +922,8 @@ def _chk_gauge_tm(ctx):
     description="The superpotential correction removes the canonical "
                 "tensor's gauge dependence entirely.")
 def _chk_gauge_tb(ctx):
-    for name, tf, tf2 in _gauge_pairs(ctx):
-        res = tf2.emt_belinfante - tf.emt_belinfante
+    for name, tf, (_, tb, _) in _gauge_pairs(ctx):
+        res = tb - tf.emt_belinfante
         yield name, ctx.cfg.points, res, tf.emt_belinfante
 
 
@@ -892,8 +936,8 @@ def _chk_gauge_tb(ctx):
                 "gauge shift, demonstrating the invariance checks are not "
                 "passing vacuously.")
 def _chk_gauge_tc(ctx):
-    for name, tf, tf2 in _gauge_pairs(ctx):
-        yield name, ctx.cfg.points, tf2.emt_canonical - tf.emt_canonical, 1.0
+    for name, tf, (_, _, tc) in _gauge_pairs(ctx):
+        yield name, ctx.cfg.points, tc - tf.emt_canonical, 1.0
 
 
 # --------------------------------------------------------------------------

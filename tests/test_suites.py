@@ -1,12 +1,18 @@
 """Residual aggregation: the fold of check-body yields into Targets, and a
 NaN or inf residual failing its check whatever the target order, in both
-"below" and "exceeds" modes."""
+"below" and "exceeds" modes.  The run's caches: each seeded random field
+evaluated once per frame, one gauge-shifted theory per scenario, read-only
+cached tables, and check rows that do not depend on which checks ran
+before."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from emtkit import suites
+from emtkit.catalog import SCENARIOS
 from emtkit.jets import JetOrderError
 from emtkit.suites import (
     CHECKS,
@@ -18,6 +24,7 @@ from emtkit.suites import (
     _stats,
     _worst,
     build_report,
+    run_checks,
 )
 
 NAN, INF = float("nan"), float("inf")
@@ -130,3 +137,67 @@ def test_declared_minimum_jet_order_is_the_lowest_that_runs(check_id):
     if check.min_jet_order > 2:
         with pytest.raises(JetOrderError):
             run(check.min_jet_order - 1)
+
+
+# --------------------------------------------------------------------------
+# the run's caches of seeded random fields and gauge-shifted theories
+# --------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name, key):
+    """Count calls of ``suites.<name>`` by ``key(*args)``; None keys are skipped."""
+    counts = Counter()
+    original = getattr(suites, name)
+
+    def counted(*args, **kwargs):
+        k = key(*args)
+        if k is not None:
+            counts[k] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, counted)
+    return counts
+
+
+def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
+    counts = _count_calls(monkeypatch, "evaluate", lambda fld, fr: (
+        (fld.name, tuple(fld.variance), id(fr))
+        if fld.name.startswith("random") else None))
+    run_checks(RunConfig(suites=("kinematic-lagrangian", "emt-onshell"),
+                         points=2, xi_count=4))
+    assert counts and set(counts.values()) == {1}
+
+
+def test_gauge_checks_share_one_shifted_theory_per_scenario(monkeypatch):
+    counts = _count_calls(monkeypatch, "evaluate_theory", lambda theory, fields, fr: (
+        "shifted" if any(f.name.endswith("+grad chi") for f in fields.values())
+        else None))
+    outcomes = run_checks(RunConfig(suites=("gauge",), points=2))
+    gauge_scenarios = [sc for sc in SCENARIOS.values()
+                       if sc.on_shell and sc.gauge_field is not None]
+    assert len(outcomes) == 3 and all(oc.targets for oc in outcomes)
+    assert counts["shifted"] == len(gauge_scenarios) > 0
+
+
+def test_cached_field_tables_are_read_only():
+    ctx = RunContext(RunConfig(points=2, xi_count=1))
+    fr = ctx.frame("minkowski4")
+    (xi,) = ctx.random_xis("minkowski4", fr)
+    assert ctx.random_xis("minkowski4", fr) == [xi]
+    for table in xi.components.data:
+        with pytest.raises(ValueError):
+            table += 1.0
+    for t in ctx.gauge_shifted_emts("em-wave-4d"):
+        with pytest.raises(ValueError):
+            t.components.data[0] += 1.0
+
+
+def test_check_rows_do_not_depend_on_which_checks_ran_before():
+    def rows(suites_):
+        cfg = RunConfig(suites=suites_, points=3, xi_count=3, seed=5)
+        return [r for r in build_report(cfg, run_checks(cfg))["checks"]
+                if r["suite"] == "emt-onshell"]
+
+    alone = rows(("emt-onshell",))
+    assert len(alone) == 16
+    assert rows(("kinematic-lagrangian", "emt-onshell", "gauge")) == alone
