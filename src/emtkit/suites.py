@@ -15,6 +15,7 @@ function of its configuration.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
@@ -103,7 +104,10 @@ class Check:
     measure: str            # "abs" or "rel"
     mode: str               # "below" or "exceeds"
     description: str
-    min_jet_order: int = 2  # lowest --jet-order at which the body can run
+    # a check runs at its declared jet order: run_checks builds its frames,
+    # fields and theories to this order, the lowest at which the body runs
+    # and its targets equal those of every higher order
+    jet_order: int = 2
     fn: object = None
 
 
@@ -178,52 +182,64 @@ def _max_residual(values) -> float:
 
 
 class RunContext:
-    """Caches what the checks of one run share, each computed on first use.
+    """Caches what the checks of one run share, each computed on first use,
+    and the jet order ``order`` at which it builds them.
 
-    - ``_frames``: one metric frame per (spacetime, box, jet order).
-    - ``_theories``: one :class:`TheoryFrame` per scenario.
+    ``run_checks`` hands each check ``at(check.jet_order)``: a view of the
+    run's one context at that order, sharing every cache.  Keyed by order:
+
+    - ``_frames``: one metric frame per (spacetime, box, order).
+    - ``_theories``: one :class:`TheoryFrame` per (scenario, order).
+    - ``_gauge``: T_M, T_B and T_C of each gauge scenario with its gauge
+      field shifted by the gradient of a seeded chi, per (scenario, order).
+      The shifted TheoryFrame is dropped once they exist.
     - ``_fields``: one evaluation of each seeded random field (the xis of
       ``random_xis`` and the tensors of ``_random_tensors``) per
       (variance, box, seed, frame).  Every frame a check evaluates on comes
       from ``frame``, directly or as ``theory_frame(...).frame``, and stays
       in ``_frames`` for the whole run, so frame identity names one set of
-      sample points and jet order; the key also holds the frame itself.
-    - ``_gauge``: T_M, T_B and T_C of each gauge scenario with its gauge
-      field shifted by the gradient of a seeded chi.  The shifted
-      TheoryFrame is dropped once they exist.
+      sample points and one order; the key also holds the frame itself.
 
-    Catalog fields (Killing vectors, scenario fields) are evaluated afresh.
-    Every table of a cached evaluation is read-only, so an in-place write
-    raises instead of changing the input of every later check.
+    Each scenario's claims are checked once per run, at the catalog's own
+    order.  Catalog fields (Killing vectors, scenario fields) are evaluated
+    afresh.  Every table of a cached evaluation is read-only, so an in-place
+    write raises instead of changing the input of every later check.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self.order = cfg.jet_order
         self._frames = {}
         self._theories = {}
         self._fields = {}
         self._gauge = {}
         self._claims_checked = set()
 
-    def frame(self, st_name, order=None, box=None):
+    def at(self, order) -> RunContext:
+        """This context at jet ``order``, sharing every cache."""
+        view = copy.copy(self)
+        view.order = order
+        return view
+
+    def frame(self, st_name, box=None):
         st = spacetime(st_name)
         box = st.box if box is None else tuple(tuple(b) for b in box)
-        order = self.cfg.jet_order if order is None else order
-        key = (st_name, box, order)
+        key = (st_name, box, self.order)
         if key not in self._frames:
             pts = sample_points(box, self.cfg.points, self.cfg.seed)
-            self._frames[key] = geometry_at(st.metric, pts, order)
+            self._frames[key] = geometry_at(st.metric, pts, self.order)
         return self._frames[key]
 
     def theory_frame(self, scen_name):
-        if scen_name not in self._theories:
+        key = (scen_name, self.order)
+        if key not in self._theories:
             sc = scenario(scen_name)
             if scen_name not in self._claims_checked:
                 verify_scenario_claims(sc, seed=self.cfg.seed)
                 self._claims_checked.add(scen_name)
             fr = self.frame(sc.spacetime, box=scenario_box(sc))
-            self._theories[scen_name] = evaluate_theory(sc.theory, sc.fields, fr)
-        return self._theories[scen_name]
+            self._theories[key] = evaluate_theory(sc.theory, sc.fields, fr)
+        return self._theories[key]
 
     def spacetime_names(self, default):
         return self.cfg.spacetimes if self.cfg.spacetimes else default
@@ -268,7 +284,8 @@ class RunContext:
     def gauge_shifted_emts(self, scen_name) -> tuple:
         """``(T_M, T_B, T_C)`` of a gauge scenario with its gauge field
         shifted by the gradient of a seeded random scalar chi."""
-        if scen_name not in self._gauge:
+        key = (scen_name, self.order)
+        if key not in self._gauge:
             sc = scenario(scen_name)
             fr = self.theory_frame(scen_name).frame
             chi = random_tensor_field((), spacetime(sc.spacetime).box,
@@ -276,9 +293,9 @@ class RunContext:
             shifted = dict(sc.fields)
             shifted[sc.gauge_field] = gauge_shifted(sc.fields[sc.gauge_field], chi)
             tf = evaluate_theory(sc.theory, shifted, fr)
-            self._gauge[scen_name] = tuple(_frozen(t) for t in (
+            self._gauge[key] = tuple(_frozen(t) for t in (
                 tf.emt_metric, tf.emt_belinfante, tf.emt_canonical))
-        return self._gauge[scen_name]
+        return self._gauge[key]
 
 
 def _frozen(t: TensorValue) -> TensorValue:
@@ -358,6 +375,7 @@ def _random_tensors(ctx, st_name, fr, ranks=_TENSOR_RANKS, base_seed=0):
     identity="index-replacement of the identity map vanishes",
     formula="til(delta)^a_b{}^c_d = 0",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=0,
     description="The mixed identity tensor is inert under the index-replacement "
                 "operator: its up-slot and down-slot contributions cancel exactly.")
 def _chk_tilde_identity(ctx):
@@ -371,6 +389,7 @@ def _chk_tilde_identity(ctx):
     identity="index-replacement of the metric",
     formula="til(g)_ab{}^c_d = -g_db delta^c_a - g_ad delta^c_b",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=1,
     description="Applying the index-replacement operator to the metric gives "
                 "minus two delta-weighted copies of the metric.")
 def _chk_tilde_metric(ctx):
@@ -390,6 +409,7 @@ def _chk_tilde_metric(ctx):
     identity="index-replacement of the alternating symbol",
     formula="til(eps)_{a1..an}{}^c_d = -eps_{a1..an} delta^c_d",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=0,
     description="The totally antisymmetric symbol reproduces itself (times "
                 "-delta) under index replacement; a determinant-style identity.")
 def _chk_tilde_eps(ctx):
@@ -407,6 +427,7 @@ def _chk_tilde_eps(ctx):
     identity="trace of the replacement slots",
     formula="til(T)^.._a{}^a_.. = (p - q) T",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=1,
     description="Contracting the two new slots of the replaced tensor counts "
                 "up-slots minus down-slots times the original tensor.")
 def _chk_tilde_trace(ctx):
@@ -424,6 +445,7 @@ def _chk_tilde_trace(ctx):
     identity="replacement operator is a derivation over tensor products",
     formula="til(T ox S) = til(T) ox S + T ox til(S)  (new slots gathered last)",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=1,
     description="The index-replacement operator satisfies the Leibniz rule on "
                 "outer products, once the new slots are moved to the end.")
 def _chk_tilde_leibniz(ctx):
@@ -454,6 +476,7 @@ def _chk_tilde_leibniz(ctx):
     identity="derivative-agnostic form of the Lie derivative",
     formula="dT xi - til(T) dxi  ==  DT xi - til(T) Dxi",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=1,
     description="The Lie derivative written through the index-replacement "
                 "operator gives the same values with coordinate partials as "
                 "with covariant derivatives: the connection terms cancel.")
@@ -471,6 +494,7 @@ def _chk_lie_dual(ctx):
     identity="metric is invariant along its symmetry vectors",
     formula="(Lie_xi g)_ab = D_a xi_b + D_b xi_a = 0",
     tolerance=1e-10, measure="abs", mode="below",
+    jet_order=1,
     description="Every vector the catalog claims as a symmetry annihilates "
                 "the metric under the Lie derivative.")
 def _chk_killing(ctx):
@@ -486,6 +510,7 @@ def _chk_killing(ctx):
     identity="claimed parallel vectors have vanishing covariant derivative",
     formula="D_a xi^b = 0",
     tolerance=1e-10, measure="abs", mode="below",
+    jet_order=1,
     description="Translation generators on flat charts are claimed to be "
                 "covariantly constant; the claim is re-derived numerically.")
 def _chk_parallel(ctx):
@@ -502,6 +527,7 @@ def _chk_parallel(ctx):
     identity="Lie derivative of the metric volume factor",
     formula="1/2 sqrt|g| g^ab (Lie_xi g)_ab = sqrt|g| D_a xi^a",
     tolerance=1e-9, measure="abs", mode="below",
+    jet_order=1,
     description="The trace of the metric flow reproduces the divergence that "
                 "differentiating sqrt|g| along xi must produce.")
 def _chk_volume(ctx):
@@ -539,6 +565,7 @@ def _chk_curv_comm(ctx):
     identity="index replacement past a covariant gradient",
     formula="til(D_e T)^a_b = D_e til(T)^a_b - delta^a_e D_b T",
     tolerance=1e-9, measure="abs", mode="below",
+    jet_order=1,
     description="Replacing indices after differentiation differs from "
                 "differentiating the replaced tensor only by the gradient "
                 "slot's own replacement term.")
@@ -665,6 +692,7 @@ def _chk_tm_sym(ctx):
     identity="superpotential antisymmetry in its first two slots",
     formula="Theta^abc = -Theta^bac",
     tolerance=1e-12, measure="abs", mode="below",
+    jet_order=1,
     description="The three-term superpotential is antisymmetric under "
                 "swapping its first slot pair, which is what makes its "
                 "double divergence vanish.")
@@ -692,7 +720,7 @@ def _chk_tb_tm(ctx):
     identity="current divergence pairs with the metric flow",
     formula="D_a(T_B^ab xi_b) = 1/2 T_M^ab (Lie_xi g)_ab   for any xi",
     tolerance=1e-8, measure="abs", mode="below",
-    min_jet_order=3,
+    jet_order=3,
     description="The central exchange identity: for an arbitrary vector "
                 "field, not only symmetries, the divergence of the improved "
                 "current equals the metric tensor paired with the metric "
@@ -709,7 +737,7 @@ def _chk_master(ctx):
     identity="current divergence pairs with the vector gradient",
     formula="D_a(T_B^ab xi_b) = T_M^ab D_a xi_b   for any xi",
     tolerance=1e-8, measure="abs", mode="below",
-    min_jet_order=3,
+    jet_order=3,
     description="Equivalent form of the exchange identity with the full "
                 "(unsymmetrized) gradient of xi; works because T_M is "
                 "symmetric.")
@@ -725,7 +753,7 @@ def _chk_110(ctx):
     identity="conserved current along each metric symmetry",
     formula="D_a(T_B^ab xi_b) = 0   for Killing xi",
     tolerance=1e-8, measure="abs", mode="below",
-    min_jet_order=3,
+    jet_order=3,
     description="The improved current built from any catalog symmetry vector "
                 "is divergence-free on shell.")
 def _chk_noether(ctx):
@@ -740,7 +768,7 @@ def _chk_noether(ctx):
     identity="improved tensor is divergence-free on shell",
     formula="D_a T_B^ab = 0",
     tolerance=1e-8, measure="abs", mode="below",
-    min_jet_order=3,
+    jet_order=3,
     description="Slot-wise conservation of the improved tensor for "
                 "solutions, on flat and curved backgrounds alike.")
 def _chk_tb_div(ctx):
@@ -754,7 +782,7 @@ def _chk_tb_div(ctx):
     identity="metric tensor is divergence-free on shell",
     formula="D_a T_M^ab = 0",
     tolerance=1e-8, measure="abs", mode="below",
-    min_jet_order=3,
+    jet_order=3,
     description="Conservation of the metric tensor for solutions; follows "
                 "from the exchange identity with arbitrary localized xi.")
 def _chk_tm_div(ctx):
@@ -798,7 +826,7 @@ def _chk_can_div_magnitude(ctx):
     identity="difference current is identically conserved",
     formula="D_a[(D_c Theta^cab) xi_b + Theta^cab D_c xi_b] = 0   for any xi",
     tolerance=1e-8, measure="abs", mode="below",
-    min_jet_order=3,
+    jet_order=3,
     description="The current formed from the superpotential alone is "
                 "divergence-free without field equations for its xi-part: "
                 "antisymmetry plus the symmetry of the Ricci tensor.")
@@ -1010,17 +1038,25 @@ def checks_for(suites) -> list:
 
 
 def run_checks(cfg: RunConfig, emit=None) -> list:
-    """Run the configured checks, returning a list of CheckOutcome."""
+    """Run the configured checks, each at its declared jet order, returning a
+    list of CheckOutcome.  ``cfg.jet_order`` is a ceiling: a selected check
+    that declares a higher order is rejected before any check runs."""
     for s in cfg.suites:
         if s not in SUITE_ORDER:
             raise ValueError(f"unknown suite '{s}' (have: {', '.join(SUITE_ORDER)})")
+    checks = checks_for(cfg.suites)
+    low = [c for c in checks if c.jet_order > cfg.jet_order]
+    if low:
+        need = max(c.jet_order for c in low)
+        raise ValueError(f"--jet-order {cfg.jet_order} is too low for the selected "
+                         f"checks ({', '.join(c.id for c in low)} need {need})")
     ctx = RunContext(cfg)
     for st_name in (cfg.spacetimes or SPACETIMES):
         verify_spacetime_claims(spacetime(st_name), seed=cfg.seed)
     outcomes = []
-    for check in checks_for(cfg.suites):
+    for check in checks:
         t0 = time.perf_counter()
-        targets = list(check.fn(ctx))
+        targets = list(check.fn(ctx.at(check.jet_order)))
         elapsed = time.perf_counter() - t0
         outcome = CheckOutcome(check, targets, elapsed)
         outcomes.append(outcome)

@@ -103,6 +103,22 @@ def test_jet_order_two_runs_suites_that_declare_it(capsys):
     assert code == EXIT_PASS
 
 
+def test_jet_order_ceiling_above_every_check_leaves_the_report_unchanged(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["tilde-algebra", "emt-onshell", "gauge"],
+                               "points": 4, "xi_count": 2}))
+    reports = []
+    for order in (3, 4):
+        rp = tmp_path / f"order{order}.json"
+        code = run_cli(["verify", "--config", str(cfg), "--jet-order", str(order),
+                        "--report", str(rp), "--quiet"])
+        assert code == EXIT_PASS
+        report = json.loads(rp.read_text())
+        assert report["config"].pop("jet_order") == order
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_off_shell_gate_exit_code(capsys):
     code = run_cli(["verify", "--suite", "emt-onshell",
                     "--scenario", "scalar-blob-2d", "--points", "4"])
@@ -188,6 +204,7 @@ def test_explain_known_check(capsys):
     out = capsys.readouterr().out
     assert "master-identity" in out
     assert "emt-onshell" in out
+    assert "jet order: 3\n" in out
 
 
 def test_explain_unknown_check(capsys):

@@ -1,9 +1,9 @@
 """Residual aggregation: the fold of check-body yields into Targets, and a
 NaN or inf residual failing its check whatever the target order, in both
-"below" and "exceeds" modes.  The run's caches: each seeded random field
-evaluated once per frame, one gauge-shifted theory per scenario, read-only
-cached tables, and check rows that do not depend on which checks ran
-before."""
+"below" and "exceeds" modes.  Each check run at its declared jet order.
+The run's caches: each seeded random field evaluated once per frame, one
+gauge-shifted theory per scenario, read-only cached tables, and check rows
+that do not depend on which checks ran before."""
 
 import math
 from collections import Counter
@@ -19,6 +19,7 @@ from emtkit.suites import (
     CheckOutcome,
     RunConfig,
     RunContext,
+    SUITE_ORDER,
     Target,
     _fold,
     _stats,
@@ -128,15 +129,41 @@ def test_registered_check_returns_folded_targets():
 @pytest.mark.parametrize("check_id", [c for c, chk in CHECKS.items()
                                       if chk.suite != "variational"])
 def test_declared_minimum_jet_order_is_the_lowest_that_runs(check_id):
+    """A check runs at its declared order, fails one order below it (orders
+    start at 0), and one order above gives the same targets: the tables it
+    drops were never read."""
     check = CHECKS[check_id]
 
-    def run(order):
-        check.fn(RunContext(RunConfig(points=2, xi_count=1, jet_order=order)))
+    def targets(order):
+        ctx = RunContext(RunConfig(points=2, xi_count=1)).at(order)
+        return [(t.name, t.points, t.value_abs, t.value_rel) for t in check.fn(ctx)]
 
-    run(check.min_jet_order)
-    if check.min_jet_order > 2:
+    assert targets(check.jet_order) == targets(check.jet_order + 1)
+    if check.jet_order > 0:
         with pytest.raises(JetOrderError):
-            run(check.min_jet_order - 1)
+            targets(check.jet_order - 1)
+
+
+def test_tilde_algebra_builds_only_order_one_frames(monkeypatch):
+    orders = _count_calls(monkeypatch, "geometry_at", lambda metric, pts, order: order)
+    run_checks(RunConfig(suites=("tilde-algebra",), points=2))
+    assert set(orders) == {1}
+
+
+def test_each_check_builds_its_frames_at_its_declared_order(monkeypatch):
+    orders = _count_calls(monkeypatch, "geometry_at", lambda metric, pts, order: order)
+    built = {}
+
+    def emit(outcome, tol):
+        built[outcome.check.id] = set(orders)
+        orders.clear()
+
+    cfg = RunConfig(suites=tuple(s for s in SUITE_ORDER if s != "variational"),
+                    points=2, xi_count=1)
+    run_checks(cfg, emit=emit)
+    assert len(built) == 35 and any(built.values())
+    for check_id, got in built.items():
+        assert got <= {CHECKS[check_id].jet_order}, check_id
 
 
 # --------------------------------------------------------------------------
