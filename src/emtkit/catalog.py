@@ -2,10 +2,11 @@
 verification suites.
 
 Everything here is deterministic: random fields and sample points derive from
-explicit seeds, and every claimed property (Killing vectors actually Killing,
-on-shell scenarios actually solving their field equations) is re-checked
-numerically by :func:`verify_spacetime_claims` / :func:`verify_scenario_claims`
-before a suite trusts it.
+explicit seeds, and every claimed property is re-checked numerically before a
+suite trusts it: Killing and parallel vectors by :func:`verify_spacetime_claims`
+on points of its own, a scenario's on- or off-shell claim by
+:func:`verify_scenario_claims` on a theory frame it is given, which a run
+builds once per scenario on the run's own sample points.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .tensors import max_abs
 from .fieldtheory import (
     FieldSpec,
     LagrangianTheory,
-    evaluate_theory,
+    TheoryFrame,
     maxwell_theory,
     scalar_theory,
 )
@@ -529,14 +530,9 @@ def verify_spacetime_claims(st: Spacetime, seed: int = 0, count: int = 12,
                     f"residual {r:.3e} > {tol:.1e}")
 
 
-def verify_scenario_claims(sc: Scenario, seed: int = 0, count: int = 12,
-                           gate: float = 1e-7):
-    """Check the scenario's on-shell claim at random points; a non-finite
-    equation-of-motion residual refutes either claim."""
-    st = spacetime(sc.spacetime)
-    pts = sample_points(scenario_box(sc), count, seed)
-    fr = geometry_at(st.metric, pts, 3)
-    tf = evaluate_theory(sc.theory, sc.fields, fr)
+def verify_scenario_claims(sc: Scenario, tf: TheoryFrame, gate: float = 1e-7):
+    """Check the scenario's on-shell claim on its theory frame ``tf``; a
+    non-finite equation-of-motion residual refutes either claim."""
     r = tf.eom_max_residual()
     if not math.isfinite(r):
         raise CatalogClaimError(
@@ -550,4 +546,3 @@ def verify_scenario_claims(sc: Scenario, seed: int = 0, count: int = 12,
         raise CatalogClaimError(
             f"scenario '{sc.name}' claims off-shell but satisfies the "
             f"field equations (residual {r:.3e})")
-    return tf

@@ -134,8 +134,6 @@ def _validate(cfg):
     if cfg.points < 1:
         raise ValueError("--points must be positive")
     # a ceiling below a selected check's declared order is rejected by run_checks
-    if cfg.jet_order < 2:
-        raise ValueError("--jet-order must be at least 2")
     if cfg.xi_count < 1:
         raise ValueError("xi_count must be at least 1")
 

@@ -50,6 +50,7 @@ from .geometry import (
     volume_lie_residual,
 )
 from .fieldtheory import (
+    OffShellError,
     alternative_current,
     broken_scalar_theory,
     canonical_divergence_terms,
@@ -70,7 +71,6 @@ from .catalog import (
     SPACETIMES,
     bump_perturbation,
     random_tensor_field,
-    random_vector_field,
     sample_points,
     scenario,
     scenario_box,
@@ -200,10 +200,11 @@ class RunContext:
       in ``_frames`` for the whole run, so frame identity names one set of
       sample points and one order; the key also holds the frame itself.
 
-    Each scenario's claims are checked once per run, at the catalog's own
-    order.  Catalog fields (Killing vectors, scenario fields) are evaluated
-    afresh.  Every table of a cached evaluation is read-only, so an in-place
-    write raises instead of changing the input of every later check.
+    Each scenario's claim is verified once per run, on the run's own sample
+    points (see ``theory_frame``).  Catalog fields (Killing vectors, scenario
+    fields) are evaluated afresh.  Every table of a cached evaluation is
+    read-only, so an in-place write raises instead of changing the input of
+    every later check.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -213,7 +214,7 @@ class RunContext:
         self._theories = {}
         self._fields = {}
         self._gauge = {}
-        self._claims_checked = set()
+        self._verified = set()
 
     def at(self, order) -> RunContext:
         """This context at jet ``order``, sharing every cache."""
@@ -231,14 +232,21 @@ class RunContext:
         return self._frames[key]
 
     def theory_frame(self, scen_name):
+        """The scenario's TheoryFrame at this order.  The first one built at
+        order 2 or more, the lowest at which the field equations have a
+        value, verifies the scenario's claim for every order; below order 2
+        that one is built first."""
         key = (scen_name, self.order)
         if key not in self._theories:
+            if self.order < 2 and scen_name not in self._verified:
+                self.at(2).theory_frame(scen_name)
             sc = scenario(scen_name)
-            if scen_name not in self._claims_checked:
-                verify_scenario_claims(sc, seed=self.cfg.seed)
-                self._claims_checked.add(scen_name)
             fr = self.frame(sc.spacetime, box=scenario_box(sc))
-            self._theories[key] = evaluate_theory(sc.theory, sc.fields, fr)
+            tf = evaluate_theory(sc.theory, sc.fields, fr)
+            if scen_name not in self._verified:
+                verify_scenario_claims(sc, tf)
+                self._verified.add(scen_name)
+            self._theories[key] = tf
         return self._theories[key]
 
     def spacetime_names(self, default):
@@ -248,7 +256,8 @@ class RunContext:
         """``(name, scenario, theory_frame)`` for the configured scenarios, or
         else for every catalog scenario whose on-shell claim is ``on_shell``
         (None: all).  ``where(scenario)`` skips a scenario before its theory
-        is evaluated; ``require`` gates each one on its field equations."""
+        is evaluated; ``require`` raises OffShellError for a scenario claimed
+        off shell (``theory_frame`` has verified the claim)."""
         names = self.cfg.scenarios or [
             name for name, sc in SCENARIOS.items()
             if on_shell is None or sc.on_shell == on_shell]
@@ -257,8 +266,9 @@ class RunContext:
             if where is not None and not where(sc):
                 continue
             tf = self.theory_frame(name)
-            if require:
-                tf.require_on_shell()
+            if require and not sc.on_shell:
+                raise OffShellError(f"scenario '{name}' is claimed off shell, "
+                                    f"and the check holds only on shell")
             yield name, sc, tf
 
     def random_field(self, variance, box, seed, fr) -> TensorValue:
@@ -266,10 +276,7 @@ class RunContext:
         frame ``fr``; built and evaluated on first use only."""
         key = (variance, box, seed, fr)
         if key not in self._fields:
-            # a ("u",) random tensor field is the random vector field of its
-            # seed: same function, same coefficients
-            fld = (random_vector_field(box, seed) if variance == ("u",)
-                   else random_tensor_field(variance, box, seed))
+            fld = random_tensor_field(variance, box, seed)
             self._fields[key] = _frozen(evaluate(fld, fr))
         return self._fields[key]
 
@@ -800,7 +807,7 @@ def _chk_tm_div(ctx):
                 "backgrounds; its divergence is an explicit curvature term. "
                 "Both sides are compared pointwise.")
 def _chk_can_div(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True):
+    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
         lhs, rhs = canonical_divergence_terms(tf)
         scale = max(max_abs(lhs), max_abs(rhs), max_abs(tf.emt_canonical))
         yield name, ctx.cfg.points, lhs - rhs, scale
@@ -876,7 +883,7 @@ def _chk_matter_current(ctx):
                 "rebuilt entirely from the field sector; the right side is "
                 "secretly symmetric in its free slots.")
 def _chk_ee(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True):
+    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
         lhs, rhs = metric_derivative_identity_terms(tf)
         yield name, ctx.cfg.points, lhs - rhs, lhs
         yield name, 0, rhs - transpose_slots(rhs, (1, 0)), lhs

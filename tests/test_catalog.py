@@ -21,7 +21,7 @@ from emtkit.catalog import (
     verify_scenario_claims,
     verify_spacetime_claims,
 )
-from emtkit.fieldtheory import scalar_theory
+from emtkit.fieldtheory import evaluate_theory, scalar_theory
 from emtkit.geometry import VectorField, evaluate, geometry_at
 from emtkit import jets
 from emtkit.jets import jet_stack
@@ -33,9 +33,17 @@ def test_spacetime_claims_hold(name):
     verify_spacetime_claims(SPACETIMES[name], seed=1)
 
 
+def _theory_frame(sc, count=12, seed=1):
+    """``sc``'s theory frame at ``count`` seeded points of its box, order 2."""
+    pts = sample_points(scenario_box(sc), count, seed)
+    fr = geometry_at(spacetime(sc.spacetime).metric, pts, 2)
+    return evaluate_theory(sc.theory, sc.fields, fr)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_claims_hold(name):
-    verify_scenario_claims(SCENARIOS[name], seed=1)
+    sc = SCENARIOS[name]
+    verify_scenario_claims(sc, _theory_frame(sc))
 
 
 def test_expected_symmetry_counts():
@@ -199,16 +207,16 @@ def test_false_on_shell_claim_caught():
     blob = SCENARIOS["scalar-blob-2d"]
     fake = Scenario(name="fake", spacetime=blob.spacetime, theory=blob.theory,
                     fields=blob.fields, on_shell=True)
-    with pytest.raises(CatalogClaimError):
-        verify_scenario_claims(fake, seed=1)
+    with pytest.raises(CatalogClaimError, match="claims on-shell"):
+        verify_scenario_claims(fake, _theory_frame(fake))
 
 
 def test_false_off_shell_claim_caught():
     wave = SCENARIOS["scalar-wave-2d"]
     fake = Scenario(name="fake", spacetime=wave.spacetime, theory=wave.theory,
                     fields=wave.fields, on_shell=False)
-    with pytest.raises(CatalogClaimError):
-        verify_scenario_claims(fake, seed=1)
+    with pytest.raises(CatalogClaimError, match="claims off-shell"):
+        verify_scenario_claims(fake, _theory_frame(fake))
 
 
 def test_on_shell_scenarios_cover_both_theories():
@@ -244,5 +252,6 @@ def test_non_finite_field_equation_residual_refutes_scenario_claim(name):
     sc = SCENARIOS[name]
     fields = {k: dataclasses.replace(f, fn=_nan_valued(f.fn))
               for k, f in sc.fields.items()}
+    bad = dataclasses.replace(sc, fields=fields)
     with pytest.raises(CatalogClaimError, match="non-finite"):
-        verify_scenario_claims(dataclasses.replace(sc, fields=fields), seed=1)
+        verify_scenario_claims(bad, _theory_frame(bad))

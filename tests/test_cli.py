@@ -103,6 +103,21 @@ def test_jet_order_two_runs_suites_that_declare_it(capsys):
     assert code == EXIT_PASS
 
 
+def test_jet_order_ceiling_is_judged_by_the_selected_checks_alone(capsys):
+    # every tilde-algebra check declares order 1 or lower
+    code = run_cli(["verify", "--suite", "tilde-algebra", "--jet-order", "1",
+                    "--points", "4", "--quiet"])
+    assert code == EXIT_PASS
+    capsys.readouterr()
+    code = run_cli(["verify", "--suite", "tilde-algebra", "--jet-order", "0",
+                    "--points", "4"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --jet-order 0 is too low")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_jet_order_ceiling_above_every_check_leaves_the_report_unchanged(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": ["tilde-algebra", "emt-onshell", "gauge"],

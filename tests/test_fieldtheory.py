@@ -4,12 +4,15 @@ Flat-space closed forms are recomputed here with plain numpy straight from
 the jet tables, independently of the reverse-mode (tape) differentiation layer.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from emtkit import fieldtheory
 from emtkit.catalog import (
     SCENARIOS,
+    CatalogClaimError,
     spacetime,
     SPACETIMES,
     bump_perturbation,
@@ -17,12 +20,12 @@ from emtkit.catalog import (
     random_vector_field,
     sample_points,
     scenario_box,
+    verify_scenario_claims,
 )
 from emtkit.fieldtheory import (
     ArgTensor,
     LagrangianContext,
     LagrangianTheory,
-    OffShellError,
     a_einsum,
     alternative_current,
     broken_scalar_theory,
@@ -126,7 +129,7 @@ def test_maxwell_canonical_closed_form():
 
 def test_maxwell_symmetric_emt_on_shell():
     sc, tf = scenario_theory_frame("em-wave-4d")
-    tf.require_on_shell()
+    verify_scenario_claims(sc, tf)
     _, _, F, Fup, _, _, L = maxwell_arrays(tf, sc.fields["A"], tf.frame)
     Fmix = np.einsum("pbc,cy->pby", Fup, ETA4)      # [pt, b, y] = F^b_y
     want = np.einsum("pay,pby->pab", Fup, Fmix) + np.einsum("ab,p->pab", ETA4, L)
@@ -137,25 +140,26 @@ def test_maxwell_symmetric_emt_on_shell():
 
 
 def test_on_shell_gate():
-    _, tf = scenario_theory_frame("scalar-wave-4d")
+    sc, tf = scenario_theory_frame("scalar-wave-4d")
     assert tf.eom_max_residual() < 1e-12
-    tf.require_on_shell()
+    verify_scenario_claims(sc, tf)
 
-    _, tf_blob = scenario_theory_frame("scalar-blob-2d")
+    blob, tf_blob = scenario_theory_frame("scalar-blob-2d")
     assert tf_blob.eom_max_residual() > 1e-3
-    with pytest.raises(OffShellError):
-        tf_blob.require_on_shell()
+    verify_scenario_claims(blob, tf_blob)
+    with pytest.raises(CatalogClaimError, match="claims on-shell"):
+        verify_scenario_claims(dataclasses.replace(blob, on_shell=True), tf_blob)
 
 
 @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
 def test_non_finite_field_equation_residual_fails_the_gate(nan_first):
-    _, tf = scenario_theory_frame("scalar-wave-4d", count=4)
+    sc, tf = scenario_theory_frame("scalar-wave-4d", count=4)
     good = tf.eom_residual["phi"]
     bad = float("nan") * good
     tf.eom_residual = {"a": bad, "b": good} if nan_first else {"a": good, "b": bad}
     assert np.isnan(tf.eom_max_residual())
-    with pytest.raises(OffShellError):
-        tf.require_on_shell()
+    with pytest.raises(CatalogClaimError, match="non-finite"):
+        verify_scenario_claims(sc, tf)
 
 
 def test_field_variance_validated():

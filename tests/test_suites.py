@@ -3,17 +3,20 @@ NaN or inf residual failing its check whatever the target order, in both
 "below" and "exceeds" modes.  Each check run at its declared jet order.
 The run's caches: each seeded random field evaluated once per frame, one
 gauge-shifted theory per scenario, read-only cached tables, and check rows
-that do not depend on which checks ran before."""
+that do not depend on which checks ran before.  The on-shell gate: each
+scenario's claim verified once, on the run's own frames."""
 
+import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from emtkit import suites
-from emtkit.catalog import SCENARIOS
-from emtkit.jets import JetOrderError
+from emtkit import fieldtheory, suites
+from emtkit.catalog import SCENARIOS, CatalogClaimError, sample_points, scenario_box
+from emtkit.jets import JetOrderError, jexp
 from emtkit.suites import (
     CHECKS,
     CheckOutcome,
@@ -228,3 +231,64 @@ def test_check_rows_do_not_depend_on_which_checks_ran_before():
     alone = rows(("emt-onshell",))
     assert len(alone) == 16
     assert rows(("kinematic-lagrangian", "emt-onshell", "gauge")) == alone
+
+
+# --------------------------------------------------------------------------
+# the on-shell gate: one claim verification per scenario, on the run's frames
+# --------------------------------------------------------------------------
+
+
+def test_theories_are_evaluated_on_run_frames_and_claims_verified_once(monkeypatch):
+    built = []
+    frame = RunContext.frame
+
+    def recorded(self, *args, **kwargs):
+        built.append(frame(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(RunContext, "frame", recorded)
+    seen = []
+    original = fieldtheory.evaluate_theory
+
+    def evaluate_theory(theory, fields, fr):
+        seen.append(fr)
+        return original(theory, fields, fr)
+
+    # rebind every module-level name of evaluate_theory in the package
+    for key, module in list(sys.modules.items()):
+        if key == "emtkit" or key.startswith("emtkit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, evaluate_theory)
+    verified = _count_calls(monkeypatch, "verify_scenario_claims",
+                            lambda sc, *rest: sc.name)
+    run_checks(RunConfig(suites=("kinematic-lagrangian", "emt-onshell", "gauge"),
+                         points=2, xi_count=1))
+    assert seen and all(any(fr is b for b in built) for fr in seen)
+    assert set(verified) == set(SCENARIOS) and set(verified.values()) == {1}
+
+
+def test_claim_is_verified_on_every_run_point_before_its_first_check(monkeypatch):
+    # scalar-wave-2d plus a narrow bump on the last of 16 run points: on
+    # shell at the other 15, off shell at that one
+    wave = SCENARIOS["scalar-wave-2d"]
+    pts = sample_points(scenario_box(wave), 16, 7)
+    far = pts[-1]
+    w = float(np.min(np.linalg.norm(pts[:-1] - far, axis=1))) / 10.0
+    base = wave.fields["phi"]
+
+    def fn(coords):
+        u = (coords[0] - far[0]) * (1.0 / w)
+        v = (coords[1] - far[1]) * (1.0 / w)
+        return base.fn(coords) + jexp(-(u * u + 2.0 * v * v))
+
+    fake = dataclasses.replace(
+        wave, fields={"phi": dataclasses.replace(base, fn=fn)})
+    monkeypatch.setitem(SCENARIOS, "scalar-wave-2d", fake)
+    lines = []
+    with pytest.raises(CatalogClaimError, match="scalar-wave-2d' claims on-shell"):
+        run_checks(RunConfig(suites=("kinematic-lagrangian", "emt-onshell"),
+                             scenarios=("scalar-wave-2d",), points=16, seed=7,
+                             xi_count=1),
+                   emit=lambda outcome, tol: lines.append(outcome.check.id))
+    assert lines == []
