@@ -3,10 +3,11 @@ verification suites.
 
 Everything here is deterministic: random fields and sample points derive from
 explicit seeds, and every claimed property is re-checked numerically before a
-suite trusts it: Killing and parallel vectors by :func:`verify_spacetime_claims`
-on points of its own, a scenario's on- or off-shell claim by
-:func:`verify_scenario_claims` on a theory frame it is given, which a run
-builds once per scenario on the run's own sample points.
+suite trusts it: Killing and parallel vectors by :func:`verify_frame_claims`
+on a frame it is given, a scenario's on- or off-shell claim by
+:func:`verify_scenario_claims` on a theory frame it is given.  A run calls
+them on the frames and theory frames it builds, once each, on its own
+sample points.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "random_vector_field",
     "bump_perturbation",
     "verify_spacetime_claims",
+    "verify_frame_claims",
     "verify_scenario_claims",
 ]
 
@@ -508,26 +510,22 @@ def bump_perturbation(box, seed: int, scale: float = 0.1,
 # --------------------------------------------------------------------------
 
 
-def verify_spacetime_claims(st: Spacetime, seed: int = 0, count: int = 12,
-                            tol: float = 1e-10):
-    """Check every claimed Killing/parallel property at random points; a
-    non-finite residual refutes the claim."""
-    pts = sample_points(st.box, count, seed)
-    fr = geometry_at(st.metric, pts, 2)
+def verify_spacetime_claims(st: Spacetime, seed: int = 0):
+    """:func:`verify_frame_claims` at 12 seeded points of the box."""
+    verify_frame_claims(st, geometry_at(st.metric, sample_points(st.box, 12, seed), 2))
+
+
+def verify_frame_claims(st: Spacetime, fr, tol: float = 1e-10):
+    """Check every claimed Killing/parallel property of ``st`` on its frame
+    ``fr``; a non-finite residual refutes the claim."""
     for v in st.killing:
         xi = evaluate(v, fr)
-        if v.claimed_killing:
-            r = max_abs(killing_residual(xi, fr))
+        for claim, claimed, residual in (("Killing", v.claimed_killing, killing_residual),
+                                         ("parallel", v.claimed_parallel, parallel_residual)):
+            r = max_abs(residual(xi, fr)) if claimed else 0.0
             if not r <= tol:
-                raise CatalogClaimError(
-                    f"{st.name}: vector '{v.name}' claims Killing, "
-                    f"residual {r:.3e} > {tol:.1e}")
-        if v.claimed_parallel:
-            r = max_abs(parallel_residual(xi, fr))
-            if not r <= tol:
-                raise CatalogClaimError(
-                    f"{st.name}: vector '{v.name}' claims parallel, "
-                    f"residual {r:.3e} > {tol:.1e}")
+                raise CatalogClaimError(f"{st.name}: vector '{v.name}' claims {claim}, "
+                                        f"residual {r:.3e} > {tol:.1e}")
 
 
 def verify_scenario_claims(sc: Scenario, tf: TheoryFrame, gate: float = 1e-7):

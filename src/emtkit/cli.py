@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -110,6 +111,8 @@ def _validate(cfg):
         if names is not None and not (isinstance(names, tuple)
                                       and all(isinstance(s, str) for s in names)):
             raise ValueError(f"{key} must be a list of names")
+    if not cfg.suites:
+        raise ValueError("suites must name at least one suite")
     for key in ("points", "seed", "jet_order", "xi_count"):
         if not _is_int(getattr(cfg, key)):
             raise ValueError(f"{key} must be an integer")
@@ -120,8 +123,8 @@ def _validate(cfg):
             raise ValueError(f"{key} must be a list of {dim} positive integers")
     if not (isinstance(cfg.tolerances, dict)
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in cfg.tolerances.values())):
-        raise ValueError("tolerances must be an object mapping check ids to numbers")
+                    and math.isfinite(v) for v in cfg.tolerances.values())):
+        raise ValueError("tolerances must be an object mapping check ids to finite numbers")
     for name in cfg.tolerances:
         if name not in CHECKS:
             raise ValueError(f"config tolerance names unknown check '{name}'")

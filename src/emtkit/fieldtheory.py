@@ -65,6 +65,7 @@ from .geometry import (
     covariant_derivative,
     evaluate,
     geometry_at,
+    _truncated_view,
 )
 
 __all__ = [
@@ -340,6 +341,13 @@ class TheoryFrame:
     @property
     def n(self):
         return self.frame.n
+
+    def truncate(self, order: int) -> TheoryFrame:
+        """This theory frame at jet ``order``, on ``frame.truncate(order)``;
+        see :func:`~emtkit.geometry._truncated_view`."""
+        return _truncated_view(self, self.frame.order - order,
+                               ("psi", "dpsi", "L", "dL_dpsi", "dL_ddpsi", "dL_dg"),
+                               {"theory": self.theory, "frame": self.frame.truncate(order)})
 
     # -- field equations ------------------------------------------------
 

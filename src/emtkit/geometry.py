@@ -40,6 +40,7 @@ from .jets import (
     differentiate,
     jabs,
     jet_einsum,
+    jet_truncate,
     jexp,
     jsqrt,
     lift,
@@ -193,6 +194,12 @@ class Frame:
         comps = jet_einsum("bd,dac->bca", self.ginv.components, X.components)
         return TensorValue(("u", "d", "d"), self.n, _half(comps))
 
+    def truncate(self, order: int) -> Frame:
+        """This frame at jet ``order``; see :func:`_truncated_view`."""
+        return _truncated_view(
+            self, self.order - order, ("coords", "g", "det", "sqrt_g", "ginv", "gamma"),
+            {"metric": self.metric, "n": self.n, "order": order})
+
     @cached_property
     def dg(self) -> TensorValue:
         """D g, slots [a, b, c] = D_c g_ab: zero up to roundoff, computed
@@ -216,6 +223,37 @@ class Frame:
     @cached_property
     def ricci_scalar(self) -> Jet:
         return jet_einsum("ab,ab->", self.ginv.components, self.ricci.components)
+
+
+def _drop_orders(x, k: int):
+    """``x``, a Jet, a TensorValue or a list or dict of them, with the top
+    ``k`` derivative orders of every jet dropped: tuple slices, no copies."""
+    if isinstance(x, dict):
+        return {key: _drop_orders(v, k) for key, v in x.items()}
+    if isinstance(x, list):
+        return [_drop_orders(v, k) for v in x]
+    if isinstance(x, TensorValue):
+        return TensorValue(x.variance, x.n, _drop_orders(x.components, k))
+    return jet_truncate(x, x.order - k)
+
+
+def _truncated_view(obj, k: int, jets: tuple, same: dict):
+    """``obj`` (a Frame or a TheoryFrame) with its top ``k`` jet orders dropped.
+
+    A new instance whose attributes ``jets`` are those of ``obj`` through
+    :func:`_drop_orders` and whose other attributes are ``same``.  Order-m
+    coefficients of truncated Taylor arithmetic never read higher ones, so
+    its tables equal those of a fresh build at the lower order, and each
+    cached property is computed on the view when first used.  The view is
+    memoised on ``obj``; with ``k == 0`` it is ``obj`` itself and never a
+    memo entry, which would make every frame a reference cycle."""
+    if k == 0:
+        return obj
+    views = obj.__dict__.setdefault("_views", {})
+    if k not in views:
+        views[k] = object.__new__(type(obj))
+        vars(views[k]).update(same, **{a: _drop_orders(getattr(obj, a), k) for a in jets})
+    return views[k]
 
 
 def _half(comps):

@@ -472,8 +472,8 @@ def jabs(f: Jet) -> Jet:
 
 
 def jet_truncate(f: Jet, order: int) -> Jet:
-    if order > f.order:
-        raise JetOrderError(f"cannot extend a jet of order {f.order} to {order}")
+    if not 0 <= order <= f.order:
+        raise JetOrderError(f"cannot truncate a jet of order {f.order} to {order}")
     return Jet(f.nvars, order, f.vdim, f.data[: order + 1])
 
 

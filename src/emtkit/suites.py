@@ -75,8 +75,8 @@ from .catalog import (
     scenario,
     scenario_box,
     spacetime,
+    verify_frame_claims,
     verify_scenario_claims,
-    verify_spacetime_claims,
 )
 
 SCHEMA_VERSION = 1
@@ -104,9 +104,9 @@ class Check:
     measure: str            # "abs" or "rel"
     mode: str               # "below" or "exceeds"
     description: str
-    # a check runs at its declared jet order: run_checks builds its frames,
-    # fields and theories to this order, the lowest at which the body runs
-    # and its targets equal those of every higher order
+    # a check runs at its declared jet order: it reads the run's frames,
+    # fields and theories truncated to this order, the lowest at which the
+    # body runs and its targets equal those of every higher order
     jet_order: int = 2
     fn: object = None
 
@@ -166,8 +166,10 @@ class CheckOutcome:
         return _max_residual([t.value_rel for t in self.targets])
 
     def passed(self, tolerance):
-        """A non-finite residual fails in either mode."""
-        if not (math.isfinite(self.max_abs) and math.isfinite(self.max_rel)):
+        """A non-finite residual fails in either mode, and so does a check
+        that measured no point."""
+        if self.points == 0 or not (math.isfinite(self.max_abs)
+                                    and math.isfinite(self.max_rel)):
             return False
         v = self.max_abs if self.check.measure == "abs" else self.max_rel
         if self.check.mode == "below":
@@ -182,42 +184,49 @@ def _max_residual(values) -> float:
 
 
 class RunContext:
-    """Caches what the checks of one run share, each computed on first use,
-    and the jet order ``order`` at which it builds them.
+    """Caches what the checks of one run share, each computed on first use.
 
-    ``run_checks`` hands each check ``at(check.jet_order)``: a view of the
-    run's one context at that order, sharing every cache.  Keyed by order:
+    Frames and theory frames are built once, at ``build_order``: ``order``
+    or 2 if that is higher, since order 2 is the lowest at which a theory's
+    field equations have a value.  A context reads them at ``order``
+    through their memoised ``truncate(order)`` views.  ``run_checks`` builds
+    one context at the highest order its checks declare and hands each
+    check ``at(check.jet_order)``, a view of it that shares every cache.
+    The caches hold no order in their keys:
 
-    - ``_frames``: one metric frame per (spacetime, box, order).
-    - ``_theories``: one :class:`TheoryFrame` per (scenario, order).
-    - ``_gauge``: T_M, T_B and T_C of each gauge scenario with its gauge
-      field shifted by the gradient of a seeded chi, per (scenario, order).
-      The shifted TheoryFrame is dropped once they exist.
+    - ``_frames``: one metric frame per (spacetime, box).  The spacetime's
+      Killing and parallel claims are verified on it when it is built.
+    - ``_theories``: one :class:`TheoryFrame` per scenario.  The scenario's
+      claim is verified on it when it is built, on the run's own sample
+      points, before any check reads it.
+    - ``_gauge``: one TheoryFrame per gauge scenario with its gauge field
+      shifted by the gradient of a seeded chi, read through its views like
+      ``_theories``.  Keeping only its T_M, T_B and T_C at the build order
+      would hold less memory but costs more time: they would be formed at
+      that order, above the order the gauge checks read them at.
     - ``_fields``: one evaluation of each seeded random field (the xis of
       ``random_xis`` and the tensors of ``_random_tensors``) per
-      (variance, box, seed, frame).  Every frame a check evaluates on comes
-      from ``frame``, directly or as ``theory_frame(...).frame``, and stays
-      in ``_frames`` for the whole run, so frame identity names one set of
-      sample points and one order; the key also holds the frame itself.
+      (variance, box, seed, frame).  Every frame a check evaluates on is a
+      frame of ``_frames`` or one of its memoised views, alive for the
+      whole run, so frame identity names one set of sample points and one
+      order.
 
-    Each scenario's claim is verified once per run, on the run's own sample
-    points (see ``theory_frame``).  Catalog fields (Killing vectors, scenario
-    fields) are evaluated afresh.  Every table of a cached evaluation is
-    read-only, so an in-place write raises instead of changing the input of
-    every later check.
+    Catalog fields (Killing vectors, scenario fields) are evaluated afresh.
+    Every table of a cached evaluation is read-only, so an in-place write
+    raises instead of changing the input of every later check.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, order: int):
         self.cfg = cfg
-        self.order = cfg.jet_order
+        self.order = order
+        self.build_order = max(2, order)
         self._frames = {}
         self._theories = {}
         self._fields = {}
         self._gauge = {}
-        self._verified = set()
 
     def at(self, order) -> RunContext:
-        """This context at jet ``order``, sharing every cache."""
+        """This context read at jet ``order``, sharing every cache."""
         view = copy.copy(self)
         view.order = order
         return view
@@ -225,29 +234,23 @@ class RunContext:
     def frame(self, st_name, box=None):
         st = spacetime(st_name)
         box = st.box if box is None else tuple(tuple(b) for b in box)
-        key = (st_name, box, self.order)
+        key = (st_name, box)
         if key not in self._frames:
             pts = sample_points(box, self.cfg.points, self.cfg.seed)
-            self._frames[key] = geometry_at(st.metric, pts, self.order)
-        return self._frames[key]
+            self._frames[key] = geometry_at(st.metric, pts, self.build_order)
+            # the claims read first derivatives only
+            verify_frame_claims(st, self._frames[key].truncate(1))
+        return self._frames[key].truncate(self.order)
 
     def theory_frame(self, scen_name):
-        """The scenario's TheoryFrame at this order.  The first one built at
-        order 2 or more, the lowest at which the field equations have a
-        value, verifies the scenario's claim for every order; below order 2
-        that one is built first."""
-        key = (scen_name, self.order)
-        if key not in self._theories:
-            if self.order < 2 and scen_name not in self._verified:
-                self.at(2).theory_frame(scen_name)
+        if scen_name not in self._theories:
             sc = scenario(scen_name)
-            fr = self.frame(sc.spacetime, box=scenario_box(sc))
+            fr = self.at(self.build_order).frame(sc.spacetime, box=scenario_box(sc))
             tf = evaluate_theory(sc.theory, sc.fields, fr)
-            if scen_name not in self._verified:
-                verify_scenario_claims(sc, tf)
-                self._verified.add(scen_name)
-            self._theories[key] = tf
-        return self._theories[key]
+            # the field equations read second derivatives
+            verify_scenario_claims(sc, tf.truncate(2))
+            self._theories[scen_name] = tf
+        return self._theories[scen_name].truncate(self.order)
 
     def spacetime_names(self, default):
         return self.cfg.spacetimes if self.cfg.spacetimes else default
@@ -290,19 +293,18 @@ class RunContext:
 
     def gauge_shifted_emts(self, scen_name) -> tuple:
         """``(T_M, T_B, T_C)`` of a gauge scenario with its gauge field
-        shifted by the gradient of a seeded random scalar chi."""
-        key = (scen_name, self.order)
-        if key not in self._gauge:
+        shifted by the gradient of a seeded random scalar chi, on the
+        shifted theory's view at this order."""
+        if scen_name not in self._gauge:
             sc = scenario(scen_name)
-            fr = self.theory_frame(scen_name).frame
+            fr = self.at(self.build_order).theory_frame(scen_name).frame
             chi = random_tensor_field((), spacetime(sc.spacetime).box,
                                       self.cfg.seed + 5000)
             shifted = dict(sc.fields)
             shifted[sc.gauge_field] = gauge_shifted(sc.fields[sc.gauge_field], chi)
-            tf = evaluate_theory(sc.theory, shifted, fr)
-            self._gauge[key] = tuple(_frozen(t) for t in (
-                tf.emt_metric, tf.emt_belinfante, tf.emt_canonical))
-        return self._gauge[key]
+            self._gauge[scen_name] = evaluate_theory(sc.theory, shifted, fr)
+        tf = self._gauge[scen_name].truncate(self.order)
+        return tuple(_frozen(t) for t in (tf.emt_metric, tf.emt_belinfante, tf.emt_canonical))
 
 
 def _frozen(t: TensorValue) -> TensorValue:
@@ -1045,9 +1047,10 @@ def checks_for(suites) -> list:
 
 
 def run_checks(cfg: RunConfig, emit=None) -> list:
-    """Run the configured checks, each at its declared jet order, returning a
-    list of CheckOutcome.  ``cfg.jet_order`` is a ceiling: a selected check
-    that declares a higher order is rejected before any check runs."""
+    """Run the configured checks, each reading the run's one context at its
+    declared jet order, returning a list of CheckOutcome.  ``cfg.jet_order``
+    is a ceiling: a selected check that declares a higher order is rejected
+    before any check runs."""
     for s in cfg.suites:
         if s not in SUITE_ORDER:
             raise ValueError(f"unknown suite '{s}' (have: {', '.join(SUITE_ORDER)})")
@@ -1057,9 +1060,7 @@ def run_checks(cfg: RunConfig, emit=None) -> list:
         need = max(c.jet_order for c in low)
         raise ValueError(f"--jet-order {cfg.jet_order} is too low for the selected "
                          f"checks ({', '.join(c.id for c in low)} need {need})")
-    ctx = RunContext(cfg)
-    for st_name in (cfg.spacetimes or SPACETIMES):
-        verify_spacetime_claims(spacetime(st_name), seed=cfg.seed)
+    ctx = RunContext(cfg, max((c.jet_order for c in checks), default=0))
     outcomes = []
     for check in checks:
         t0 = time.perf_counter()

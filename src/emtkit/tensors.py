@@ -74,14 +74,6 @@ class TensorValue:
     def rank(self) -> int:
         return len(self.variance)
 
-    @property
-    def n_up(self) -> int:
-        return sum(1 for v in self.variance if v == "u")
-
-    @property
-    def n_down(self) -> int:
-        return sum(1 for v in self.variance if v == "d")
-
     def __repr__(self):
         return f"TensorValue(variance={self.variance}, n={self.n})"
 

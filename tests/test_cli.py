@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 
 import pytest
 
@@ -73,9 +74,13 @@ def test_unknown_scenario_is_usage_error(capsys):
 
 
 def test_bad_tolerance_is_usage_error(capsys):
-    code = run_cli(["verify", "--suite", "tilde-algebra",
-                    "--tol", "no-such-check=1e-9"])
-    assert code == EXIT_USAGE
+    for tol in ("no-such-check=1e-9", "nan", "inf", "master-identity=-inf",
+                "master-identity=tight"):
+        code = run_cli(["verify", "--suite", "tilde-algebra", "--tol", tol])
+        assert code == EXIT_USAGE, tol
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), tol
+        assert err.count("\n") == 1, tol
 
 
 def test_too_low_jet_order_is_usage_error(capsys):
@@ -188,6 +193,10 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     {"grid_4d": [8, 8, 8, 8.5]},
     {"tolerances": [1]},
     {"tolerances": {"master-identity": "tight"}},
+    {"tolerances": {"master-identity": math.nan}},
+    {"tolerances": {"master-identity": math.inf}},
+    {"tolerances": {"tilde-identity-map": -math.inf}},
+    {"suites": []},
     {"xi_count": 0},
     {"points": [16]},
     {"suites": 5},

@@ -1,22 +1,29 @@
 """Residual aggregation: the fold of check-body yields into Targets, and a
 NaN or inf residual failing its check whatever the target order, in both
-"below" and "exceeds" modes.  Each check run at its declared jet order.
-The run's caches: each seeded random field evaluated once per frame, one
-gauge-shifted theory per scenario, read-only cached tables, and check rows
-that do not depend on which checks ran before.  The on-shell gate: each
-scenario's claim verified once, on the run's own frames."""
+"below" and "exceeds" modes; a check that measured no point fails.  Each
+check run at its declared jet order, reading the run's one build per frame
+and per theory through truncated views that equal fresh builds at that
+order and form no reference cycle.  The run's caches: each seeded random
+field evaluated once per frame, one gauge-shifted theory per scenario,
+read-only cached tables, and check rows that do not depend on which checks
+ran before.  The on-shell gate: each scenario's claim verified once, on the
+run's own frames."""
 
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from emtkit import fieldtheory, suites
+from emtkit import catalog, fieldtheory, suites
 from emtkit.catalog import SCENARIOS, CatalogClaimError, sample_points, scenario_box
-from emtkit.jets import JetOrderError, jexp
+from emtkit.fieldtheory import evaluate_theory
+from emtkit.geometry import geometry_at
+from emtkit.jets import Jet, JetOrderError, jexp
 from emtkit.suites import (
     CHECKS,
     CheckOutcome,
@@ -83,6 +90,16 @@ def test_finite_targets_still_pass():
     assert CheckOutcome(check, [], 0.0).max_abs == 0.0
 
 
+def test_a_check_that_measures_no_point_fails():
+    # scalar-wave-2d has no gauge field, so every gauge check is left empty
+    cfg = RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d",), points=2)
+    rows = build_report(cfg, run_checks(cfg))["checks"]
+    assert len(rows) == 3
+    assert all(r["points"] == 0 and r["passed"] is False for r in rows)
+    check = CHECKS["tilde-identity-map"]
+    assert not CheckOutcome(check, [Target("a", 0, 0.0, 0.0)], 0.0).passed(1.0)
+
+
 def _residuals(seed, count):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(3, 4)) * 10.0 ** -k for k in range(count)]
@@ -123,7 +140,7 @@ def test_fold_of_a_single_yield_is_its_stats_bit_for_bit(scale):
 
 
 def test_registered_check_returns_folded_targets():
-    targets = CHECKS["tilde-trace-collapse"].fn(RunContext(RunConfig(points=2)))
+    targets = CHECKS["tilde-trace-collapse"].fn(RunContext(RunConfig(points=2), 1))
     assert [(t.name, t.points) for t in targets] == [("schwarzschild", 10)]
     assert all(isinstance(t, Target) for t in targets)
 
@@ -138,7 +155,7 @@ def test_declared_minimum_jet_order_is_the_lowest_that_runs(check_id):
     check = CHECKS[check_id]
 
     def targets(order):
-        ctx = RunContext(RunConfig(points=2, xi_count=1)).at(order)
+        ctx = RunContext(RunConfig(points=2, xi_count=1), order)
         return [(t.name, t.points, t.value_abs, t.value_rel) for t in check.fn(ctx)]
 
     assert targets(check.jet_order) == targets(check.jet_order + 1)
@@ -147,26 +164,88 @@ def test_declared_minimum_jet_order_is_the_lowest_that_runs(check_id):
             targets(check.jet_order - 1)
 
 
-def test_tilde_algebra_builds_only_order_one_frames(monkeypatch):
-    orders = _count_calls(monkeypatch, "geometry_at", lambda metric, pts, order: order)
-    run_checks(RunConfig(suites=("tilde-algebra",), points=2))
-    assert set(orders) == {1}
-
-
-def test_each_check_builds_its_frames_at_its_declared_order(monkeypatch):
-    orders = _count_calls(monkeypatch, "geometry_at", lambda metric, pts, order: order)
-    built = {}
-
-    def emit(outcome, tol):
-        built[outcome.check.id] = set(orders)
-        orders.clear()
-
+def test_a_run_builds_one_frame_per_box_and_one_theory_per_scenario(monkeypatch):
+    frames = _count_calls(monkeypatch, "geometry_at", lambda metric, pts, order: (
+        metric.name, pts.tobytes(), order))
+    theories = _count_calls(monkeypatch, "evaluate_theory", lambda theory, fields, fr: (
+        theory.name, tuple(f.name for f in fields.values()), id(fr)))
     cfg = RunConfig(suites=tuple(s for s in SUITE_ORDER if s != "variational"),
                     points=2, xi_count=1)
-    run_checks(cfg, emit=emit)
-    assert len(built) == 35 and any(built.values())
-    for check_id, got in built.items():
-        assert got <= {CHECKS[check_id].jet_order}, check_id
+    outcomes = run_checks(cfg)
+    assert len(outcomes) == 35
+    assert frames and set(frames.values()) == {1}
+    assert {order for _, _, order in frames} == {3}
+    assert len({(name, pts) for name, pts, _ in frames}) == len(frames)
+    # each scenario once, each gauge scenario once more shifted, and the
+    # negative control's broken theory once
+    gauge = [sc for sc in SCENARIOS.values() if sc.on_shell and sc.gauge_field]
+    assert set(theories.values()) == {1}
+    assert len(theories) == len(SCENARIOS) + len(gauge) + 1
+
+
+def _top_and_fresh(sc, order, top=3, points=4):
+    """``sc``'s theory frame built at ``top`` and at ``order`` on the same
+    points."""
+    pts = sample_points(scenario_box(sc), points, 3)
+    metric = catalog.spacetime(sc.spacetime).metric
+    return [evaluate_theory(sc.theory, sc.fields, geometry_at(metric, pts, m))
+            for m in (top, order)]
+
+
+_TABLES = {
+    "g": lambda tf: tf.frame.g, "ginv": lambda tf: tf.frame.ginv,
+    "Gamma": lambda tf: tf.frame.gamma, "Riemann": lambda tf: tf.frame.riemann,
+    "L": lambda tf: tf.L, "dL/dg": lambda tf: tf.dL_dg, "Theta": lambda tf: tf.theta,
+    "T_C": lambda tf: tf.emt_canonical, "T_M": lambda tf: tf.emt_metric,
+    "T_B": lambda tf: tf.emt_belinfante,
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scen_name", list(SCENARIOS))
+def test_truncated_view_equals_a_fresh_build_table_for_table(scen_name, order):
+    """Every table a view at ``order`` reads equals that of a build at
+    ``order`` bit for bit; a quantity the build cannot form at ``order``
+    raises JetOrderError on the view too."""
+    top, fresh = _top_and_fresh(SCENARIOS[scen_name], order)
+    view = top.truncate(order)
+    assert view.frame.order == order and top.truncate(3) is top
+    assert view is top.truncate(order) and view.frame is top.frame.truncate(order)
+    data = lambda t: t if isinstance(t, Jet) else t.components   # noqa: E731
+    formed = 0
+    for name, get in _TABLES.items():
+        try:
+            want = get(fresh)
+        except JetOrderError:
+            with pytest.raises(JetOrderError):
+                get(view)
+            continue
+        got = get(view)
+        assert data(got).order == data(want).order, name
+        for a, b in zip(data(got).data, data(want).data, strict=True):
+            assert np.array_equal(a, b), name
+        formed += 1
+    assert formed >= 6
+
+
+def test_dropped_frames_and_their_views_are_freed_without_gc():
+    """A view is memoised on the object it truncates and the object at its own
+    order is itself, not a memo entry, so neither a Frame nor a TheoryFrame
+    is a reference cycle: it is freed as soon as it is dropped."""
+    sc = SCENARIOS["schwarzschild-coulomb"]
+    gc.disable()
+    try:
+        tf, _ = _top_and_fresh(sc, 2)
+        for m in (2, 3):
+            tf.truncate(m).frame.riemann
+        tf.truncate(2).emt_metric
+        tf.truncate(1).theta
+        refs = [weakref.ref(x) for x in (tf, tf.frame, tf.truncate(2),
+                                         tf.frame.truncate(1))]
+        del tf
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +289,7 @@ def test_gauge_checks_share_one_shifted_theory_per_scenario(monkeypatch):
 
 
 def test_cached_field_tables_are_read_only():
-    ctx = RunContext(RunConfig(points=2, xi_count=1))
+    ctx = RunContext(RunConfig(points=2, xi_count=1), 2)
     fr = ctx.frame("minkowski4")
     (xi,) = ctx.random_xis("minkowski4", fr)
     assert ctx.random_xis("minkowski4", fr) == [xi]
