@@ -120,10 +120,8 @@ BUMP_WIDTH = 1.5
 
 def _bump2_fn(coords):
     # conformally flat Riemannian plane, e^{2 phi} delta_ij with a Gaussian phi
-    x, y = coords
-    phi = BUMP_AMP * jexp(-(x * x + y * y) / (BUMP_WIDTH ** 2))
-    w = jexp(2.0 * phi)
-    z = x * 0.0
+    w = jexp(2.0 * bump2_conformal_factor(coords))
+    z = coords[0] * 0.0
     return jet_stack([[w, z], [z, w]])
 
 

@@ -38,11 +38,9 @@ from .jets import (
     Jet,
     constant_jet,
     differentiate,
-    jabs,
     jet_einsum,
     jet_truncate,
     jexp,
-    jsqrt,
     lift,
 )
 from .tensors import TensorValue, contract, tilde, tilde_contract, transpose_slots
@@ -56,7 +54,7 @@ __all__ = [
     "geometry_at",
     "evaluate",
     "jet_matrix_inverse",
-    "jet_det",
+    "jet_sqrt_abs_det",
     "partial_tensor",
     "covariant_derivative",
     "lie_derivative",
@@ -133,25 +131,28 @@ def jet_matrix_inverse(g: Jet) -> Jet:
     return total
 
 
-def jet_det(g: Jet) -> Jet:
-    """Determinant of a jet-valued matrix: det(g0) * exp(tr log(I + g0^-1 N))."""
+def jet_sqrt_abs_det(g: Jet) -> Jet:
+    """sqrt|det g| of a jet-valued matrix: sqrt|det g0| * exp(1/2 tr log(I + g0^-1 N)).
+
+    N is the derivative-only part of g, so the log series terminates
+    exactly at the jet order, as in :func:`jet_matrix_inverse`.
+    """
     a0 = g.data[0]
-    det0 = np.linalg.det(a0)
+    root0 = np.sqrt(np.abs(np.linalg.det(a0)))
     if g.order == 0:
-        return Jet(g.nvars, 0, 0, [det0])
-    inv0 = np.linalg.inv(a0)
+        return Jet(g.nvars, 0, 0, [root0])
     N = Jet(g.nvars, g.order, 2, [np.zeros(a0.shape), *g.data[1:]])
-    M = jet_einsum("ij,jk->ik", inv0, N)
+    M = jet_einsum("ij,jk->ik", np.linalg.inv(a0), N)
     P = M
     nb = a0.ndim - 2
     series = None
     for k in range(1, g.order + 1):
         tr = Jet(P.nvars, P.order, 0, [np.trace(t, axis1=nb, axis2=nb + 1) for t in P.data])
-        term = ((-1.0) ** (k - 1) / k) * tr
+        term = ((-1.0) ** (k - 1) / (2 * k)) * tr
         series = term if series is None else series + term
         if k < g.order:
             P = jet_einsum("ij,jk->ik", P, M)
-    return det0 * jexp(series)
+    return root0 * jexp(series)
 
 
 def partial_tensor(t: TensorValue) -> TensorValue:
@@ -173,15 +174,14 @@ class Frame:
         self.coords = coords
         self.order = g.components.order
         self.g = g
-        # plain determinant first: jet_det would invert the value part and
-        # blow up with a linear-algebra error before we can diagnose anything
+        # plain determinant first: jet_sqrt_abs_det would invert the value
+        # part and blow up with a linear-algebra error before we can diagnose anything
         if np.min(np.abs(np.linalg.det(g.components.data[0]))) <= _DEGENERATE_TOL:
             raise DegenerateMetricError(
                 f"|det g| <= {_DEGENERATE_TOL} at a sample point of metric "
                 f"'{metric.name}'"
             )
-        self.det = jet_det(g.components)
-        self.sqrt_g = jsqrt(jabs(self.det))
+        self.sqrt_g = jet_sqrt_abs_det(g.components)
         self.ginv = TensorValue(("u", "u"), self.n, jet_matrix_inverse(g.components))
         self.gamma = self._christoffel()
 
@@ -197,7 +197,7 @@ class Frame:
     def truncate(self, order: int) -> Frame:
         """This frame at jet ``order``; see :func:`_truncated_view`."""
         return _truncated_view(
-            self, self.order - order, ("coords", "g", "det", "sqrt_g", "ginv", "gamma"),
+            self, self.order - order, ("coords", "g", "sqrt_g", "ginv", "gamma"),
             {"metric": self.metric, "n": self.n, "order": order})
 
     @cached_property
@@ -397,10 +397,10 @@ def parallel_residual(xi: TensorValue, frame: Frame) -> TensorValue:
 
 
 def volume_lie_residual(xi: TensorValue, frame: Frame) -> Jet:
-    """Residual of: Lie_xi sqrt|g| = sqrt|g| D_a xi^a, with the left side
-    expanded as (1/2) sqrt|g| g^{ab} Lie_xi g_ab."""
+    """Residual of: Lie_xi sqrt|g| = d_a(sqrt|g| xi^a), the Lie derivative of
+    the density, with the left side expanded as (1/2) sqrt|g| g^{ab} Lie_xi g_ab.
+    The right side reads the first derivatives of sqrt|g|."""
     h = lie_derivative(frame.g, xi, frame)
     lhs = 0.5 * frame.sqrt_g * jet_einsum("ab,ab->", frame.ginv.components, h.components)
-    div = contract(covariant_derivative(xi, frame), 0, 1)
-    rhs = frame.sqrt_g * div.components
-    return lhs - rhs
+    flux = partial_tensor(TensorValue(("u",), frame.n, frame.sqrt_g * xi.components))
+    return lhs - contract(flux, 0, 1).components

@@ -4,7 +4,9 @@ A jet stores the value of a quantity together with all of its partial
 derivatives up to a fixed order with respect to ``nvars`` independent
 variables.  Arithmetic on jets propagates derivatives exactly (truncated
 Taylor/Leibniz rules), so identities between smooth expressions hold to
-floating-point roundoff rather than to a finite-difference error.
+floating-point roundoff rather than to a finite-difference error.  There
+is one product rule, :func:`jet_einsum`; a smooth function of a jet
+(:func:`jet_compose`) is a Horner sum of products of its derivative part.
 
 Layout: ``data[m]`` is the order-m derivative table with shape
 
@@ -35,7 +37,6 @@ __all__ = [
     "jsqrt",
     "jreciprocal",
     "jpow",
-    "jabs",
     "jet_truncate",
     "differentiate",
     "partial_in_var",
@@ -346,48 +347,25 @@ def jet_einsum(subs: str, x, y):
     return Jet((x if xj else y).nvars, order, vdim, data)
 
 
-def _set_partitions(m: int):
-    """All partitions of {0..m-1} into nonempty blocks (tuples of sorted ints)."""
-    if m == 0:
-        return [[]]
-    smaller = _set_partitions(m - 1)
-    out = []
-    for part in smaller:
-        for i in range(len(part)):
-            out.append(part[:i] + [part[i] + (m - 1,)] + part[i + 1:])
-        out.append(part + [(m - 1,)])
-    return out
-
-
 def jet_compose(coeffs, f: Jet) -> Jet:
     """Apply a smooth scalar function to a jet via its derivative ladder.
 
     ``coeffs[k]`` is the k-th derivative of the outer function evaluated at
-    ``f.value`` (an array broadcastable to batch+value shape).  Uses the
-    multivariate chain rule over set partitions of the derivative slots.
+    ``f.value`` (an array broadcastable to batch+value shape).  With N the
+    derivative-only part of ``f``, the result is the Taylor sum
+    sum_k coeffs[k] / k! N^k, summed by Horner's rule through the jet
+    product; it is exact because N^(order+1) vanishes.
     """
     K = f.order
     if len(coeffs) < K + 1:
         raise ValueError("need one coefficient per derivative order")
-    vl = _LETTERS[: f.vdim]
-    dl = _free_letters(set(vl), K)
-    c0 = np.asarray(coeffs[0], dtype=float)
-    data = [np.broadcast_to(c0, f.data[0].shape)]
-    for m in range(1, K + 1):
-        dm = "".join(dl[:m])
-        acc = None
-        for part in _set_partitions(m):
-            arrs = []
-            strs = []
-            for block in part:
-                arrs.append(f.data[len(block)])
-                strs.append(f"...{vl}" + "".join(dl[i] for i in block))
-            prod = np.einsum(",".join(strs) + f"->...{vl}{dm}", *arrs)
-            cr = np.asarray(coeffs[len(part)], dtype=float)
-            term = cr[(...,) + (None,) * m] * prod
-            acc = term if acc is None else acc + term
-        data.append(acc)
-    return Jet(f.nvars, K, f.vdim, data)
+    N = Jet(f.nvars, K, f.vdim, [np.zeros(f.data[0].shape), *f.data[1:]])
+    acc = coeffs[K] / math.factorial(K)
+    for k in range(K - 1, -1, -1):
+        acc = _add(_mul(N, acc), coeffs[k] / math.factorial(k))
+    if K == 0:
+        return Jet(f.nvars, 0, f.vdim, [np.broadcast_to(acc, f.data[0].shape)])
+    return acc
 
 
 def jexp(f: Jet) -> Jet:
@@ -460,15 +438,6 @@ def jpow(f: Jet, p) -> Jet:
                 base = _mul(base, base)
         return acc
     return _jpow_float(f, float(p))
-
-
-def jabs(f: Jet) -> Jet:
-    """|f| for a jet whose value part stays away from zero."""
-    v0 = f.data[0]
-    if np.any(v0 == 0):
-        raise ValueError("jabs at a zero of the value part is not differentiable")
-    sign = np.sign(v0)
-    return _const_mul(sign, f)
 
 
 def jet_truncate(f: Jet, order: int) -> Jet:

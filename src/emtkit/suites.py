@@ -534,11 +534,12 @@ def _chk_parallel(ctx):
 @_register(
     id="volume-weight-flow", suite="lie-calculus",
     identity="Lie derivative of the metric volume factor",
-    formula="1/2 sqrt|g| g^ab (Lie_xi g)_ab = sqrt|g| D_a xi^a",
+    formula="1/2 sqrt|g| g^ab (Lie_xi g)_ab = d_a(sqrt|g| xi^a)",
     tolerance=1e-9, measure="abs", mode="below",
     jet_order=1,
-    description="The trace of the metric flow reproduces the divergence that "
-                "differentiating sqrt|g| along xi must produce.")
+    description="The trace of the metric flow reproduces the Lie derivative "
+                "of the density sqrt|g|, d_a(sqrt|g| xi^a), which reads the "
+                "first derivatives of sqrt|g|.")
 def _chk_volume(ctx):
     for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
         fr = ctx.frame(st_name)

@@ -1,8 +1,8 @@
 """Geometry layer: Christoffels, curvature, Lie and covariant derivatives.
 
-The Schwarzschild Christoffel symbols are checked against a symbolic
-computation done from scratch with sympy, so a shared convention bug in the
-numeric path cannot hide.
+The Schwarzschild Christoffel symbols and the volume factor sqrt|det g| are
+checked against symbolic computations done from scratch with sympy, so a
+shared convention bug in the numeric path cannot hide.
 """
 
 import numpy as np
@@ -11,6 +11,8 @@ import sympy as sp
 
 from emtkit import geometry
 from emtkit.catalog import (
+    BUMP_AMP,
+    BUMP_WIDTH,
     SPACETIMES,
     bump2_conformal_factor,
     random_tensor_field,
@@ -33,7 +35,7 @@ from emtkit.geometry import (
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
-from emtkit.jets import jet_stack, lift
+from emtkit.jets import Jet, jet_stack, lift
 from emtkit.tensors import TensorValue, max_abs, value_array
 
 SCHW = SPACETIMES["schwarzschild"]
@@ -52,12 +54,16 @@ def schw_frame(order=3):
     return geometry_at(SCHW.metric, SCHW_PTS, order)
 
 
+def _sympy_schwarzschild_metric(xs):
+    t, r, th, ph = xs
+    f = 1 - 2 / r
+    return sp.diag(-f, 1 / f, r ** 2, r ** 2 * sp.sin(th) ** 2)
+
+
 def sympy_schwarzschild_gamma(point):
     """Christoffel symbols Gamma^b_{ca} at one point, computed symbolically."""
-    t, r, th, ph = sp.symbols("t r theta phi", real=True)
-    xs = (t, r, th, ph)
-    f = 1 - 2 / r
-    g = sp.diag(-f, 1 / f, r ** 2, r ** 2 * sp.sin(th) ** 2)
+    xs = sp.symbols("t r theta phi", real=True)
+    g = _sympy_schwarzschild_metric(xs)
     ginv = g.inv()
     gamma = np.zeros((4, 4, 4))
     subs = dict(zip(xs, point))
@@ -82,6 +88,36 @@ def test_christoffel_matches_sympy():
     for i, pt in enumerate(SCHW_PTS):
         want = sympy_schwarzschild_gamma(pt)
         assert np.allclose(got[i], want, atol=1e-11), f"point {pt}"
+
+
+def _sympy_bump2_metric(xs):
+    x, y = xs
+    phi = BUMP_AMP * sp.exp(-(x ** 2 + y ** 2) / sp.Float(BUMP_WIDTH) ** 2)
+    return sp.exp(2 * phi) * sp.eye(2)
+
+
+@pytest.mark.parametrize("st, metric, sign", [(SCHW, _sympy_schwarzschild_metric, -1),
+                                              (BUMP2, _sympy_bump2_metric, 1)],
+                         ids=["schwarzschild", "bump2"])
+def test_sqrt_g_tables_match_sympy(st, metric, sign):
+    # value, gradient and Hessian of sqrt|det g| against sympy's; the sign
+    # of det g replaces the absolute value, whose derivative sympy leaves
+    # symbolic
+    xs = sp.symbols(f"x0:{st.metric.n}")
+    vol = sp.sqrt(sign * metric(xs).det())
+    pts = sample_points(st.box, 6, seed=8)
+    frame = geometry_at(st.metric, pts, order=2)
+
+    def at_pts(expr):
+        return np.broadcast_to(sp.lambdify(xs, expr, "numpy")(*pts.T), len(pts))
+
+    want = [at_pts(vol),
+            np.stack([at_pts(sp.diff(vol, a)) for a in xs], axis=-1),
+            np.stack([np.stack([at_pts(sp.diff(vol, a, b)) for b in xs], axis=-1)
+                      for a in xs], axis=-2)]
+    for m in range(3):
+        np.testing.assert_allclose(frame.sqrt_g.data[m], want[m], rtol=1e-12,
+                                   err_msg=f"order {m}")
 
 
 def test_schwarzschild_is_ricci_flat():
@@ -230,6 +266,18 @@ def test_volume_weight_flow_identity():
     xi = evaluate(random_vector_field(BUMP2.box, seed=52), frame)
     res = volume_lie_residual(xi, frame)
     assert np.max(np.abs(res.data[0])) < 1e-12
+
+
+def test_volume_weight_flow_reads_the_derivatives_of_sqrt_g():
+    # sqrt|g| with its value kept and its first derivatives doubled must
+    # break the identity: its right side is d_a(sqrt|g| xi^a)
+    pts = sample_points(BUMP2.box, 16, seed=6)
+    frame = geometry_at(BUMP2.metric, pts, order=2)
+    xi = evaluate(random_vector_field(BUMP2.box, seed=52), frame)
+    sg = frame.sqrt_g
+    frame.sqrt_g = Jet(sg.nvars, sg.order, 0, [sg.data[0], 2.0 * sg.data[1], sg.data[2]])
+    res = volume_lie_residual(xi, frame)
+    assert np.max(np.abs(res.data[0])) > 1e-2
 
 
 def test_christoffel_against_finite_differences():

@@ -1,18 +1,19 @@
 """Truncated Taylor tables against independent oracles.
 
 The oracles are central finite differences with Richardson extrapolation
-(never jets themselves), plus analytically differentiated polynomials where
-exactness to machine precision is expected.
+(never jets themselves), sympy's symbolic derivatives, plus analytically
+differentiated polynomials where exactness to machine precision is expected.
 """
 
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from emtkit import jets
@@ -21,7 +22,6 @@ from emtkit.jets import (
     JetOrderError,
     constant_jet,
     differentiate,
-    jabs,
     jcos,
     jet_compose,
     jet_einsum,
@@ -29,6 +29,7 @@ from emtkit.jets import (
     jet_truncate,
     jexp,
     jlog,
+    jpow,
     jreciprocal,
     jsin,
     jsqrt,
@@ -422,11 +423,56 @@ def test_compose_matches_direct():
         assert np.allclose(composed.data[m], direct.data[m], atol=1e-13)
 
 
-def test_jabs_on_negative_branch():
-    t, = lift(np.array([-2.0]), 1, 2)
-    f = jabs(t * 3.0)
-    assert np.isclose(f.data[0], 6.0)
-    assert np.isclose(f.data[1][0], -3.0)
+_X3 = sp.symbols("x y z", real=True)
+# two inner functions of three variables, positive on [-0.5, 0.5]^3
+_INNER = (1.5 + 0.3 * _X3[0] + 0.2 * _X3[1] * _X3[2] - 0.4 * _X3[0] ** 2 * _X3[2],
+          0.8 - 0.1 * _X3[1] + 0.3 * _X3[0] * _X3[1] * _X3[2] + 0.2 * _X3[2] ** 3)
+_OUTER = {
+    "exp": (jexp, sp.exp),
+    "log": (jlog, sp.log),
+    "sin": (jsin, sp.sin),
+    "cos": (jcos, sp.cos),
+    "sqrt": (jsqrt, sp.sqrt),
+    "reciprocal": (jreciprocal, lambda u: 1 / u),
+    "pow": (lambda f: jpow(f, -1.25), lambda u: u ** sp.Rational(-5, 4)),
+}
+
+
+def _sympy_tables(expr, pts, order):
+    """Every partial of ``expr`` in (x, y, z) up to ``order``, evaluated at
+    ``pts`` (shape (P, 3)) into the jet layout (P,) + (3,)*m."""
+    partials = {(): expr}
+    for m in range(1, order + 1):
+        for idx in combinations_with_replacement(range(3), m):
+            partials[idx] = sp.diff(partials[idx[:-1]], _X3[idx[-1]])
+    values = dict(zip(partials, sp.lambdify(_X3, list(partials.values()), "numpy")(*pts.T)))
+    tables = []
+    for m in range(order + 1):
+        table = np.zeros((len(pts),) + (3,) * m)
+        for idx in np.ndindex(*(3,) * m):
+            table[(slice(None),) + idx] = values[tuple(sorted(idx))]
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(_OUTER))
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vdim1"])
+@pytest.mark.parametrize("order", [0, 3])
+def test_compose_matches_sympy(name, vector, order):
+    # every mixed partial up to order 3 of an outer function of a
+    # three-variable inner jet, at a batch of points, against sympy
+    jf, sf = _OUTER[name]
+    pts = np.random.default_rng(4).uniform(-0.5, 0.5, (5, 3))
+    x, y, z = lift(pts, 3, order)
+    jets_in = [sp.lambdify(_X3, e, "numpy")(x, y, z) for e in _INNER]
+    got = jf(jet_stack(jets_in) if vector else jets_in[0])
+    assert got.order == order and got.vdim == int(vector)
+    for k, e in enumerate(_INNER if vector else _INNER[:1]):
+        want = _sympy_tables(sf(e), pts, order)
+        for m in range(order + 1):
+            table = got.data[m][:, k] if vector else got.data[m]
+            np.testing.assert_allclose(table, want[m], rtol=1e-12, atol=0,
+                                       err_msg=f"{name} order {m}")
 
 
 def test_batch_broadcasting():
