@@ -182,8 +182,12 @@ def cmd_verify(args):
     report = build_report(cfg, outcomes)
     text = report_json(report)
     if report_path:
-        with open(report_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(report_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     elif quiet:
         sys.stdout.write(text)
 

@@ -12,19 +12,21 @@ components, so the extracted partials dL/d(grad psi), dL/dpsi and dL/dg come
 out as jet-valued tensors, ready for further covariant differentiation.
 dL/dg is symmetrized after extraction.
 
-From these the module builds
+From these the module builds the source tensor of Belinfante's construction
+and the canonical flux
 
-* the canonical tensor      T_C^ab = -dL/d(grad_a psi) grad^b psi + g^ab L
-* the metric tensor         T_M^ab = 2 dL/dg_ab
-                                     - D_c(dL/d(grad_c psi) (tilde psi)^ab + Theta^cab)
-                                     + g^ab L
+    W^cab = sum_l dL/d(grad_c psi) (tilde psi)^ab,
+    P^ab  = sum_l dL/d(grad_a psi) grad^b psi,
+
+and from them
+
+* the canonical tensor      T_C^ab = g^ab L - P^ab
+* the metric tensor         T_M^ab = 2 dL/dg_ab - D_c(W^cab + Theta^cab) + g^ab L
 * the improved tensor       T_B^ab = T_C^ab - D_c Theta^cab
 
 with the superpotential
 
-    Theta^abc = sum_l [ dL/d(grad_a psi) (tilde psi)^[cb]
-                      + dL/d(grad_b psi) (tilde psi)^[ac]
-                      + dL/d(grad_c psi) (tilde psi)^[ab] ]
+    Theta^abc = Y^acb + Y^bac + Y^cab,   Y^cab = 1/2 (W^cab - W^cba)
 
 (antisymmetric under a<->b), and checks the exact identities relating them,
 chief among them, for any vector field xi and any solution of the field
@@ -375,48 +377,42 @@ class TheoryFrame:
     # -- superpotential and energy-momentum tensors ----------------------
 
     @cached_property
-    def _tilde_raised(self) -> dict:
-        """(tilde psi)^ab per label: new up slot, then the raised new down slot."""
-        out = {}
-        for spec in self.theory.fields:
-            t = tilde(self.psi[spec.label])
-            r = t.rank - 2
-            out[spec.label] = raise_slot(t, r + 1, self.frame.ginv)
-        return out
-
-    @cached_property
-    def _G_tilde(self) -> dict:
-        """dL/d(grad_c psi) (tilde psi)^ab per label, slots [c, a, b]."""
-        out = {}
-        for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]
-            ttr = self._tilde_raised[spec.label]
-            S = _slot_letters(ttr.rank - 2)
-            out[spec.label] = jet_einsum(f"{S}c,{S}ab->cab", G.components, ttr.components)
-        return out
-
-    @cached_property
-    def theta(self) -> TensorValue:
-        """Theta^abc, antisymmetric in its first two slots."""
-        n = self.n
+    def W(self) -> TensorValue:
+        """W^cab = sum_l dL/d(grad_c psi) (tilde psi)^ab, slots [c, a, b]:
+        the new up slot of tilde psi, then its raised new down slot."""
         acc = None
         for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]           # [S*, a]
-            ttr = self._tilde_raised[spec.label]     # [S, u, v]
-            r = ttr.rank - 2
-            asym = antisymmetrize_pair(ttr, r, r + 1)
-            S = _slot_letters(r)
-            Y = jet_einsum(f"{S}a,{S}uv->auv", G.components, asym.components)
-            Yt = TensorValue(("u", "u", "u"), n, Y)
-            term = (
-                transpose_slots(Yt, (0, 2, 1))      # [a,b,c] = Y[a,c,b]
-                + transpose_slots(Yt, (1, 0, 2))    # [a,b,c] = Y[b,a,c]
-                + transpose_slots(Yt, (1, 2, 0))    # [a,b,c] = Y[c,a,b]
-            )
+            G = self.dL_ddpsi[spec.label]                                   # [S*, c]
+            t = tilde(self.psi[spec.label])
+            ttr = raise_slot(t, t.rank - 1, self.frame.ginv)                # [S, a, b]
+            S = _slot_letters(ttr.rank - 2)
+            term = jet_einsum(f"{S}c,{S}ab->cab", G.components, ttr.components)
             acc = term if acc is None else acc + term
         if acc is None:
             raise ValueError("theory has no fields")
-        return acc
+        return TensorValue(("u", "u", "u"), self.n, acc)
+
+    @cached_property
+    def P(self) -> TensorValue:
+        """P^ab = sum_l dL/d(grad_a psi) grad^b psi."""
+        acc = None
+        for spec in self.theory.fields:
+            G = self.dL_ddpsi[spec.label]
+            d = self.dpsi[spec.label]
+            dup = raise_slot(d, d.rank - 1, self.frame.ginv)
+            S = _slot_letters(d.rank - 1)
+            term = jet_einsum(f"{S}a,{S}b->ab", G.components, dup.components)
+            acc = term if acc is None else acc + term
+        return TensorValue(("u", "u"), self.n, acc)
+
+    @cached_property
+    def theta(self) -> TensorValue:
+        """Theta^abc = Y^acb + Y^bac + Y^cab with Y^cab = W^c[ab];
+        antisymmetric in its first two slots."""
+        Y = antisymmetrize_pair(self.W, 1, 2)
+        return (transpose_slots(Y, (0, 2, 1))      # [a,b,c] = Y[a,c,b]
+                + transpose_slots(Y, (1, 0, 2))    # [a,b,c] = Y[b,a,c]
+                + transpose_slots(Y, (1, 2, 0)))   # [a,b,c] = Y[c,a,b]
 
     @cached_property
     def _g_up_L(self) -> TensorValue:
@@ -426,24 +422,13 @@ class TheoryFrame:
     @cached_property
     def emt_canonical(self) -> TensorValue:
         """T_C^ab = -dL/d(grad_a psi) grad^b psi + g^ab L."""
-        acc = None
-        for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]
-            d = self.dpsi[spec.label]
-            dup = raise_slot(d, d.rank - 1, self.frame.ginv)
-            S = _slot_letters(d.rank - 1)
-            term = jet_einsum(f"{S}a,{S}b->ab", G.components, dup.components)
-            acc = term if acc is None else acc + term
-        return TensorValue(("u", "u"), self.n, -acc) + self._g_up_L
+        return self._g_up_L - self.P
 
     @cached_property
     def _bracket(self) -> TensorValue:
-        """dL/d(grad_c psi) (tilde psi)^ab + Theta^cab, slots [c, a, b];
-        symmetric in (a, b) by construction."""
-        acc = self.theta  # Theta^cab in slots [c, a, b] is just theta itself
-        for term in self._G_tilde.values():
-            acc = acc + TensorValue(("u", "u", "u"), self.n, term)
-        return acc
+        """Theta^cab + W^cab, slots [c, a, b]; symmetric in (a, b) by
+        construction."""
+        return self.theta + self.W
 
     @cached_property
     def emt_metric(self) -> TensorValue:
@@ -596,7 +581,7 @@ def lie_matter_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
 
 
 def canonical_divergence_terms(tf: TheoryFrame):
-    """On-shell: (D_a T_C^ab, dL/d(grad_a psi) R^b_adc (tilde psi)^cd).
+    """On-shell: (D_a T_C^ab, W^acd R^b_adc).
 
     The right side vanishes identically for scalar fields and in flat space;
     in general the canonical tensor fails to be conserved by exactly this
@@ -604,31 +589,14 @@ def canonical_divergence_terms(tf: TheoryFrame):
     """
     dT = covariant_derivative(tf.emt_canonical, tf.frame)
     lhs = contract(dT, 0, 2)                     # [b]
-    acc = None
-    for X in tf._G_tilde.values():                # [a, c, d]
-        term = jet_einsum("acd,badc->b", X, tf.frame.riemann.components)
-        acc = term if acc is None else acc + term
-    rhs = TensorValue(("u",), tf.n, acc)
-    return lhs, rhs
+    rhs = jet_einsum("acd,badc->b", tf.W.components, tf.frame.riemann.components)
+    return lhs, TensorValue(("u",), tf.n, rhs)
 
 
 def metric_derivative_identity_terms(tf: TheoryFrame):
-    """On-shell: (2 dL/dg_ab, D_c(dL/d(grad_c psi) (tilde psi)^ab)
-                           - dL/d(grad_a psi) grad^b psi), both (2,0)."""
-    lhs = 2.0 * tf.dL_dg
-    acc = None
-    for spec in tf.theory.fields:
-        G = tf.dL_ddpsi[spec.label]
-        Wt = TensorValue(("u", "u", "u"), tf.n, tf._G_tilde[spec.label])
-        dW = covariant_derivative(Wt, tf.frame)
-        div = contract(dW, 0, 3)
-        d = tf.dpsi[spec.label]
-        dup = raise_slot(d, d.rank - 1, tf.frame.ginv)
-        Sd = _slot_letters(d.rank - 1)
-        t2 = jet_einsum(f"{Sd}a,{Sd}b->ab", G.components, dup.components)
-        term = div - TensorValue(("u", "u"), tf.n, t2)
-        acc = term if acc is None else acc + term
-    return lhs, acc
+    """On-shell: (2 dL/dg_ab, D_c W^cab - P^ab), both (2,0)."""
+    div = contract(covariant_derivative(tf.W, tf.frame), 0, 3)
+    return 2.0 * tf.dL_dg, div - tf.P
 
 
 def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:

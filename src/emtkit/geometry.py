@@ -332,12 +332,12 @@ def curvature_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:
 def tilde_gradient_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:
     """Residual of: tilde(D_e T)^a_b = D_e (tilde T)^a_b - delta^a_e D_b T."""
     r = t.rank
-    lhs = tilde(covariant_derivative(t, frame))          # [S, e, a, b]
+    dt = covariant_derivative(t, frame)
+    lhs = tilde(dt)                                       # [S, e, a, b]
     rhs1 = covariant_derivative(tilde(t), frame)          # [S, a, b, e]
     perm = list(range(r)) + [r + 2, r, r + 1]
     rhs1 = transpose_slots(rhs1, perm)                    # [S, e, a, b]
     S = "".join(chr(ord("i") + k) for k in range(r))
-    dt = covariant_derivative(t, frame)
     rhs2 = jet_einsum(f"{S}b,ae->{S}eab", dt.components, np.eye(t.n))
     rhs2 = TensorValue(t.variance + ("d", "u", "d"), t.n, rhs2)
     return lhs - rhs1 + rhs2

@@ -429,7 +429,7 @@ def jpow(f: Jet, p) -> Jet:
         base = f
         k = int(p)
         if k == 0:
-            return constant_jet(np.ones(f.batch_shape + f.vshape), f.nvars, f.order)
+            return constant_jet(np.ones(f.batch_shape + f.vshape), f.nvars, f.order, vdim=f.vdim)
         while k:
             if k & 1:
                 acc = base if acc is None else _mul(acc, base)
@@ -515,20 +515,17 @@ def zeros_jet(nvars: int, order: int, vdim: int, shape: tuple) -> Jet:
     return Jet(nvars, order, vdim, data)
 
 
-def _leaves(nested):
-    if isinstance(nested, (list, tuple)):
-        for el in nested:
-            yield from _leaves(el)
-    else:
-        yield nested
-
-
 def jet_stack(nested) -> Jet:
     """Stack a nested list of scalar jets (or numbers) into an array-valued jet.
 
     The nesting depth becomes the number of value axes, in row-major order.
     """
-    leaves = list(_leaves(nested))
+    leaves, vshape = [nested], ()
+    while any(isinstance(x, (list, tuple)) for x in leaves):
+        if not all(isinstance(x, (list, tuple)) and len(x) == len(leaves[0]) for x in leaves):
+            raise ValueError("jet_stack needs a rectangular nesting")
+        vshape += (len(leaves[0]),)
+        leaves = [el for x in leaves for el in x]
     jets = [x for x in leaves if isinstance(x, Jet)]
     if not jets:
         raise ValueError("jet_stack needs at least one Jet leaf")
@@ -539,35 +536,15 @@ def jet_stack(nested) -> Jet:
     if any(j.vdim != 0 for j in jets):
         raise ValueError("jet_stack expects scalar leaves")
     batch = np.broadcast_shapes(*[j.batch_shape for j in jets])
-
-    def norm(x):
-        if not isinstance(x, Jet):
-            x = constant_jet(np.asarray(x, dtype=float), nvars, order)
-        else:
-            x = jet_truncate(x, order)
-        return [np.broadcast_to(x.data[m], batch + (nvars,) * m) for m in range(order + 1)]
-
-    # normalize once per leaf to avoid repeated work
-    cache = {}
-
-    def leaf(node):
-        key = id(node)
-        if key not in cache:
-            cache[key] = norm(node)
-        return cache[key]
-
-    vdim_probe = 0
-    probe = nested
-    while isinstance(probe, (list, tuple)):
-        vdim_probe += 1
-        probe = probe[0]
-    data = [_stack_tree(nested, m, leaf, len(batch)) for m in range(order + 1)]
-    return Jet(nvars, order, vdim_probe, data)
-
-
-def _stack_tree(node, m, leaf, axis):
-    # module-level recursion: a recursive closure would be a reference cycle
-    # that keeps every leaf's tables alive until the cyclic collector runs
-    if isinstance(node, (list, tuple)):
-        return np.stack([_stack_tree(el, m, leaf, axis) for el in node], axis=axis)
-    return leaf(node)[m]
+    data = []
+    for m in range(order + 1):
+        shape = batch + (nvars,) * m
+        # a number or array leaf is a constant: its value, then zero tables
+        tables = [x.data[m] if isinstance(x, Jet) else np.asarray(x if m == 0 else 0.0, dtype=float)
+                  for x in leaves]
+        # broadcast only the tables that need it: at 16 points a call of
+        # np.broadcast_to costs more than its share of the stack
+        stacked = np.stack([t if t.shape == shape else np.broadcast_to(t, shape) for t in tables],
+                           axis=len(batch))
+        data.append(stacked.reshape(batch + vshape + (nvars,) * m))
+    return Jet(nvars, order, len(vshape), data)

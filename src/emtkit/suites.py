@@ -19,7 +19,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -125,18 +125,7 @@ class RunConfig:
     grid_4d: tuple = (16, 16, 16, 16)
 
     def echo(self):
-        return {
-            "suites": list(self.suites),
-            "scenarios": None if self.scenarios is None else list(self.scenarios),
-            "spacetimes": None if self.spacetimes is None else list(self.spacetimes),
-            "points": self.points,
-            "seed": self.seed,
-            "jet_order": self.jet_order,
-            "xi_count": self.xi_count,
-            "tolerances": dict(self.tolerances),
-            "grid_2d": list(self.grid_2d),
-            "grid_4d": list(self.grid_4d),
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -156,6 +156,16 @@ def test_reports_are_byte_identical(tmp_path):
     assert r1.read_text() != ""
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    code = run_cli(["verify", "--suite", "tilde-algebra", "--points", "4",
+                    "--report", str(path), "--quiet"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write report")
+
+
 def test_quiet_without_report_prints_json(capsys):
     code = run_cli(["verify", "--suite", "tilde-algebra", "--points", "4",
                     "--quiet"])

@@ -116,6 +116,28 @@ def test_maxwell_theta_closed_form():
     assert np.allclose(got, -got.transpose(0, 2, 1, 3), atol=1e-13)
 
 
+def test_gradient_vector_source_and_theta_closed_form():
+    # L = -1/2 grad_a B_b grad^a B^b: dL/d(grad_c B_s) = -grad^c B^s and
+    # (tilde B)_s^ab = -delta_s^a B^b, so W^cab = grad^c B^a B^b
+    frame = mink4_frame(seed=3)
+    Bfld = random_tensor_field(("d",), MINK4.box, seed=29)
+    tf = evaluate_theory(SCENARIOS["gradient-vector-2d"].theory, {"B": Bfld}, frame)
+    B = evaluate(Bfld, frame).components
+    Bup = np.einsum("ab,pb->pa", ETA4, B.data[0])
+    dBup = np.einsum("ax,cy,pxy->pac", ETA4, ETA4, B.data[1])   # [pt, a, c] = grad^c B^a
+    W = np.einsum("pac,pb->pcab", dBup, Bup)
+    np.testing.assert_allclose(value_array(tf.W), W, rtol=0, atol=1e-13)
+    # Theta^abc = Y^acb + Y^bac + Y^cab with Y^cab = W^c[ab]
+    Y = 0.5 * (W - W.transpose(0, 1, 3, 2))
+    theta = (np.einsum("pacb->pabc", Y) + np.einsum("pbac->pabc", Y)
+             + np.einsum("pcab->pabc", Y))
+    assert max_abs(tf.theta) > 0.1
+    np.testing.assert_allclose(value_array(tf.theta), theta, rtol=0, atol=1e-12)
+    # the bracket Theta + W is symmetric in its last two slots
+    br = value_array(tf.theta) + value_array(tf.W)
+    np.testing.assert_allclose(br, br.transpose(0, 1, 3, 2), rtol=0, atol=1e-12)
+
+
 def test_maxwell_canonical_closed_form():
     frame = mink4_frame(seed=5)
     Afld = random_tensor_field(("d",), MINK4.box, seed=19)

@@ -145,6 +145,61 @@ def test_jet_stack_releases_its_leaves_without_the_cycle_collector():
     assert np.array_equal(stacked.data[1][:, 0], 2.0 * t.data[1])
 
 
+def _stacked_by_leaf(nested, vshape, nvars, order, batch):
+    """Reference stack: each leaf's tables written into its own slot."""
+    out = [np.empty(batch + vshape + (nvars,) * m) for m in range(order + 1)]
+    for idx in np.ndindex(*vshape):
+        leaf = nested
+        for i in idx:
+            leaf = leaf[i]
+        for m, table in enumerate(out):
+            where = (slice(None),) * len(batch) + idx
+            table[where] = leaf.data[m] if isinstance(leaf, Jet) else (leaf if m == 0 else 0.0)
+    return out
+
+
+def _stack_cases():
+    pts = np.random.default_rng(8).uniform(-1, 1, (5, 2))
+    t, u = lift(pts, 2, 2)
+    t3, u3 = lift(pts, 2, 3)
+    t1, u1 = lift(pts[:1], 2, 2)
+    r, s = lift(pts[:, None, :], 2, 2)                     # batch (5, 1)
+    q, _ = lift(pts[None, :3, :], 2, 2)                    # batch (1, 3)
+    return {
+        "rank1-numbers": ([t * u, 1.5, jsin(t), -2.0], (4,), 2, (5,)),
+        "rank2": ([[t * u, jsin(t), u], [jcos(u), t + u, 0.25]], (2, 3), 2, (5,)),
+        "mixed-order": ([[t3 * u3, u], [t, 0.5]], (2, 2), 2, (5,)),
+        "broadcast-batch": ([[t1, t], [u1 * u, u1]], (2, 2), 2, (5,)),
+        "broadcast-2d-batch": ([r * s, q, 3.0], (3,), 2, (5, 3)),
+        "array-leaf": ([t, np.arange(5.0), u], (3,), 2, (5,)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_stack_cases()))
+def test_jet_stack_matches_per_leaf_reference_bitwise(case):
+    nested, vshape, order, batch = _stack_cases()[case]
+    got = jet_stack(nested)
+    assert (got.order, got.vdim, got.batch_shape, got.vshape) == (order, len(vshape), batch, vshape)
+    want = _stacked_by_leaf(nested, vshape, 2, order, batch)
+    for m, (g, w) in enumerate(zip(got.data, want)):
+        assert g.flags.c_contiguous, m
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), m
+
+
+def test_jet_stack_rejects_bad_nestings():
+    t, u = lift(np.zeros((2, 2)), 2, 1)
+    with pytest.raises(ValueError, match="at least one Jet leaf"):
+        jet_stack([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="rectangular"):
+        jet_stack([[t, u], [t]])
+    with pytest.raises(ValueError, match="rectangular"):
+        jet_stack([t, [u, t]])
+    with pytest.raises(ValueError, match="differ in nvars"):
+        jet_stack([t, lift(np.zeros((2, 3)), 3, 1)[0]])
+    with pytest.raises(ValueError, match="scalar leaves"):
+        jet_stack([t, jet_stack([t, u])])
+
+
 def test_jet_einsum_product_rule():
     pts = np.random.default_rng(2).uniform(-1, 1, (5, 2))
     t, u = lift(pts, 2, 2)
@@ -361,6 +416,17 @@ def test_division_and_power():
     h = u ** 3
     assert np.isclose(h.data[0], x[1] ** 3, rtol=1e-14)
     assert np.isclose(h.data[1][1], 3 * x[1] ** 2, rtol=1e-12)
+
+
+def test_zeroth_power_keeps_batch_and_value_axes():
+    pts = np.random.default_rng(5).uniform(-1, 1, (5, 2))
+    x, y = lift(pts, 2, 2)
+    one = x ** 0
+    assert (one.vdim, one.batch_shape, one.vshape) == (0, (5,), ())
+    assert np.array_equal((x + one).data[0], pts[:, 0] + 1.0)
+    v = jpow(jet_stack([x, y]), 0)
+    assert (v.vdim, v.batch_shape, v.vshape) == (1, (5,), (2,))
+    assert np.all(v.data[0] == 1.0) and not any(t.any() for t in v.data[1:])
 
 
 def test_differentiate_moves_axis():

@@ -11,6 +11,7 @@ run's own frames."""
 
 import dataclasses
 import gc
+import json
 import math
 import sys
 import weakref
@@ -57,6 +58,18 @@ def test_non_finite_target_fails_check(check_id, value, bad_first):
     assert not oc.passed(check.tolerance)
     row = build_report(RunConfig(), [oc])["checks"][0]
     assert row["passed"] is False
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(),
+    RunConfig(scenarios=("em-wave-4d",), spacetimes=("schwarzschild", "bump2"),
+              tolerances={"master-identity": 1e-9}, grid_2d=(32, 48)),
+], ids=["default", "set"])
+def test_echoed_config_round_trips_through_json(cfg):
+    echo = json.loads(json.dumps(cfg.echo()))
+    assert set(echo) == {f.name for f in dataclasses.fields(RunConfig)}
+    back = {k: tuple(v) if isinstance(v, list) else v for k, v in echo.items()}
+    assert RunConfig(**back) == cfg
 
 
 @pytest.mark.parametrize("check_id", ["tilde-identity-map", "canonical-obstruction-magnitude"])
