@@ -44,7 +44,7 @@ def main(argv=None):
           f"{'abs diff':>10s} {'rel diff':>10s} {'sec':>6s}")
     for m in args.grids:
         t0 = time.perf_counter()
-        lhs, rhs = variational_pair(sc.theory, sc.fields, st.metric, h,
+        lhs, rhs = variational_pair(sc.theory, sc.field, st.metric, h,
                                     st.box, (m, m))
         dt = time.perf_counter() - t0
         diff = abs(lhs - rhs)

@@ -15,8 +15,8 @@ dL/dg is symmetrized after extraction.
 From these the module builds the source tensor of Belinfante's construction
 and the canonical flux
 
-    W^cab = sum_l dL/d(grad_c psi) (tilde psi)^ab,
-    P^ab  = sum_l dL/d(grad_a psi) grad^b psi,
+    W^cab = dL/d(grad_c psi) (tilde psi)^ab,
+    P^ab  = dL/d(grad_a psi) grad^b psi,
 
 and from them
 
@@ -72,7 +72,6 @@ from .geometry import (
 
 __all__ = [
     "OffShellError",
-    "FieldSpec",
     "LagrangianTheory",
     "scalar_theory",
     "maxwell_theory",
@@ -214,20 +213,11 @@ class LagrangianContext:
     constants."""
 
     n: int
-    _psi: dict
-    _dpsi: dict
+    psi: ArgTensor
+    dpsi: ArgTensor
     g: ArgTensor
     ginv: ArgTensor
     coords: list
-
-    def psi(self, label: str) -> ArgTensor:
-        return self._psi[label]
-
-    def dpsi(self, label: str) -> ArgTensor:
-        return self._dpsi[label]
-
-    def coord(self, i: int) -> Jet:
-        return self.coords[i]
 
     def einsum(self, subs: str, x: ArgTensor, y: ArgTensor) -> ArgTensor:
         return a_einsum(subs, x, y)
@@ -242,15 +232,9 @@ class LagrangianContext:
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    label: str
-    variance: tuple
-
-
-@dataclass(frozen=True)
 class LagrangianTheory:
     name: str
-    fields: tuple
+    variance: tuple           # of the theory's one field psi
     lagrangian: Callable[[LagrangianContext], ArgTensor]
 
 
@@ -258,18 +242,18 @@ def scalar_theory(mass: float = 0.0) -> LagrangianTheory:
     """L = -1/2 (g^ab grad_a phi grad_b phi + m^2 phi^2)."""
 
     def lag(ctx: LagrangianContext) -> ArgTensor:
-        dphi = ctx.dpsi("phi")
+        dphi = ctx.dpsi
         up = ctx.einsum("ab,b->a", ctx.ginv, dphi)
         kin = ctx.einsum("a,a->", dphi, up)
         out = -0.5 * kin
         if mass != 0.0:
-            phi = ctx.psi("phi")
+            phi = ctx.psi
             out = out + (-0.5 * mass * mass) * ctx.einsum(",->", phi, phi)
         return out
 
     return LagrangianTheory(
         name=f"scalar(m={mass:g})",
-        fields=(FieldSpec("phi", ()),),
+        variance=(),
         lagrangian=lag,
     )
 
@@ -278,7 +262,7 @@ def maxwell_theory() -> LagrangianTheory:
     """L = -1/4 F_ab F^ab with F_ab = grad_a A_b - grad_b A_a."""
 
     def lag(ctx: LagrangianContext) -> ArgTensor:
-        dA = ctx.dpsi("A")                        # [b, a] = grad_a A_b
+        dA = ctx.dpsi                             # [b, a] = grad_a A_b
         F = ctx.transpose(dA, (1, 0)) - dA        # [a, b] = grad_a A_b - grad_b A_a
         Fmixed = ctx.einsum("ca,ab->cb", ctx.ginv, F)
         Fup = ctx.einsum("cb,db->cd", Fmixed, ctx.ginv)
@@ -287,25 +271,26 @@ def maxwell_theory() -> LagrangianTheory:
 
     return LagrangianTheory(
         name="maxwell",
-        fields=(FieldSpec("A", ("d",)),),
+        variance=("d",),
         lagrangian=lag,
     )
 
 
-def broken_scalar_theory(mass: float = 0.0, strength: float = 0.1) -> LagrangianTheory:
-    """Scalar theory plus a bare-coordinate term; deliberately not generally
-    covariant, used as a negative control for the kinematic identity."""
+def broken_scalar_theory(mass: float = 0.0) -> LagrangianTheory:
+    """Scalar theory plus the bare-coordinate term 0.1 x^0 phi^2; deliberately
+    not generally covariant, used as a negative control for the kinematic
+    identity."""
 
     base = scalar_theory(mass)
 
     def lag(ctx: LagrangianContext) -> ArgTensor:
-        phi = ctx.psi("phi")
-        extra = ctx.einsum(",->", phi, phi) * (strength * ctx.coord(0))
+        phi = ctx.psi
+        extra = ctx.einsum(",->", phi, phi) * (0.1 * ctx.coords[0])
         return base.lagrangian(ctx) + extra
 
     return LagrangianTheory(
         name=f"broken-scalar(m={mass:g})",
-        fields=base.fields,
+        variance=base.variance,
         lagrangian=lag,
     )
 
@@ -329,8 +314,8 @@ class TheoryFrame:
     currents (such as D_c Theta^cab) are shared by all vector fields."""
 
     def __init__(self, theory: LagrangianTheory, frame: Frame,
-                 psi: dict, dpsi: dict, L: Jet,
-                 dL_dpsi: dict, dL_ddpsi: dict, dL_dg: TensorValue):
+                 psi: TensorValue, dpsi: TensorValue, L: Jet,
+                 dL_dpsi: TensorValue, dL_ddpsi: TensorValue, dL_dg: TensorValue):
         self.theory = theory
         self.frame = frame
         self.psi = psi
@@ -354,56 +339,32 @@ class TheoryFrame:
     # -- field equations ------------------------------------------------
 
     @cached_property
-    def eom_residual(self) -> dict:
-        """D_a dL/d(grad_a psi) - dL/dpsi, per field label."""
-        out = {}
-        for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]
-            rS = G.rank - 1
-            dG = covariant_derivative(G, self.frame)
-            div = contract(dG, rS, rS + 1)
-            out[spec.label] = div - self.dL_dpsi[spec.label]
-        return out
-
-    def eom_max_residual(self) -> float:
-        """Largest |residual| over all fields; NaN if any component is NaN."""
-        peaks = [0.0]
-        for t in self.eom_residual.values():
-            arr = t.components.data[0] if isinstance(t.components, Jet) else t.components
-            if arr.size:
-                peaks.append(np.max(np.abs(arr)))
-        return float(np.max(peaks))
+    def eom_residual(self) -> TensorValue:
+        """D_a dL/d(grad_a psi) - dL/dpsi."""
+        rS = self.dL_ddpsi.rank - 1
+        dG = covariant_derivative(self.dL_ddpsi, self.frame)
+        return contract(dG, rS, rS + 1) - self.dL_dpsi
 
     # -- superpotential and energy-momentum tensors ----------------------
 
     @cached_property
     def W(self) -> TensorValue:
-        """W^cab = sum_l dL/d(grad_c psi) (tilde psi)^ab, slots [c, a, b]:
-        the new up slot of tilde psi, then its raised new down slot."""
-        acc = None
-        for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]                                   # [S*, c]
-            t = tilde(self.psi[spec.label])
-            ttr = raise_slot(t, t.rank - 1, self.frame.ginv)                # [S, a, b]
-            S = _slot_letters(ttr.rank - 2)
-            term = jet_einsum(f"{S}c,{S}ab->cab", G.components, ttr.components)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            raise ValueError("theory has no fields")
-        return TensorValue(("u", "u", "u"), self.n, acc)
+        """W^cab = dL/d(grad_c psi) (tilde psi)^ab, slots [c, a, b]: the new
+        up slot of tilde psi, then its raised new down slot."""
+        t = tilde(self.psi)
+        ttr = raise_slot(t, t.rank - 1, self.frame.ginv)                # [S, a, b]
+        S = _slot_letters(ttr.rank - 2)
+        comps = jet_einsum(f"{S}c,{S}ab->cab", self.dL_ddpsi.components, ttr.components)
+        return TensorValue(("u", "u", "u"), self.n, comps)
 
     @cached_property
     def P(self) -> TensorValue:
-        """P^ab = sum_l dL/d(grad_a psi) grad^b psi."""
-        acc = None
-        for spec in self.theory.fields:
-            G = self.dL_ddpsi[spec.label]
-            d = self.dpsi[spec.label]
-            dup = raise_slot(d, d.rank - 1, self.frame.ginv)
-            S = _slot_letters(d.rank - 1)
-            term = jet_einsum(f"{S}a,{S}b->ab", G.components, dup.components)
-            acc = term if acc is None else acc + term
-        return TensorValue(("u", "u"), self.n, acc)
+        """P^ab = dL/d(grad_a psi) grad^b psi."""
+        d = self.dpsi
+        dup = raise_slot(d, d.rank - 1, self.frame.ginv)
+        S = _slot_letters(d.rank - 1)
+        comps = jet_einsum(f"{S}a,{S}b->ab", self.dL_ddpsi.components, dup.components)
+        return TensorValue(("u", "u"), self.n, comps)
 
     @cached_property
     def theta(self) -> TensorValue:
@@ -449,28 +410,23 @@ class TheoryFrame:
         return self.emt_canonical - self.div_theta
 
 
-def evaluate_theory(theory: LagrangianTheory, fields: dict, frame: Frame) -> TheoryFrame:
+def evaluate_theory(theory: LagrangianTheory, field: TensorField, frame: Frame) -> TheoryFrame:
     """Evaluate the Lagrangian and its component-argument derivatives on a frame.
 
-    ``fields`` maps each field label to a TensorField matching the theory's
-    declared variance.
+    ``field`` is a TensorField of the theory's declared variance.
     """
-    psi, dpsi = {}, {}
-    for spec in theory.fields:
-        fld = fields[spec.label]
-        if tuple(fld.variance) != tuple(spec.variance):
-            raise ValueError(
-                f"field '{spec.label}' has variance {fld.variance}, "
-                f"theory expects {spec.variance}"
-            )
-        psi[spec.label] = evaluate(fld, frame)
-        dpsi[spec.label] = covariant_derivative(psi[spec.label], frame)
+    variance = tuple(theory.variance)
+    if tuple(field.variance) != variance:
+        raise ValueError(f"field '{field.name}' has variance {field.variance}, "
+                         f"theory expects {variance}")
+    psi = evaluate(field, frame)
+    dpsi = covariant_derivative(psi, frame)
 
-    psi_args = {k: ArgTensor(v.components) for k, v in psi.items()}
-    dpsi_args = {k: ArgTensor(v.components) for k, v in dpsi.items()}
+    psi_arg = ArgTensor(psi.components)
+    dpsi_arg = ArgTensor(dpsi.components)
     g_arg = ArgTensor(frame.g.components)
     ginv_arg = _inverse_metric_arg(g_arg, frame.ginv.components)
-    ctx = LagrangianContext(frame.n, psi_args, dpsi_args, g_arg, ginv_arg,
+    ctx = LagrangianContext(frame.n, psi_arg, dpsi_arg, g_arg, ginv_arg,
                             frame.coords[: frame.n])
     Larg = theory.lagrangian(ctx)
     if Larg.rank != 0:
@@ -489,10 +445,8 @@ def evaluate_theory(theory: LagrangianTheory, fields: dict, frame: Frame) -> The
             g = constant_jet(np.broadcast_to(g, shape), L.nvars, L.order, vdim=r)
         return TensorValue(_dual(arg_variance), frame.n, g)
 
-    dL_dpsi = {s.label: grad_tensor(psi_args[s.label], tuple(s.variance))
-               for s in theory.fields}
-    dL_ddpsi = {s.label: grad_tensor(dpsi_args[s.label], tuple(s.variance) + ("d",))
-                for s in theory.fields}
+    dL_dpsi = grad_tensor(psi_arg, variance)
+    dL_ddpsi = grad_tensor(dpsi_arg, variance + ("d",))
     raw = grad_tensor(g_arg, ("d", "d"))
     dL_dg = 0.5 * (raw + transpose_slots(raw, (1, 0)))
     return TheoryFrame(theory, frame, psi, dpsi, L, dL_dpsi, dL_ddpsi, dL_dg)
@@ -569,15 +523,12 @@ def lie_matter_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """j^a = dL/d(grad_a psi) Lie_xi psi - L xi^a."""
     from .geometry import lie_derivative
 
-    acc = None
-    for spec in tf.theory.fields:
-        G = tf.dL_ddpsi[spec.label]
-        lpsi = lie_derivative(tf.psi[spec.label], xi, tf.frame)
-        S = _slot_letters(G.rank - 1)
-        term = jet_einsum(f"{S}a,{S}->a", G.components, lpsi.components)
-        acc = term if acc is None else acc + term
+    G = tf.dL_ddpsi
+    lpsi = lie_derivative(tf.psi, xi, tf.frame)
+    S = _slot_letters(G.rank - 1)
+    term = jet_einsum(f"{S}a,{S}->a", G.components, lpsi.components)
     lterm = jet_einsum("a,->a", xi.components, tf.L)
-    return TensorValue(("u",), tf.n, acc - lterm)
+    return TensorValue(("u",), tf.n, term - lterm)
 
 
 def canonical_divergence_terms(tf: TheoryFrame):
@@ -604,18 +555,15 @@ def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
     for any generally covariant Lagrangian, on or off shell."""
     from .geometry import lie_derivative
 
-    acc = None
-    for spec in tf.theory.fields:
-        G = tf.dL_ddpsi[spec.label]
-        ldpsi = lie_derivative(tf.dpsi[spec.label], xi, tf.frame)
-        S = _slot_letters(G.rank)
-        t1 = jet_einsum(f"{S},{S}->", G.components, ldpsi.components)
-        P = tf.dL_dpsi[spec.label]
-        lpsi = lie_derivative(tf.psi[spec.label], xi, tf.frame)
-        Sp = _slot_letters(P.rank)
-        t2 = jet_einsum(f"{Sp},{Sp}->", P.components, lpsi.components)
-        term = t1 + t2
-        acc = term if acc is None else acc + term
+    G = tf.dL_ddpsi
+    ldpsi = lie_derivative(tf.dpsi, xi, tf.frame)
+    S = _slot_letters(G.rank)
+    t1 = jet_einsum(f"{S},{S}->", G.components, ldpsi.components)
+    P = tf.dL_dpsi
+    lpsi = lie_derivative(tf.psi, xi, tf.frame)
+    Sp = _slot_letters(P.rank)
+    t2 = jet_einsum(f"{Sp},{Sp}->", P.components, lpsi.components)
+    acc = t1 + t2
     h = lie_derivative(tf.frame.g, xi, tf.frame)
     acc = acc + jet_einsum("ab,ab->", tf.dL_dg.components, h.components)
     dL = differentiate(tf.L, keep=tf.n)
@@ -652,12 +600,12 @@ def _boundary_mask(shape):
     return mask.ravel()
 
 
-def variational_pair(theory, fields, metric: MetricField, h: TensorField,
+def variational_pair(theory, field, metric: MetricField, h: TensorField,
                      box, shape):
     """Compare the metric variation of the action against the T_M pairing.
 
     Returns (dS/d eps, 1/2 integral of T_M^ab h_ab sqrt|g|), both evaluated by
-    the same midpoint rule on the given tensor grid, with the fields held
+    the same midpoint rule on the given tensor grid, with the field held
     fixed and g -> g + eps h.  h must be compactly supported inside the box.
     """
     n = metric.n
@@ -688,12 +636,12 @@ def variational_pair(theory, fields, metric: MetricField, h: TensorField,
     for lo in range(0, npts, _CHUNK):
         hi = min(lo + _CHUNK, npts)
         fr_eps = geometry_at(eps_metric, pts_ext[lo:hi], 2)
-        tf_eps = evaluate_theory(theory, fields, fr_eps)
+        tf_eps = evaluate_theory(theory, field, fr_eps)
         integrand = tf_eps.L * fr_eps.sqrt_g
         lhs_vals[lo:hi] = partial_in_var(integrand, n).data[0]
 
         fr0 = geometry_at(metric, pts[lo:hi], 2)
-        tf0 = evaluate_theory(theory, fields, fr0)
+        tf0 = evaluate_theory(theory, field, fr0)
         hv = evaluate(h, fr0)
         dens = 0.5 * jet_einsum("ab,ab->", tf0.emt_metric.components, hv.components)
         rhs_vals[lo:hi] = (dens * fr0.sqrt_g).data[0]
@@ -706,7 +654,7 @@ def variational_pair(theory, fields, metric: MetricField, h: TensorField,
 # --------------------------------------------------------------------------
 
 
-def gauge_shifted(A: TensorField, chi: TensorField, name: str = "") -> TensorField:
+def gauge_shifted(A: TensorField, chi: TensorField) -> TensorField:
     """The one-form field A + grad(chi) for a scalar field chi."""
     if tuple(A.variance) != ("d",):
         raise ValueError("gauge shift applies to a one-form field")
@@ -722,4 +670,4 @@ def gauge_shifted(A: TensorField, chi: TensorField, name: str = "") -> TensorFie
         base = A.fn(coords)
         return base + dchi
 
-    return TensorField(("d",), fn, name=name or (A.name + "+grad chi"))
+    return TensorField(("d",), fn, name=A.name + "+grad chi")

@@ -84,7 +84,6 @@ class MetricField:
     n: int
     signature: tuple
     fn: Callable[[list[Jet]], Jet]
-    coord_names: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -226,10 +225,8 @@ class Frame:
 
 
 def _drop_orders(x, k: int):
-    """``x``, a Jet, a TensorValue or a list or dict of them, with the top
-    ``k`` derivative orders of every jet dropped: tuple slices, no copies."""
-    if isinstance(x, dict):
-        return {key: _drop_orders(v, k) for key, v in x.items()}
+    """``x``, a Jet, a TensorValue or a list of them, with the top ``k``
+    derivative orders of every jet dropped: tuple slices, no copies."""
     if isinstance(x, list):
         return [_drop_orders(v, k) for v in x]
     if isinstance(x, TensorValue):

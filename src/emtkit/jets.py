@@ -96,10 +96,6 @@ class Jet:
     # -- introspection -------------------------------------------------
 
     @property
-    def value(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
     def batch_shape(self) -> tuple:
         return self.data[0].shape[: self.data[0].ndim - self.vdim]
 
@@ -351,7 +347,7 @@ def jet_compose(coeffs, f: Jet) -> Jet:
     """Apply a smooth scalar function to a jet via its derivative ladder.
 
     ``coeffs[k]`` is the k-th derivative of the outer function evaluated at
-    ``f.value`` (an array broadcastable to batch+value shape).  With N the
+    ``f.data[0]`` (an array broadcastable to batch+value shape).  With N the
     derivative-only part of ``f``, the result is the Taylor sum
     sum_k coeffs[k] / k! N^k, summed by Horner's rule through the jet
     product; it is exact because N^(order+1) vanishes.

@@ -101,14 +101,19 @@ class TensorValue:
     __rmul__ = __mul__
 
 
-def value_array(t: TensorValue) -> np.ndarray:
-    """The value part of the components (derivatives dropped for jets)."""
-    c = t.components
-    return c.data[0] if isinstance(c, Jet) else c
+def value_array(x) -> np.ndarray:
+    """The value part of a tensor, jet, array or number (derivatives dropped
+    for jets)."""
+    if isinstance(x, TensorValue):
+        x = x.components
+    return np.asarray(x.data[0] if isinstance(x, Jet) else x)
 
 
-def max_abs(t: TensorValue) -> float:
-    return float(np.max(np.abs(value_array(t)))) if value_array(t).size else 0.0
+def max_abs(x) -> float:
+    """Largest |value| of a tensor, jet, array or number: 0.0 if it has no
+    component, NaN if any component is NaN."""
+    a = value_array(x)
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _zeros_like(t: TensorValue, variance) -> TensorValue:

@@ -25,7 +25,7 @@ from emtkit.fieldtheory import evaluate_theory, scalar_theory
 from emtkit.geometry import VectorField, evaluate, geometry_at
 from emtkit import jets
 from emtkit.jets import jet_stack
-from emtkit.tensors import value_array
+from emtkit.tensors import TensorValue, value_array
 
 
 @pytest.mark.parametrize("name", sorted(SPACETIMES))
@@ -37,7 +37,7 @@ def _theory_frame(sc, count=12, seed=1):
     """``sc``'s theory frame at ``count`` seeded points of its box, order 2."""
     pts = sample_points(scenario_box(sc), count, seed)
     fr = geometry_at(spacetime(sc.spacetime).metric, pts, 2)
-    return evaluate_theory(sc.theory, sc.fields, fr)
+    return evaluate_theory(sc.theory, sc.field, fr)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -206,7 +206,7 @@ def test_false_parallel_claim_caught():
 def test_false_on_shell_claim_caught():
     blob = SCENARIOS["scalar-blob-2d"]
     fake = Scenario(name="fake", spacetime=blob.spacetime, theory=blob.theory,
-                    fields=blob.fields, on_shell=True)
+                    field=blob.field, on_shell=True)
     with pytest.raises(CatalogClaimError, match="claims on-shell"):
         verify_scenario_claims(fake, _theory_frame(fake))
 
@@ -214,7 +214,7 @@ def test_false_on_shell_claim_caught():
 def test_false_off_shell_claim_caught():
     wave = SCENARIOS["scalar-wave-2d"]
     fake = Scenario(name="fake", spacetime=wave.spacetime, theory=wave.theory,
-                    fields=wave.fields, on_shell=False)
+                    field=wave.field, on_shell=False)
     with pytest.raises(CatalogClaimError, match="claims off-shell"):
         verify_scenario_claims(fake, _theory_frame(fake))
 
@@ -226,10 +226,13 @@ def test_on_shell_scenarios_cover_both_theories():
 
 
 def test_gauge_fields_flagged():
-    for name, sc in SCENARIOS.items():
-        if sc.gauge_field is not None:
-            assert sc.gauge_field in sc.fields
-            assert sc.fields[sc.gauge_field].variance == ("d",)
+    # the gauge checks select scenarios by theory name: the four Maxwell
+    # scenarios, each with a one-form potential
+    maxwell = sorted(n for n, sc in SCENARIOS.items() if sc.theory.name == "maxwell")
+    assert maxwell == ["coulomb-4d", "em-two-waves-4d", "em-wave-4d",
+                       "schwarzschild-coulomb"]
+    assert all(SCENARIOS[n].on_shell and SCENARIOS[n].field.variance == ("d",)
+               for n in maxwell)
 
 
 def _nan_valued(fn):
@@ -250,8 +253,20 @@ def test_non_finite_symmetry_residual_refutes_claim(claim):
 @pytest.mark.parametrize("name", ["scalar-wave-2d", "scalar-blob-2d"])  # on, off shell
 def test_non_finite_field_equation_residual_refutes_scenario_claim(name):
     sc = SCENARIOS[name]
-    fields = {k: dataclasses.replace(f, fn=_nan_valued(f.fn))
-              for k, f in sc.fields.items()}
-    bad = dataclasses.replace(sc, fields=fields)
+    nan_field = dataclasses.replace(sc.field, fn=_nan_valued(sc.field.fn))
+    bad = dataclasses.replace(sc, field=nan_field)
     with pytest.raises(CatalogClaimError, match="non-finite"):
         verify_scenario_claims(bad, _theory_frame(bad))
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_one_non_finite_residual_component_refutes_an_off_shell_claim(position):
+    # a NaN compares false with the gate, so it must not read as "off shell"
+    sc = SCENARIOS["gradient-vector-2d"]
+    tf = _theory_frame(sc)
+    res = tf.eom_residual
+    table = value_array(res).copy()
+    table.flat[position] = np.nan
+    tf.eom_residual = TensorValue(res.variance, res.n, table)
+    with pytest.raises(CatalogClaimError, match="non-finite"):
+        verify_scenario_claims(sc, tf)

@@ -51,7 +51,7 @@ from emtkit.geometry import (
     geometry_at,
     jet_matrix_inverse,
 )
-from emtkit.jets import jet_einsum, partial_in_var
+from emtkit.jets import Jet, jet_einsum, partial_in_var
 from emtkit.tensors import TensorValue, contract, max_abs, value_array
 
 MINK4 = SPACETIMES["minkowski4"]
@@ -68,7 +68,7 @@ def scenario_theory_frame(name, count=8, seed=4, order=3):
     sc = SCENARIOS[name]
     pts = sample_points(scenario_box(sc), count, seed)
     frame = geometry_at(spacetime(sc.spacetime).metric, pts, order)
-    return sc, evaluate_theory(sc.theory, sc.fields, frame)
+    return sc, evaluate_theory(sc.theory, sc.field, frame)
 
 
 def maxwell_arrays(tf, Afld, frame):
@@ -88,7 +88,7 @@ def test_scalar_emt_closed_form_flat():
     mass = 0.7
     frame = mink4_frame()
     fld = random_tensor_field((), MINK4.box, seed=13)
-    tf = evaluate_theory(scalar_theory(mass), {"phi": fld}, frame)
+    tf = evaluate_theory(scalar_theory(mass), fld, frame)
 
     phi = evaluate(fld, frame).components
     p0 = phi.data[0]                        # [pt]
@@ -107,7 +107,7 @@ def test_scalar_emt_closed_form_flat():
 def test_maxwell_theta_closed_form():
     frame = mink4_frame(seed=3)
     Afld = random_tensor_field(("d",), MINK4.box, seed=17)
-    tf = evaluate_theory(maxwell_theory(), {"A": Afld}, frame)
+    tf = evaluate_theory(maxwell_theory(), Afld, frame)
     _, _, _, Fup, Aup, _, _ = maxwell_arrays(tf, Afld, frame)
     want = -np.einsum("pca,pb->pcab", Fup, Aup)
     assert np.allclose(value_array(tf.theta), want, atol=1e-12)
@@ -121,7 +121,7 @@ def test_gradient_vector_source_and_theta_closed_form():
     # (tilde B)_s^ab = -delta_s^a B^b, so W^cab = grad^c B^a B^b
     frame = mink4_frame(seed=3)
     Bfld = random_tensor_field(("d",), MINK4.box, seed=29)
-    tf = evaluate_theory(SCENARIOS["gradient-vector-2d"].theory, {"B": Bfld}, frame)
+    tf = evaluate_theory(SCENARIOS["gradient-vector-2d"].theory, Bfld, frame)
     B = evaluate(Bfld, frame).components
     Bup = np.einsum("ab,pb->pa", ETA4, B.data[0])
     dBup = np.einsum("ax,cy,pxy->pac", ETA4, ETA4, B.data[1])   # [pt, a, c] = grad^c B^a
@@ -141,7 +141,7 @@ def test_gradient_vector_source_and_theta_closed_form():
 def test_maxwell_canonical_closed_form():
     frame = mink4_frame(seed=5)
     Afld = random_tensor_field(("d",), MINK4.box, seed=19)
-    tf = evaluate_theory(maxwell_theory(), {"A": Afld}, frame)
+    tf = evaluate_theory(maxwell_theory(), Afld, frame)
     _, _, _, Fup, _, dAraise, L = maxwell_arrays(tf, Afld, frame)
     want = np.einsum("pai,pib->pab", Fup, dAraise) \
         + np.einsum("ab,p->pab", ETA4, L)
@@ -152,7 +152,7 @@ def test_maxwell_canonical_closed_form():
 def test_maxwell_symmetric_emt_on_shell():
     sc, tf = scenario_theory_frame("em-wave-4d")
     verify_scenario_claims(sc, tf)
-    _, _, F, Fup, _, _, L = maxwell_arrays(tf, sc.fields["A"], tf.frame)
+    _, _, F, Fup, _, _, L = maxwell_arrays(tf, sc.field, tf.frame)
     Fmix = np.einsum("pbc,cy->pby", Fup, ETA4)      # [pt, b, y] = F^b_y
     want = np.einsum("pay,pby->pab", Fup, Fmix) + np.einsum("ab,p->pab", ETA4, L)
     assert np.allclose(value_array(tf.emt_belinfante), want, atol=1e-10)
@@ -163,11 +163,11 @@ def test_maxwell_symmetric_emt_on_shell():
 
 def test_on_shell_gate():
     sc, tf = scenario_theory_frame("scalar-wave-4d")
-    assert tf.eom_max_residual() < 1e-12
+    assert max_abs(tf.eom_residual) < 1e-12
     verify_scenario_claims(sc, tf)
 
     blob, tf_blob = scenario_theory_frame("scalar-blob-2d")
-    assert tf_blob.eom_max_residual() > 1e-3
+    assert max_abs(tf_blob.eom_residual) > 1e-3
     verify_scenario_claims(blob, tf_blob)
     with pytest.raises(CatalogClaimError, match="claims on-shell"):
         verify_scenario_claims(dataclasses.replace(blob, on_shell=True), tf_blob)
@@ -175,11 +175,17 @@ def test_on_shell_gate():
 
 @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
 def test_non_finite_field_equation_residual_fails_the_gate(nan_first):
-    sc, tf = scenario_theory_frame("scalar-wave-4d", count=4)
-    good = tf.eom_residual["phi"]
-    bad = float("nan") * good
-    tf.eom_residual = {"a": bad, "b": good} if nan_first else {"a": good, "b": bad}
-    assert np.isnan(tf.eom_max_residual())
+    # a one-form residual: its first and last components are different
+    # points and different slots
+    sc, tf = scenario_theory_frame("em-wave-4d", count=4)
+    good = tf.eom_residual
+    assert max_abs(good) < 1e-12
+    tables = [t.copy() for t in good.components.data]
+    tables[0].flat[0 if nan_first else -1] = np.nan
+    comps = good.components
+    tf.eom_residual = TensorValue(good.variance, good.n,
+                                  Jet(comps.nvars, comps.order, comps.vdim, tables))
+    assert np.isnan(max_abs(tf.eom_residual))
     with pytest.raises(CatalogClaimError, match="non-finite"):
         verify_scenario_claims(sc, tf)
 
@@ -188,7 +194,7 @@ def test_field_variance_validated():
     frame = mink4_frame()
     wrong = random_tensor_field(("d",), MINK4.box, seed=23)
     with pytest.raises(ValueError):
-        evaluate_theory(scalar_theory(), {"phi": wrong}, frame)
+        evaluate_theory(scalar_theory(), wrong, frame)
 
 
 def test_master_identity_for_generic_vector():
@@ -272,10 +278,10 @@ def test_kinematic_residual_and_negative_control():
     fld = random_tensor_field((), MINK4.box, seed=41)
     xi = evaluate(random_vector_field(MINK4.box, seed=43), frame)
 
-    tf = evaluate_theory(scalar_theory(0.3), {"phi": fld}, frame)
+    tf = evaluate_theory(scalar_theory(0.3), fld, frame)
     assert np.max(np.abs(kinematic_lie_residual(tf, xi))) < 1e-12
 
-    tf_bad = evaluate_theory(broken_scalar_theory(0.3), {"phi": fld}, frame)
+    tf_bad = evaluate_theory(broken_scalar_theory(0.3), fld, frame)
     assert np.max(np.abs(kinematic_lie_residual(tf_bad, xi))) > 1e-3
 
 
@@ -301,7 +307,7 @@ def test_metric_derivative_identity():
 def test_scalar_metric_derivative_specialization():
     # for the massless scalar, 2 dL/dg_ab is just grad^a phi grad^b phi
     _, tf = scenario_theory_frame("scalar-wave-4d", count=6)
-    dp = tf.dpsi["phi"].components
+    dp = tf.dpsi.components
     dup = np.einsum("ab,pb->pa", ETA4, dp.data[0])
     want = np.einsum("pa,pb->pab", dup, dup)
     assert np.allclose(2.0 * value_array(tf.dL_dg), want, atol=1e-12)
@@ -309,7 +315,7 @@ def test_scalar_metric_derivative_specialization():
 
 def test_maxwell_metric_derivative_specialization():
     sc, tf = scenario_theory_frame("em-wave-4d", count=6)
-    _, _, _, Fup, _, _, _ = maxwell_arrays(tf, sc.fields["A"], tf.frame)
+    _, _, _, Fup, _, _, _ = maxwell_arrays(tf, sc.field, tf.frame)
     Fmix = np.einsum("pbc,cy->pby", Fup, ETA4)
     want = np.einsum("pay,pby->pab", Fup, Fmix)
     assert np.allclose(2.0 * value_array(tf.dL_dg), want, atol=1e-12)
@@ -320,16 +326,16 @@ def test_gauge_shift_moves_canonical_only():
     pts = sample_points(scenario_box(sc), 6, seed=8)
     frame = geometry_at(spacetime(sc.spacetime).metric, pts, 3)
     chi = random_tensor_field((), scenario_box(sc), seed=47)
-    shifted = gauge_shifted(sc.fields["A"], chi)
+    shifted = gauge_shifted(sc.field, chi)
 
     # pointwise: the shifted potential is A plus the gradient of chi
-    A0 = value_array(evaluate(sc.fields["A"], frame))
+    A0 = value_array(evaluate(sc.field, frame))
     A1 = value_array(evaluate(shifted, frame))
     dchi = evaluate(chi, frame).components.data[1]
     assert np.allclose(A1, A0 + dchi, atol=1e-12)
 
-    tf0 = evaluate_theory(sc.theory, sc.fields, frame)
-    tf1 = evaluate_theory(sc.theory, {"A": shifted}, frame)
+    tf0 = evaluate_theory(sc.theory, sc.field, frame)
+    tf1 = evaluate_theory(sc.theory, shifted, frame)
     assert max_abs(tf1.emt_metric - tf0.emt_metric) < 1e-9
     assert max_abs(tf1.emt_belinfante - tf0.emt_belinfante) < 1e-9
     assert max_abs(tf1.emt_canonical - tf0.emt_canonical) > 1e-4
@@ -338,7 +344,7 @@ def test_gauge_shift_moves_canonical_only():
 def test_variational_pair_scalar_2d():
     fld = random_tensor_field((), MINK2.box, seed=53)
     h = bump_perturbation(MINK2.box, seed=59, width_frac=0.09)
-    lhs, rhs = variational_pair(scalar_theory(0.5), {"phi": fld},
+    lhs, rhs = variational_pair(scalar_theory(0.5), fld,
                                 MINK2.metric, h, MINK2.box, (32, 32))
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
@@ -346,7 +352,7 @@ def test_variational_pair_scalar_2d():
 def test_variational_pair_exercises_connection_term():
     sc = SCENARIOS["gradient-vector-2d"]
     h = bump_perturbation(MINK2.box, seed=61, width_frac=0.09)
-    lhs, rhs = variational_pair(sc.theory, sc.fields,
+    lhs, rhs = variational_pair(sc.theory, sc.field,
                                 MINK2.metric, h, MINK2.box, (32, 32))
     assert abs(lhs) > 1e-6                  # a nonzero variation at all
     assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
@@ -357,7 +363,7 @@ def test_variational_support_guard():
     wide = random_tensor_field(("d", "d"), MINK2.box, seed=67)
     fld = random_tensor_field((), MINK2.box, seed=71)
     with pytest.raises(ValueError):
-        variational_pair(scalar_theory(), {"phi": fld},
+        variational_pair(scalar_theory(), fld,
                          MINK2.metric, wide, MINK2.box, (16, 16))
 
 
@@ -367,13 +373,13 @@ def test_variational_support_guard():
 
 
 def _gate4_case(st_name, kind):
-    """The random fields of acceptance gate 4 (kinematic chain rule)."""
+    """The theory and random field of acceptance gate 4 (kinematic chain rule)."""
     st = SPACETIMES[st_name]
     if kind == "scalar":
-        return scalar_theory(0.4), {"phi": random_tensor_field((), st.box, 403)}
+        return scalar_theory(0.4), random_tensor_field((), st.box, 403)
     if kind == "maxwell":
-        return maxwell_theory(), {"A": random_tensor_field(("d",), st.box, 404)}
-    return broken_scalar_theory(0.4), {"phi": random_tensor_field((), st.box, 403)}
+        return maxwell_theory(), random_tensor_field(("d",), st.box, 404)
+    return broken_scalar_theory(0.4), random_tensor_field((), st.box, 403)
 
 
 ADJOINT_CASES = (
@@ -392,17 +398,17 @@ def test_reverse_derivatives_match_directional_derivative(where, what):
     must equal the reverse-mode derivatives contracted with the directions."""
     if where == "scenario":
         sc = SCENARIOS[what]
-        theory, fields, box = sc.theory, sc.fields, scenario_box(sc)
+        theory, field, box = sc.theory, sc.field, scenario_box(sc)
         metric = spacetime(sc.spacetime).metric
     else:
-        theory, fields = _gate4_case(where, what)
+        theory, field = _gate4_case(where, what)
         box, metric = SPACETIMES[where].box, SPACETIMES[where].metric
     n = metric.n
     pts = sample_points(box, 8, seed=811)
     ext = MetricField(metric.name, n, metric.signature, lambda c: metric.fn(c[:n]))
     frame = geometry_at(ext, np.concatenate([pts, np.zeros((8, 1))], axis=1), 3)
     eps = frame.coords[n]
-    tf = evaluate_theory(theory, fields, frame)
+    tf = evaluate_theory(theory, field, frame)
     rng = np.random.default_rng(812)
 
     def shifted(jet, deriv):
@@ -412,12 +418,9 @@ def test_reverse_derivatives_match_directional_derivative(where, what):
         pairing = np.einsum(f"p{S},p{S}->p", deriv.components.data[0], direction)
         return ArgTensor(jet + jet_einsum(f",{S}->{S}", eps, direction)), pairing
 
-    psi, dpsi, want = {}, {}, 0.0
-    for spec in theory.fields:
-        label = spec.label
-        psi[label], p1 = shifted(tf.psi[label].components, tf.dL_dpsi[label])
-        dpsi[label], p2 = shifted(tf.dpsi[label].components, tf.dL_ddpsi[label])
-        want = want + p1 + p2
+    psi, p1 = shifted(tf.psi.components, tf.dL_dpsi)
+    dpsi, p2 = shifted(tf.dpsi.components, tf.dL_ddpsi)
+    want = p1 + p2
     w = rng.normal(size=(8, n, n))
     w = w + w.swapaxes(1, 2)           # dL/dg is the symmetrized derivative
     g = frame.g.components + jet_einsum(",ab->ab", eps, w)
@@ -433,26 +436,25 @@ def test_reverse_derivatives_match_directional_derivative(where, what):
 
 def test_evaluate_theory_is_reentrant():
     frame = mink4_frame(seed=9)
-    outer_fields = {"phi": random_tensor_field((), MINK4.box, seed=83)}
-    inner_fields = {"A": random_tensor_field(("d",), MINK4.box, seed=89)}
+    outer_field = random_tensor_field((), MINK4.box, seed=83)
+    inner_field = random_tensor_field(("d",), MINK4.box, seed=89)
     base, inner_theory = scalar_theory(0.6), maxwell_theory()
     nested = []
 
     def lag(ctx):
-        dphi = ctx.dpsi("phi")
+        dphi = ctx.dpsi
         ctx.einsum("a,a->", dphi, dphi)             # the outer tape is in use
-        nested.append(evaluate_theory(inner_theory, inner_fields, frame))
+        nested.append(evaluate_theory(inner_theory, inner_field, frame))
         return base.lagrangian(ctx)
 
-    tf = evaluate_theory(LagrangianTheory("nested", base.fields, lag),
-                         outer_fields, frame)
-    pairs = [(tf, evaluate_theory(base, outer_fields, frame)),
-             (nested[0], evaluate_theory(inner_theory, inner_fields, frame))]
+    tf = evaluate_theory(LagrangianTheory("nested", base.variance, lag),
+                         outer_field, frame)
+    pairs = [(tf, evaluate_theory(base, outer_field, frame)),
+             (nested[0], evaluate_theory(inner_theory, inner_field, frame))]
     for got, alone in pairs:
         for attr in ("dL_dpsi", "dL_ddpsi"):
-            for label, t in getattr(alone, attr).items():
-                assert np.array_equal(value_array(getattr(got, attr)[label]),
-                                      value_array(t))
+            assert np.array_equal(value_array(getattr(got, attr)),
+                                  value_array(getattr(alone, attr)))
         assert np.array_equal(value_array(got.dL_dg), value_array(alone.dL_dg))
         assert max_abs(alone.dL_dg) > 0.0
 

@@ -104,7 +104,7 @@ def test_finite_targets_still_pass():
 
 
 def test_a_check_that_measures_no_point_fails():
-    # scalar-wave-2d has no gauge field, so every gauge check is left empty
+    # scalar-wave-2d is not a Maxwell scenario, so every gauge check is left empty
     cfg = RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d",), points=2)
     rows = build_report(cfg, run_checks(cfg))["checks"]
     assert len(rows) == 3
@@ -143,10 +143,12 @@ def test_fold_of_a_body_that_yields_nothing_has_no_target():
     assert _fold(iter(())) == []
 
 
-@pytest.mark.parametrize("scale", [1.0, 3.5e-7, "array", "nan"])
+@pytest.mark.parametrize("scale", [1.0, 3.5e-7, "array", "nan", "jet", "empty"])
 def test_fold_of_a_single_yield_is_its_stats_bit_for_bit(scale):
     res = _residuals(3, 1)[0]
-    scale = {"array": res[::-1], "nan": float("nan")}.get(scale, scale)
+    scale = {"array": res[::-1], "nan": float("nan"),
+             "jet": Jet(2, 1, 2, [res[::-1], np.ones((3, 4, 2))]),
+             "empty": np.empty(0)}.get(scale, scale)
     (target,) = _fold([("only", 7, res, scale)])
     want = Target("only", 7, *_stats(res, scale))
     assert repr(target) == repr(want)
@@ -180,8 +182,8 @@ def test_declared_minimum_jet_order_is_the_lowest_that_runs(check_id):
 def test_a_run_builds_one_frame_per_box_and_one_theory_per_scenario(monkeypatch):
     frames = _count_calls(monkeypatch, "geometry_at", lambda metric, pts, order: (
         metric.name, pts.tobytes(), order))
-    theories = _count_calls(monkeypatch, "evaluate_theory", lambda theory, fields, fr: (
-        theory.name, tuple(f.name for f in fields.values()), id(fr)))
+    theories = _count_calls(monkeypatch, "evaluate_theory", lambda theory, field, fr: (
+        theory.name, field.name, id(fr)))
     cfg = RunConfig(suites=tuple(s for s in SUITE_ORDER if s != "variational"),
                     points=2, xi_count=1)
     outcomes = run_checks(cfg)
@@ -191,7 +193,7 @@ def test_a_run_builds_one_frame_per_box_and_one_theory_per_scenario(monkeypatch)
     assert len({(name, pts) for name, pts, _ in frames}) == len(frames)
     # each scenario once, each gauge scenario once more shifted, and the
     # negative control's broken theory once
-    gauge = [sc for sc in SCENARIOS.values() if sc.on_shell and sc.gauge_field]
+    gauge = [sc for sc in SCENARIOS.values() if sc.theory.name == "maxwell"]
     assert set(theories.values()) == {1}
     assert len(theories) == len(SCENARIOS) + len(gauge) + 1
 
@@ -201,7 +203,7 @@ def _top_and_fresh(sc, order, top=3, points=4):
     points."""
     pts = sample_points(scenario_box(sc), points, 3)
     metric = catalog.spacetime(sc.spacetime).metric
-    return [evaluate_theory(sc.theory, sc.fields, geometry_at(metric, pts, m))
+    return [evaluate_theory(sc.theory, sc.field, geometry_at(metric, pts, m))
             for m in (top, order)]
 
 
@@ -291,12 +293,10 @@ def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
 
 
 def test_gauge_checks_share_one_shifted_theory_per_scenario(monkeypatch):
-    counts = _count_calls(monkeypatch, "evaluate_theory", lambda theory, fields, fr: (
-        "shifted" if any(f.name.endswith("+grad chi") for f in fields.values())
-        else None))
+    counts = _count_calls(monkeypatch, "evaluate_theory", lambda theory, field, fr: (
+        "shifted" if field.name.endswith("+grad chi") else None))
     outcomes = run_checks(RunConfig(suites=("gauge",), points=2))
-    gauge_scenarios = [sc for sc in SCENARIOS.values()
-                       if sc.on_shell and sc.gauge_field is not None]
+    gauge_scenarios = [sc for sc in SCENARIOS.values() if sc.theory.name == "maxwell"]
     assert len(outcomes) == 3 and all(oc.targets for oc in outcomes)
     assert counts["shifted"] == len(gauge_scenarios) > 0
 
@@ -342,9 +342,9 @@ def test_theories_are_evaluated_on_run_frames_and_claims_verified_once(monkeypat
     seen = []
     original = fieldtheory.evaluate_theory
 
-    def evaluate_theory(theory, fields, fr):
+    def evaluate_theory(theory, field, fr):
         seen.append(fr)
-        return original(theory, fields, fr)
+        return original(theory, field, fr)
 
     # rebind every module-level name of evaluate_theory in the package
     for key, module in list(sys.modules.items()):
@@ -367,15 +367,14 @@ def test_claim_is_verified_on_every_run_point_before_its_first_check(monkeypatch
     pts = sample_points(scenario_box(wave), 16, 7)
     far = pts[-1]
     w = float(np.min(np.linalg.norm(pts[:-1] - far, axis=1))) / 10.0
-    base = wave.fields["phi"]
+    base = wave.field
 
     def fn(coords):
         u = (coords[0] - far[0]) * (1.0 / w)
         v = (coords[1] - far[1]) * (1.0 / w)
         return base.fn(coords) + jexp(-(u * u + 2.0 * v * v))
 
-    fake = dataclasses.replace(
-        wave, fields={"phi": dataclasses.replace(base, fn=fn)})
+    fake = dataclasses.replace(wave, field=dataclasses.replace(base, fn=fn))
     monkeypatch.setitem(SCENARIOS, "scalar-wave-2d", fake)
     lines = []
     with pytest.raises(CatalogClaimError, match="scalar-wave-2d' claims on-shell"):

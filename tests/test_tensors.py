@@ -176,6 +176,27 @@ def test_tilde_identity_tensor_vanishes():
         assert max_abs(got) == 0.0
 
 
+_VALUES = np.array([[0.5, -3.0], [2.0, 1.0]])
+_JET = Jet(2, 1, 2, [_VALUES, np.full((2, 2, 2), -9.0)])
+_NAN_ROW = np.array([1.0, np.nan, 2.0])
+
+
+@pytest.mark.parametrize("x,values,want", [
+    (TensorValue(("u", "d"), 2, _VALUES), _VALUES, 3.0),
+    (TensorValue(("u", "d"), 2, _JET), _VALUES, 3.0),
+    (_JET, _VALUES, 3.0),                   # derivative tables are not read
+    (_VALUES, _VALUES, 3.0),
+    (-2.5, np.array(-2.5), 2.5),
+    (np.empty((0, 3)), np.empty((0, 3)), 0.0),
+    (_NAN_ROW, _NAN_ROW, np.nan),
+], ids=["tensor", "jet-tensor", "jet", "array", "number", "empty", "nan"])
+def test_max_abs_reads_the_value_part_of_every_input_form(x, values, want):
+    assert np.array_equal(value_array(x), values, equal_nan=True)
+    got = max_abs(x)
+    assert type(got) is float
+    assert got == want or (np.isnan(want) and np.isnan(got))
+
+
 def test_tilde_metric_form():
     n = 4
     g = RNG.normal(size=(n, n))
