@@ -34,8 +34,7 @@ def main(argv=None):
 
     sc = SCENARIOS[args.scenario]
     st = SPACETIMES[sc.spacetime]
-    h = bump_perturbation(st.box, args.seed, scale=0.1,
-                          width_frac=args.width_frac)
+    h = bump_perturbation(st.box, args.seed, width_frac=args.width_frac)
 
     rows = []
     print(f"{args.scenario} on {sc.spacetime}, bump width "

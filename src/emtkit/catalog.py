@@ -478,14 +478,14 @@ def random_vector_field(box, seed: int) -> VectorField:
     return VectorField(t.fn, name=f"random-xi-{seed}")
 
 
-def bump_perturbation(box, seed: int, scale: float = 0.1,
-                      width_frac: float = 0.18) -> TensorField:
-    """Symmetric (0,2) perturbation with a Gaussian envelope that is
-    negligible on the box boundary; suitable for compact-support variation."""
+def bump_perturbation(box, seed: int, width_frac: float = 0.09) -> TensorField:
+    """Symmetric (0,2) perturbation, 0.1 times a seeded random symmetric
+    matrix under a Gaussian envelope that is negligible on the box boundary;
+    suitable for compact-support variation."""
     rng = np.random.default_rng(seed)
     n = len(box)
     M = rng.normal(size=(n, n))
-    M = scale * (M + M.T) / 2.0
+    M = 0.1 * (M + M.T) / 2.0
     center = np.array([(b[0] + b[1]) / 2 for b in box])
     width = np.array([(b[1] - b[0]) * width_frac for b in box])
 

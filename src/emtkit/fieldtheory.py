@@ -67,6 +67,7 @@ from .geometry import (
     covariant_derivative,
     evaluate,
     geometry_at,
+    _drop_orders,
     _truncated_view,
 )
 
@@ -351,7 +352,7 @@ class TheoryFrame:
     def W(self) -> TensorValue:
         """W^cab = dL/d(grad_c psi) (tilde psi)^ab, slots [c, a, b]: the new
         up slot of tilde psi, then its raised new down slot."""
-        t = tilde(self.psi)
+        t = tilde(_drop_orders(self.psi, 1))     # at dL/d(grad psi)'s order
         ttr = raise_slot(t, t.rank - 1, self.frame.ginv)                # [S, a, b]
         S = _slot_letters(ttr.rank - 2)
         comps = jet_einsum(f"{S}c,{S}ab->cab", self.dL_ddpsi.components, ttr.components)
@@ -607,6 +608,8 @@ def variational_pair(theory, field, metric: MetricField, h: TensorField,
     Returns (dS/d eps, 1/2 integral of T_M^ab h_ab sqrt|g|), both evaluated by
     the same midpoint rule on the given tensor grid, with the field held
     fixed and g -> g + eps h.  h must be compactly supported inside the box.
+    Both sides read one frame of g + eps h per chunk, eps a jet variable at
+    0, and one theory on it.
     """
     n = metric.n
     pts, vol = _midpoint_grid(box, shape)
@@ -635,16 +638,12 @@ def variational_pair(theory, field, metric: MetricField, h: TensorField,
     rhs_vals = np.empty(npts)
     for lo in range(0, npts, _CHUNK):
         hi = min(lo + _CHUNK, npts)
-        fr_eps = geometry_at(eps_metric, pts_ext[lo:hi], 2)
-        tf_eps = evaluate_theory(theory, field, fr_eps)
-        integrand = tf_eps.L * fr_eps.sqrt_g
-        lhs_vals[lo:hi] = partial_in_var(integrand, n).data[0]
-
-        fr0 = geometry_at(metric, pts[lo:hi], 2)
-        tf0 = evaluate_theory(theory, field, fr0)
-        hv = evaluate(h, fr0)
-        dens = 0.5 * jet_einsum("ab,ab->", tf0.emt_metric.components, hv.components)
-        rhs_vals[lo:hi] = (dens * fr0.sqrt_g).data[0]
+        fr = geometry_at(eps_metric, pts_ext[lo:hi], 2)
+        tf = evaluate_theory(theory, field, fr)
+        lhs_vals[lo:hi] = partial_in_var(tf.L * fr.sqrt_g, n).data[0]
+        hv = evaluate(h, fr)
+        dens = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, hv.components)
+        rhs_vals[lo:hi] = (dens * fr.sqrt_g).data[0]
 
     return vol * float(np.sum(lhs_vals)), vol * float(np.sum(rhs_vals))
 

@@ -191,7 +191,7 @@ class Frame:
         t3 = transpose_slots(dg, (2, 1, 0))   # [d, a, c] -> d_d g_ca
         X = t1 + t2 - t3
         comps = jet_einsum("bd,dac->bca", self.ginv.components, X.components)
-        return TensorValue(("u", "d", "d"), self.n, _half(comps))
+        return TensorValue(("u", "d", "d"), self.n, 0.5 * comps)
 
     def truncate(self, order: int) -> Frame:
         """This frame at jet ``order``; see :func:`_truncated_view`."""
@@ -253,10 +253,6 @@ def _truncated_view(obj, k: int, jets: tuple, same: dict):
     return views[k]
 
 
-def _half(comps):
-    return comps * 0.5 if isinstance(comps, Jet) else 0.5 * comps
-
-
 def geometry_at(metric: MetricField, points: np.ndarray, order: int) -> Frame:
     """Evaluate the metric geometry at sample points.
 
@@ -292,7 +288,8 @@ def covariant_derivative(t: TensorValue, frame: Frame) -> TensorValue:
     dt = partial_tensor(t)
     if t.rank == 0:
         return dt
-    corr = tilde_contract(t, frame.gamma.components, 1)
+    # dt is one order below t, so the correction needs no more of t than that
+    corr = tilde_contract(_drop_orders(t, 1), frame.gamma.components, 1)
     return dt + TensorValue(t.variance + ("d",), t.n, corr)
 
 
@@ -376,7 +373,7 @@ def christoffel_deformation(h: TensorValue, frame: Frame) -> TensorValue:
     t3 = transpose_slots(dh, (2, 0, 1))           # [c, a, b] = D_c h_ab
     W = t1 + t2 - t3
     comps = jet_einsum("dc,cab->dab", frame.ginv.components, W.components)
-    return TensorValue(("u", "d", "d"), frame.n, _half(comps))
+    return TensorValue(("u", "d", "d"), frame.n, 0.5 * comps)
 
 
 def lie_nabla_from_connection(t: TensorValue, C: TensorValue) -> TensorValue:

@@ -965,11 +965,11 @@ def _chk_gauge_tc(ctx):
 # --------------------------------------------------------------------------
 
 
-def _variational_target(ctx, scen_name, grid, box, seed_offset=0):
+def _variational_target(ctx, scen_name, grid, seed_offset=0):
     sc = scenario(scen_name)
     st = spacetime(sc.spacetime)
-    h = bump_perturbation(box, ctx.cfg.seed + 9000 + seed_offset,
-                          scale=0.1, width_frac=0.09)
+    box = scenario_box(sc)
+    h = bump_perturbation(box, ctx.cfg.seed + 9000 + seed_offset)
     lhs, rhs = variational_pair(sc.theory, sc.field, st.metric, h, box, grid)
     return scen_name, int(np.prod(grid)), lhs - rhs, max(abs(lhs), abs(rhs))
 
@@ -983,8 +983,7 @@ def _variational_target(ctx, scen_name, grid, box, seed_offset=0):
                 "under a compact metric perturbation against the integrated "
                 "pairing with T_M, scalar field on a two-dimensional chart.")
 def _chk_var_2d(ctx):
-    yield _variational_target(ctx, "scalar-wave-2d", ctx.cfg.grid_2d,
-                              spacetime("minkowski2").box)
+    yield _variational_target(ctx, "scalar-wave-2d", ctx.cfg.grid_2d)
 
 
 @_register(
@@ -995,8 +994,7 @@ def _chk_var_2d(ctx):
     description="Same comparison for the electromagnetic field on a "
                 "four-dimensional grid; coarser quadrature, looser tolerance.")
 def _chk_var_4d(ctx):
-    yield _variational_target(ctx, "em-wave-4d", ctx.cfg.grid_4d,
-                              spacetime("minkowski4").box, seed_offset=1)
+    yield _variational_target(ctx, "em-wave-4d", ctx.cfg.grid_4d, seed_offset=1)
 
 
 @_register(
@@ -1008,8 +1006,7 @@ def _chk_var_4d(ctx):
                 "derivative bracket, so this comparison exercises the "
                 "divergence subtraction and integration by parts for real.")
 def _chk_var_super(ctx):
-    yield _variational_target(ctx, "gradient-vector-2d", ctx.cfg.grid_2d,
-                              spacetime("minkowski2").box, seed_offset=2)
+    yield _variational_target(ctx, "gradient-vector-2d", ctx.cfg.grid_2d, seed_offset=2)
 
 
 # --------------------------------------------------------------------------

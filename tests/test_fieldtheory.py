@@ -138,6 +138,21 @@ def test_gradient_vector_source_and_theta_closed_form():
     np.testing.assert_allclose(br, br.transpose(0, 1, 3, 2), rtol=0, atol=1e-12)
 
 
+def test_source_tensor_builds_tilde_psi_at_its_own_order(monkeypatch):
+    _, tf = scenario_theory_frame("gradient-vector-2d", order=3)
+    seen = []
+    real = fieldtheory.tilde
+
+    def recording(t):
+        seen.append(t.components.order)
+        return real(t)
+
+    monkeypatch.setattr(fieldtheory, "tilde", recording)
+    W = tf.W
+    assert tf.psi.components.order == 3
+    assert seen == [tf.dL_ddpsi.components.order] == [W.components.order] == [2]
+
+
 def test_maxwell_canonical_closed_form():
     frame = mink4_frame(seed=5)
     Afld = random_tensor_field(("d",), MINK4.box, seed=19)
@@ -343,7 +358,7 @@ def test_gauge_shift_moves_canonical_only():
 
 def test_variational_pair_scalar_2d():
     fld = random_tensor_field((), MINK2.box, seed=53)
-    h = bump_perturbation(MINK2.box, seed=59, width_frac=0.09)
+    h = bump_perturbation(MINK2.box, seed=59)
     lhs, rhs = variational_pair(scalar_theory(0.5), fld,
                                 MINK2.metric, h, MINK2.box, (32, 32))
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
@@ -351,11 +366,29 @@ def test_variational_pair_scalar_2d():
 
 def test_variational_pair_exercises_connection_term():
     sc = SCENARIOS["gradient-vector-2d"]
-    h = bump_perturbation(MINK2.box, seed=61, width_frac=0.09)
+    h = bump_perturbation(MINK2.box, seed=61)
     lhs, rhs = variational_pair(sc.theory, sc.field,
                                 MINK2.metric, h, MINK2.box, (32, 32))
     assert abs(lhs) > 1e-6                  # a nonzero variation at all
     assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
+
+def test_variational_pair_builds_one_frame_and_one_theory_per_chunk(monkeypatch):
+    calls = {"geometry_at": 0, "evaluate_theory": 0}
+    for name in calls:
+        real = getattr(fieldtheory, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fieldtheory, name, counted)
+    sc = SCENARIOS["gradient-vector-2d"]
+    h = bump_perturbation(MINK2.box, seed=61)
+    variational_pair(sc.theory, sc.field, MINK2.metric, h, MINK2.box, (64, 64))
+    chunks = 64 * 64 // fieldtheory._CHUNK
+    assert chunks == 4
+    assert calls == {"geometry_at": chunks, "evaluate_theory": chunks}
 
 
 def test_variational_support_guard():

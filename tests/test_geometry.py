@@ -220,6 +220,25 @@ def test_covariant_and_lie_derivatives_do_not_materialise_tilde(monkeypatch):
             assert np.array_equal(g, w)
 
 
+def test_covariant_derivative_forms_its_correction_at_the_result_order(monkeypatch):
+    fr = schw_frame(order=3)
+    xi = evaluate(random_vector_field(SCHW.box, seed=7), fr)
+    seen = []
+    real = geometry.tilde_contract
+
+    def recording(t, m, extra):
+        seen.append(t.components.order)
+        return real(t, m, extra)
+
+    monkeypatch.setattr(geometry, "tilde_contract", recording)
+    # a field (order 3), the metric (order 3) and a derived tensor (order 2)
+    for t in (xi, fr.g, fr.gamma):
+        seen.clear()
+        got = covariant_derivative(t, fr)
+        assert got.components.order == t.components.order - 1
+        assert seen == [got.components.order]
+
+
 def test_lie_derivative_of_the_metric_reuses_its_gradient_bit_for_bit():
     fr = schw_frame()
     xi = evaluate(random_vector_field(SCHW.box, seed=8), fr)
