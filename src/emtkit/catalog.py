@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jsin, jcos, jexp, jlog, jreciprocal, jsqrt, jet_stack
+from .jets import Jet, constant_jet, jsin, jcos, jexp, jlog, jreciprocal, jsqrt, jet_stack
 from .geometry import (
     MetricField,
     TensorField,
@@ -90,9 +90,9 @@ def _flat_fn(n):
     eta = np.diag([-1.0] + [1.0] * (n - 1))
 
     def fn(coords):
-        z = coords[0] * 0.0
-        return jet_stack([[(eta[i, j] + z if i == j else z) for j in range(n)]
-                          for i in range(n)])
+        c = coords[0]
+        value = np.broadcast_to(eta, c.batch_shape + (n, n)).copy()
+        return constant_jet(value, c.nvars, c.order, vdim=2)
 
     return fn
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .jets import (
     Jet,
+    _derivative_part,
     constant_jet,
     differentiate,
     jet_einsum,
@@ -120,8 +121,7 @@ def jet_matrix_inverse(g: Jet) -> Jet:
     inv0 = np.linalg.inv(a0)
     if g.order == 0:
         return Jet(g.nvars, 0, 2, [inv0])
-    N = Jet(g.nvars, g.order, 2, [np.zeros(a0.shape), *g.data[1:]])
-    B = jet_einsum("ij,jk->ik", -inv0, N)
+    B = jet_einsum("ij,jk->ik", -inv0, _derivative_part(g))
     total = constant_jet(inv0, g.nvars, g.order, vdim=2)
     P = total
     for _ in range(g.order):
@@ -140,8 +140,7 @@ def jet_sqrt_abs_det(g: Jet) -> Jet:
     root0 = np.sqrt(np.abs(np.linalg.det(a0)))
     if g.order == 0:
         return Jet(g.nvars, 0, 0, [root0])
-    N = Jet(g.nvars, g.order, 2, [np.zeros(a0.shape), *g.data[1:]])
-    M = jet_einsum("ij,jk->ik", np.linalg.inv(a0), N)
+    M = jet_einsum("ij,jk->ik", np.linalg.inv(a0), _derivative_part(g))
     P = M
     nb = a0.ndim - 2
     series = None
@@ -226,7 +225,10 @@ class Frame:
 
 def _drop_orders(x, k: int):
     """``x``, a Jet, a TensorValue or a list of them, with the top ``k``
-    derivative orders of every jet dropped: tuple slices, no copies."""
+    derivative orders of every jet dropped: tuple slices, no copies; ``x``
+    itself when ``k`` is 0."""
+    if k == 0:
+        return x
     if isinstance(x, list):
         return [_drop_orders(v, k) for v in x]
     if isinstance(x, TensorValue):
@@ -306,6 +308,10 @@ def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) 
     else:
         dt = frame.dg if t is frame.g else covariant_derivative(t, frame)
         dxi = covariant_derivative(xi, frame)
+    # the result carries one order less than the lower of t and xi, and
+    # its order-m tables read no higher order of any operand
+    top = min(t.components.order, xi.components.order) - 1
+    t, xi, dt, dxi = (_drop_orders(v, v.components.order - top) for v in (t, xi, dt, dxi))
     S = "".join(chr(ord("i") + k) for k in range(t.rank))
     term1 = jet_einsum(f"{S}a,a->{S}", dt.components, xi.components)
     term2 = tilde_contract(t, dxi.components, 0)

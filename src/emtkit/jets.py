@@ -15,6 +15,18 @@ Layout: ``data[m]`` is the order-m derivative table with shape
 The tables are symmetric in the derivative axes.  ``vdim`` counts the
 value axes (0 for scalar jets); leading axes are broadcastable batch
 axes, which lets a whole grid of sample points flow through one einsum.
+
+Structural zeros: a table known to vanish before any arithmetic runs (the
+derivative tables of a constant or of a coordinate above order 1, the
+value table of a jet's derivative part) is ``np.broadcast_to(0.0, shape)``,
+a read-only view with every stride 0 that costs neither memory nor time.
+:func:`jet_einsum` skips each Leibniz split that reads one, and addition,
+negation and scaling pass one through untouched.  A skipped split drops
+only the 0 * x terms of a structural zero, so for finite operands the
+result equals the dense computation; a NaN or inf in a live table still
+reaches every result table that a split of two live tables forms.  Tables are shared between jets and
+may be read-only views, so a jet's tables are never written after
+construction: code that accumulates in place allocates its own array.
 """
 
 from __future__ import annotations
@@ -124,7 +136,7 @@ class Jet:
         return _add(other, self, np.subtract)
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, self.vdim, [-t for t in self.data])
+        return Jet(self.nvars, self.order, self.vdim, [_neg(t) for t in self.data])
 
     def __mul__(self, other):
         return _mul(self, other)
@@ -147,6 +159,48 @@ def _is_const(x) -> bool:
     return not isinstance(x, Jet)
 
 
+def _zero_table(shape) -> np.ndarray:
+    """A structural zero: a read-only all-zero view with every stride 0."""
+    return np.broadcast_to(np.float64(0.0), shape)
+
+
+def _is_zero(t: np.ndarray) -> bool:
+    """Whether ``t`` is a structural zero: with every stride 0 all its
+    entries are its first one, so one read tells."""
+    return t.size > 0 and not any(t.strides) and t.item(0) == 0.0
+
+
+def _neg(t: np.ndarray) -> np.ndarray:
+    return t if _is_zero(t) else -t
+
+
+def _sum_table(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    """op(a, b) for two derivative tables of one jet sum.
+
+    Two structural zeros give one.  With one, ``a + 0``, ``0 + b`` and
+    ``a - 0`` pass a C-contiguous live table of the full shape through;
+    any other sum with a zero is laid out in C order, as a sum with a dense
+    zero table is, because the summation order of a later contraction
+    follows the memory layout of its operands.
+    """
+    za, zb = _is_zero(a), _is_zero(b)
+    if not (za or zb):
+        return op(a, b)
+    if za and zb:
+        return _zero_table(np.broadcast_shapes(a.shape, b.shape))
+    keep = a if zb else b if op is np.add else None
+    if keep is not None and keep.flags.c_contiguous and a.shape == b.shape:
+        return keep
+    return op(a, b, order="C")
+
+
+def _derivative_part(f: "Jet") -> "Jet":
+    """``f`` with its value table replaced by a structural zero: the
+    nilpotent N of the series in :func:`jet_compose` and in the matrix
+    inverse and log-det series of :mod:`emtkit.geometry`."""
+    return Jet(f.nvars, f.order, f.vdim, [_zero_table(f.data[0].shape), *f.data[1:]])
+
+
 def _add(x, y, op=np.add):
     """x + y, or x - y with ``op=np.subtract``, one pass per derivative table."""
     if _is_const(x) and _is_const(y):
@@ -156,14 +210,15 @@ def _add(x, y, op=np.add):
         return Jet(x.nvars, x.order, x.vdim, [op(x.data[0], c), *x.data[1:]])
     if _is_const(x):
         c = np.asarray(x, dtype=float)
-        tail = y.data[1:] if op is np.add else [-t for t in y.data[1:]]
+        tail = y.data[1:] if op is np.add else [_neg(t) for t in y.data[1:]]
         return Jet(y.nvars, y.order, y.vdim, [op(c, y.data[0]), *tail])
     if x.nvars != y.nvars:
         raise ValueError("jet addition needs matching nvars")
     if x.vdim != y.vdim:
         raise ValueError("jet addition needs matching vdim")
     order = min(x.order, y.order)
-    return Jet(x.nvars, order, x.vdim, [op(x.data[m], y.data[m]) for m in range(order + 1)])
+    return Jet(x.nvars, order, x.vdim,
+               [_sum_table(x.data[m], y.data[m], op) for m in range(order + 1)])
 
 
 def _mul(x, y):
@@ -175,7 +230,7 @@ def _mul(x, y):
     if _is_const(x):
         c = np.asarray(x, dtype=float)
         if c.ndim == 0:
-            return Jet(y.nvars, y.order, y.vdim, [c * t for t in y.data])
+            return Jet(y.nvars, y.order, y.vdim, [t if _is_zero(t) else c * t for t in y.data])
         return _const_mul(c, y)
     vx, vy = _LETTERS[: x.vdim], _LETTERS[: y.vdim]
     if x.vdim == y.vdim:
@@ -191,7 +246,9 @@ def _const_mul(c: np.ndarray, y: "Jet") -> "Jet":
     # constant array broadcast against batch+value axes; derivative axes ride along
     out = []
     for m, t in enumerate(y.data):
-        out.append(c[(...,) + (None,) * m] * t)
+        cm = c[(...,) + (None,) * m]
+        out.append(_zero_table(np.broadcast_shapes(cm.shape, t.shape)) if _is_zero(t)
+                   else cm * t)
     return Jet(y.nvars, y.order, y.vdim, out)
 
 
@@ -309,7 +366,9 @@ def jet_einsum(subs: str, x, y):
 
     ``subs`` uses plain letters for the value axes, e.g. ``'ij,jk->ik'``.
     Batch axes broadcast implicitly.  Either operand may be a plain
-    ndarray, treated as a derivative-free constant.  Every Leibniz split
+    ndarray, treated as a derivative-free constant.  A Leibniz split that
+    reads a structural zero is skipped, and an output order all of whose
+    splits are skipped is itself a structural zero.  Every other split
     goes through ``_contract``: from ``_MATMUL_MIN_POINTS`` batch points on,
     a plain matmul runs as one batched ``@``, which sums in another order
     than np.einsum and so agrees with it to roundoff, not bit for bit.
@@ -321,26 +380,43 @@ def jet_einsum(subs: str, x, y):
         order = min(x.order, y.order)
     else:
         order = x.order if xj else y.order if yj else 0
+    nvars = x.nvars if xj else y.nvars if yj else 0
     xs = x.data if xj else (np.asarray(x, float),)
     ys = y.data if yj else (np.asarray(y, float),)
     nx, vdim, plan = _leibniz_plan(subs, order, xj, yj)
+    zx, zy = [_is_zero(t) for t in xs], [_is_zero(t) for t in ys]
     points = math.prod(xs[0].shape[:xs[0].ndim - nx])
     data = []
     for m, splits in enumerate(plan):
         acc = None
         for i, step, perms in splits:
+            if zx[i] or zy[m - i]:
+                continue
             base = _contract(step, points, xs[i], ys[m - i])
             lead = tuple(range(base.ndim - m))
             for perm in perms:
                 term = base if perm is None else base.transpose(lead + perm)
                 if acc is None:
-                    acc = term
+                    # later perms of this split read base: accumulate in a copy
+                    acc = term.copy() if len(perms) > 1 else term
                 else:
                     acc += term
-        data.append(acc)
+        data.append(acc if acc is not None
+                    else _zero_table(_output_shape(subs, xs[0], ys[0]) + (nvars,) * m))
     if not (xj or yj):
         return data[0]
-    return Jet((x if xj else y).nvars, order, vdim, data)
+    return Jet(nvars, order, vdim, data)
+
+
+def _output_shape(subs: str, x0: np.ndarray, y0: np.ndarray) -> tuple:
+    """Batch and value shape of ``jet_einsum(subs, x, y)`` from the value
+    tables of its operands."""
+    (sx, sy), so = _parse_subs(subs)
+    nx, ny = len(sx), len(sy)
+    size = dict(zip(sx, x0.shape[x0.ndim - nx:]))
+    size.update(zip(sy, y0.shape[y0.ndim - ny:]))
+    batch = np.broadcast_shapes(x0.shape[:x0.ndim - nx], y0.shape[:y0.ndim - ny])
+    return batch + tuple(size[c] for c in so)
 
 
 def jet_compose(coeffs, f: Jet) -> Jet:
@@ -355,7 +431,7 @@ def jet_compose(coeffs, f: Jet) -> Jet:
     K = f.order
     if len(coeffs) < K + 1:
         raise ValueError("need one coefficient per derivative order")
-    N = Jet(f.nvars, K, f.vdim, [np.zeros(f.data[0].shape), *f.data[1:]])
+    N = _derivative_part(f)
     acc = coeffs[K] / math.factorial(K)
     for k in range(K - 1, -1, -1):
         acc = _add(_mul(N, acc), coeffs[k] / math.factorial(k))
@@ -475,7 +551,7 @@ def lift(points: np.ndarray, nvars: int, order: int) -> list[Jet]:
     """Coordinate jets at sample points: one scalar jet per coordinate.
 
     ``points`` has shape batch + (k,) with k <= nvars; coordinate i carries
-    first derivative e_i and vanishing higher derivatives.
+    first derivative e_i and structurally zero higher derivatives.
     """
     points = np.asarray(points, dtype=float)
     k = points.shape[-1]
@@ -490,24 +566,25 @@ def lift(points: np.ndarray, nvars: int, order: int) -> list[Jet]:
             e[..., i] = 1.0
             data.append(e)
         for m in range(2, order + 1):
-            data.append(np.zeros(batch + (nvars,) * m))
+            data.append(_zero_table(batch + (nvars,) * m))
         out.append(Jet(nvars, order, 0, data))
     return out
 
 
 def constant_jet(value, nvars: int, order: int, vdim: int | None = None) -> Jet:
-    """A jet with the given value part and all derivatives zero."""
+    """A jet with the given value part and structurally zero derivatives."""
     value = np.asarray(value, dtype=float)
     vdim = value.ndim if vdim is None else vdim
     data = [value]
     for m in range(1, order + 1):
-        data.append(np.zeros(value.shape + (nvars,) * m))
+        data.append(_zero_table(value.shape + (nvars,) * m))
     return Jet(nvars, order, vdim, data)
 
 
 def zeros_jet(nvars: int, order: int, vdim: int, shape: tuple) -> Jet:
-    """All-zero jet with batch+value shape ``shape`` (value axes are the last vdim)."""
-    data = [np.zeros(shape + (nvars,) * m) for m in range(order + 1)]
+    """Structurally zero jet with batch+value shape ``shape`` (value axes
+    are the last vdim)."""
+    data = [_zero_table(shape + (nvars,) * m) for m in range(order + 1)]
     return Jet(nvars, order, vdim, data)
 
 

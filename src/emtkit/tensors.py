@@ -140,17 +140,20 @@ def tilde(t: TensorValue) -> TensorValue:
     order, into the diagonal of one zero table where its delta is 1.
     """
     r = t.rank
-    z = _zeros_like(t, t.variance + ("u", "d"))
+    variance = t.variance + ("u", "d")
     if r == 0:
-        return z
+        return _zeros_like(t, variance)
     c = t.components
     jet = isinstance(c, Jet)
     S = _LETTERS[:r]
     A, B, *dl = _free_letters(set(S), 2 + (c.order if jet else 0))
-    pairs = zip(c.data, z.components.data) if jet else [(c, z.components)]
-    for m, (src, res) in enumerate(pairs):
+    tables = []
+    for m, src in enumerate(c.data if jet else (c,)):
         dm = "".join(dl[:m])
         nb = src.ndim - r - m
+        # a writable accumulator of its own: zeros_jet's tables are read-only
+        res = np.zeros(src.shape[:nb] + (t.n,) * (r + 2) + src.shape[nb + r:])
+        tables.append(res)
         for k, v in enumerate(t.variance):
             # slot k's axis moves to the new slot; slot k itself broadcasts
             moved = np.expand_dims(np.moveaxis(src, nb + k, nb + r - 1), nb + k)
@@ -160,7 +163,8 @@ def tilde(t: TensorValue) -> TensorValue:
             else:
                 diag = np.einsum(f"...{S}{S[k]}{B}{dm}->...{S}{B}{dm}", res)
                 diag -= moved
-    return z
+    comps = Jet(c.nvars, c.order, r + 2, tables) if jet else tables[0]
+    return TensorValue(variance, t.n, comps)
 
 
 def tilde_contract(t: TensorValue, m, extra: int):

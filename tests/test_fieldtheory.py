@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from emtkit import fieldtheory
+from emtkit import fieldtheory, jets
 from emtkit.catalog import (
     SCENARIOS,
     CatalogClaimError,
@@ -186,6 +186,29 @@ def test_on_shell_gate():
     verify_scenario_claims(blob, tf_blob)
     with pytest.raises(CatalogClaimError, match="claims on-shell"):
         verify_scenario_claims(dataclasses.replace(blob, on_shell=True), tf_blob)
+
+
+def _structural(t):
+    return all(not any(table.strides) for table in t.components.data)
+
+
+def test_scalar_theory_bracket_and_flat_connection_are_structural_zeros(monkeypatch):
+    # tilde of a scalar is zero, so W, Theta, the bracket and D_c Theta^cab
+    # of a scalar theory are never computed; a flat frame's Gamma is zero too
+    _, tf = scenario_theory_frame("scalar-wave-4d", order=3)
+    for name in ("W", "theta", "_bracket", "div_theta"):
+        assert _structural(getattr(tf, name)), name
+    assert _structural(mink4_frame(order=3).gamma)
+    assert _structural(tf.frame.gamma)
+    got = tf.emt_metric
+    # the same T_M with every zero table dense, so that nothing is skipped
+    monkeypatch.setattr(jets, "_zero_table", np.zeros)
+    _, dense = scenario_theory_frame("scalar-wave-4d", order=3)
+    assert not _structural(dense.W) and not _structural(dense.frame.gamma)
+    for g, w in zip(got.components.data, dense.emt_metric.components.data):
+        # bit for bit, signed zeros included
+        assert g.shape == w.shape
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
 
 
 @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])

@@ -35,7 +35,7 @@ from emtkit.geometry import (
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
-from emtkit.jets import Jet, jet_stack, lift
+from emtkit.jets import Jet, jet_einsum, jet_stack, lift
 from emtkit.tensors import TensorValue, max_abs, value_array
 
 SCHW = SPACETIMES["schwarzschild"]
@@ -237,6 +237,33 @@ def test_covariant_derivative_forms_its_correction_at_the_result_order(monkeypat
         got = covariant_derivative(t, fr)
         assert got.components.order == t.components.order - 1
         assert seen == [got.components.order]
+
+
+@pytest.mark.parametrize("t_order,xi_order", [(1, 2), (2, 1), (2, 2)])
+def test_lie_derivative_forms_its_tilde_term_at_the_result_order(monkeypatch, t_order, xi_order):
+    fr = schw_frame(order=2)
+    t = geometry._drop_orders(evaluate(random_tensor_field(("u", "d"), SCHW.box, seed=5), fr),
+                              2 - t_order)
+    xi = geometry._drop_orders(evaluate(random_vector_field(SCHW.box, seed=6), fr), 2 - xi_order)
+    # the untruncated formula, whose tilde term may sit one order above the result
+    dxi = covariant_derivative(xi, fr)
+    term1 = jet_einsum("ija,a->ij", covariant_derivative(t, fr).components, xi.components)
+    want = term1 - geometry.tilde_contract(t, dxi.components, 0)
+    seen = []
+    real = geometry.tilde_contract
+
+    def recording(t, m, extra):
+        seen.append((t.components.order, m.order))
+        return real(t, m, extra)
+
+    monkeypatch.setattr(geometry, "tilde_contract", recording)
+    got = lie_derivative(t, xi, fr)
+    top = min(t_order, xi_order) - 1
+    assert got.components.order == want.order == top
+    assert seen[-1] == (top, top)
+    for g, w in zip(got.components.data, want.data):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 def test_lie_derivative_of_the_metric_reuses_its_gradient_bit_for_bit():

@@ -16,7 +16,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from emtkit import jets
+from emtkit import geometry, jets
 from emtkit.jets import (
     Jet,
     JetOrderError,
@@ -265,6 +265,82 @@ def test_jet_einsum_matches_per_subset_leibniz(subs, order, bx, by):
     for g, w in zip(got.data, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+# tables of x and y that become zero: the value table of a derivative part
+# (every split reading it skipped, so the first live split of order 3 has
+# three perms and must not accumulate into its own base), a derivative part
+# with no gradient either (the first live split of order 3 is i = 2, three
+# perms), a zero in the middle of y, and zero value tables on both sides
+# (order 0 of the result is itself zero)
+ZERO_CASES = {
+    "x0": ((0,), ()),
+    "x0-x1": ((0, 1), ()),
+    "x1": ((1,), ()),
+    "y0": ((), (0,)),
+    "y2": ((), (2,)),
+    "x0-y0": ((0,), (0,)),
+}
+
+
+@pytest.mark.parametrize("subs", [",->", "ab,bc->ac", "a,b->ab", "ab,ab->"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("zeros", sorted(ZERO_CASES))
+@pytest.mark.parametrize("batch", [(5,), (jets._MATMUL_MIN_POINTS,)], ids=["einsum", "matmul"])
+def test_structural_zero_skips_equal_dense_zeros(subs, order, zeros, batch):
+    rng = np.random.default_rng(order)
+    dims = {"a": 3, "b": 4, "c": 2}
+    nv = 3
+    (sx, sy) = subs.split("->")[0].split(",")
+
+    def operand(letters, zero, make):
+        shape = batch + tuple(dims[c] for c in letters)
+        return Jet(nv, order, len(letters),
+                   [make(shape + (nv,) * m) if m in zero else rng.normal(size=shape + (nv,) * m)
+                    for m in range(order + 1)])
+
+    zx, zy = ZERO_CASES[zeros]
+    state = rng.bit_generator.state
+    got = jet_einsum(subs, operand(sx, zx, jets._zero_table), operand(sy, zy, jets._zero_table))
+    rng.bit_generator.state = state
+    want = jet_einsum(subs, operand(sx, zx, np.zeros), operand(sy, zy, np.zeros))
+    for m, (g, w) in enumerate(zip(got.data, want.data)):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+        # an order every split of which reads a zero is itself a structural zero
+        dead = all(i in zx or m - i in zy for i in range(m + 1))
+        assert jets._is_zero(g) == dead
+
+
+def test_structural_zeros_are_free_read_only_views():
+    z = zeros_jet(3, 2, 1, (16, 4))
+    c = constant_jet(np.ones((16, 4)), 3, 2, vdim=1)
+    t, _ = lift(np.zeros((16, 2)), 3, 3)
+    for table in (*z.data, *c.data[1:], *t.data[2:]):
+        assert not any(table.strides) and not table.flags.writeable
+        assert jets._is_zero(table)
+    assert not jets._is_zero(t.data[1]) and not jets._is_zero(np.zeros((2, 2)))
+    # sums, negation and scaling hand a zero on; the live table passes a sum through
+    assert all(jets._is_zero(table) for table in (-z + 2.0 * z - z).data[1:])
+    s = c + z
+    assert s.data[0] is c.data[0] and jets._is_zero(s.data[1])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_non_finite_values_reach_the_value_table(order):
+    # a structural zero may drop the 0 * NaN terms it would have produced,
+    # but never a NaN that a live operand carries into the value table; u
+    # holds one NaN, and its tables above order 1 are structural zeros
+    _, u = lift(np.array([[0.5, np.nan], [0.25, 0.75]]), 2, order)
+    const = constant_jet(np.array([2.0, 3.0]), 2, order)
+    for res in (jet_einsum(",->", u, const), jet_einsum(",->", const, u), u * u,
+                jexp(u), jsin(u), jreciprocal(u + 5.0), jsqrt(u * u + 1.0)):
+        assert np.isnan(res.data[0][0]) and np.isfinite(res.data[0][1])
+    g = jet_stack([[u + 2.0, 0.0], [0.0, u * 0.0 + 1.0]])
+    inv = geometry.jet_matrix_inverse(g)
+    assert np.isnan(inv.data[0][0]).any() and np.isfinite(inv.data[0][1]).all()
+    inf = constant_jet(np.array([np.inf, 1.0]), 2, order)
+    assert np.isinf(jet_einsum(",->", inf, const).data[0][0])
 
 
 # plain matmuls (a batch letter, the 1024-point quadrature's largest jet
