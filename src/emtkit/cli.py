@@ -155,11 +155,10 @@ def cmd_verify(args):
     def emit(outcome, tol):
         if quiet:
             return
-        v = outcome.max_abs if outcome.check.measure == "abs" else outcome.max_rel
         ok = outcome.passed(tol)
         word = "PASS" if ok else "FAIL"
         op = "<=" if outcome.check.mode == "below" else ">="
-        print(f"[{word}] {outcome.check.id:36s} {v:.3e} {op} {tol:.1e} "
+        print(f"[{word}] {outcome.check.id:36s} {outcome.value:.3e} {op} {tol:.1e} "
               f"({outcome.points} pts, {outcome.elapsed:.2f}s)")
         if not ok:
             for t in outcome.targets:

@@ -177,21 +177,16 @@ def _neg(t: np.ndarray) -> np.ndarray:
 def _sum_table(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
     """op(a, b) for two derivative tables of one jet sum.
 
-    Two structural zeros give one.  With one, ``a + 0``, ``0 + b`` and
-    ``a - 0`` pass a C-contiguous live table of the full shape through;
-    any other sum with a zero is laid out in C order, as a sum with a dense
-    zero table is, because the summation order of a later contraction
-    follows the memory layout of its operands.
+    Two structural zeros give one.  With one and equal shapes, ``a + 0``
+    and ``a - 0`` are ``a``, ``0 + b`` is ``b`` and ``0 - b`` is ``-b``,
+    whatever their memory layout; a sum that broadcasts goes through ``op``.
     """
     za, zb = _is_zero(a), _is_zero(b)
-    if not (za or zb):
-        return op(a, b)
     if za and zb:
         return _zero_table(np.broadcast_shapes(a.shape, b.shape))
-    keep = a if zb else b if op is np.add else None
-    if keep is not None and keep.flags.c_contiguous and a.shape == b.shape:
-        return keep
-    return op(a, b, order="C")
+    if (za or zb) and a.shape == b.shape:
+        return a if zb else b if op is np.add else -b
+    return op(a, b)
 
 
 def _derivative_part(f: "Jet") -> "Jet":

@@ -7,8 +7,11 @@ generator of ``(target_name, points, residual, scale)`` tuples, one per
 measurement; residual and scale are tensors, jets, arrays or numbers.
 ``_register`` wraps the body into ``Check.fn``, which folds consecutive
 yields that share a target name (a spacetime or a field scenario) into one
-:class:`Target`: their points are summed and their ``_stats(residual,
-scale)`` pairs are combined by ``_worst``, so a NaN or inf is never dropped.
+:class:`Target`: their points are summed, ``value_abs`` is the largest
+|residual| over the yields and ``value_rel`` is that divided by the largest
+|scale|, the normwise relative error of the target.  Both maxima propagate
+NaN and a scale that is not finite makes ``value_rel`` NaN, so a NaN or inf
+residual or scale is never dropped.
 All randomness is seeded from the run configuration, so a report is a pure
 function of its configuration.
 """
@@ -79,7 +82,7 @@ from .catalog import (
     verify_scenario_claims,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SUITE_ORDER = (
     "tilde-algebra",
@@ -154,16 +157,21 @@ class CheckOutcome:
     def max_rel(self):
         return _max_residual([t.value_rel for t in self.targets])
 
+    @property
+    def value(self):
+        """The figure the check is judged on: ``max_abs`` or ``max_rel``,
+        as its ``measure`` says."""
+        return self.max_abs if self.check.measure == "abs" else self.max_rel
+
     def passed(self, tolerance):
         """A non-finite residual fails in either mode, and so does a check
         that measured no point."""
         if self.points == 0 or not (math.isfinite(self.max_abs)
                                     and math.isfinite(self.max_rel)):
             return False
-        v = self.max_abs if self.check.measure == "abs" else self.max_rel
         if self.check.mode == "below":
-            return v <= tolerance
-        return v >= tolerance
+            return self.value <= tolerance
+        return self.value >= tolerance
 
 
 def _max_residual(values) -> float:
@@ -181,18 +189,17 @@ class RunContext:
     through their memoised ``truncate(order)`` views.  ``run_checks`` builds
     one context at the highest order its checks declare and hands each
     check ``at(check.jet_order)``, a view of it that shares every cache.
-    The caches hold no order in their keys:
+    The caches:
 
     - ``_frames``: one metric frame per (spacetime, box).  The spacetime's
       Killing and parallel claims are verified on it when it is built.
     - ``_theories``: one :class:`TheoryFrame` per scenario.  The scenario's
       claim is verified on it when it is built, on the run's own sample
       points, before any check reads it.
-    - ``_gauge``: one TheoryFrame per Maxwell scenario with its potential
-      shifted by the gradient of a seeded chi, read through its views like
-      ``_theories``.  Keeping only its T_M, T_B and T_C at the build order
-      would hold less memory but costs more time: they would be formed at
-      that order, above the order the gauge checks read them at.
+    - ``_gauge``: the T_M, T_B and T_C of a Maxwell scenario with its
+      potential shifted by the gradient of a seeded chi, per (scenario,
+      order).  The shifted theory is evaluated on the scenario's frame view
+      at the order its checks read, and only those three tensors are kept.
     - ``_random``: one evaluation of each seeded random field (the xis of
       ``random_xis`` and the tensors of ``_random_tensors``) per
       (variance, box, seed, frame).  Every frame a check evaluates on is a
@@ -282,17 +289,19 @@ class RunContext:
 
     def gauge_shifted_emts(self, scen_name) -> tuple:
         """``(T_M, T_B, T_C)`` of a Maxwell scenario with its potential
-        shifted by the gradient of a seeded random scalar chi, on the
-        shifted theory's view at this order."""
-        if scen_name not in self._gauge:
+        shifted by the gradient of a seeded random scalar chi, evaluated on
+        the scenario's frame at this order."""
+        key = (scen_name, self.order)
+        if key not in self._gauge:
             sc = scenario(scen_name)
-            fr = self.at(self.build_order).theory_frame(scen_name).frame
+            self.theory_frame(scen_name)   # verifies the scenario's claim
+            fr = self.frame(sc.spacetime, box=scenario_box(sc))
             chi = random_tensor_field((), spacetime(sc.spacetime).box,
                                       self.cfg.seed + 5000)
-            shifted = gauge_shifted(sc.field, chi)
-            self._gauge[scen_name] = evaluate_theory(sc.theory, shifted, fr)
-        tf = self._gauge[scen_name].truncate(self.order)
-        return tuple(_frozen(t) for t in (tf.emt_metric, tf.emt_belinfante, tf.emt_canonical))
+            tf = evaluate_theory(sc.theory, gauge_shifted(sc.field, chi), fr)
+            self._gauge[key] = tuple(_frozen(t) for t in (
+                tf.emt_metric, tf.emt_belinfante, tf.emt_canonical))
+        return self._gauge[key]
 
 
 def _frozen(t: TensorValue) -> TensorValue:
@@ -316,34 +325,26 @@ def _register(**kw):
 
 def _fold(yields) -> list:
     """One Target per run of consecutive ``(name, points, residual, scale)``
-    yields sharing a name: points summed, ``_stats`` pairs combined by
-    ``_worst`` starting from (0, 0)."""
+    yields sharing a name: points summed, ``value_abs`` the largest
+    |residual| and ``value_rel`` that over the largest |scale| (at least
+    1e-300).  Both maxima propagate NaN, and a scale that is not finite
+    makes ``value_rel`` NaN, so a non-finite residual or scale in any yield
+    reaches its target.  A target of one yield reads
+    ``r / max(max_abs(scale), 1e-300)``, r being ``max_abs(residual)``."""
     targets = []
     for name, points, residual, scale in yields:
-        pair = _stats(residual, scale)
+        r, s = max_abs(residual), max_abs(scale)
         del residual, scale   # not kept alive while the body computes its next yield
         if not targets or targets[-1].name != name:
             targets.append(Target(name, 0, 0.0, 0.0))
+            top_scale = 0.0
         t = targets[-1]
         t.points += points
-        t.value_abs, t.value_rel = _worst((t.value_abs, t.value_rel), pair)
+        t.value_abs = float(np.maximum(t.value_abs, r))
+        top_scale = float(np.maximum(top_scale, s))
+        t.value_rel = (t.value_abs / max(top_scale, 1e-300) if math.isfinite(top_scale)
+                       else math.nan)
     return targets
-
-
-def _stats(residual, scale) -> tuple:
-    r = max_abs(residual)
-    return r, r / max(max_abs(scale), 1e-300)
-
-
-def _worst(a: tuple, b: tuple) -> tuple:
-    """The larger of two ``(abs, rel)`` residual pairs, compared as tuples.
-
-    If either pair holds a NaN or inf, the componentwise maximum is returned
-    with NaN propagated, so a non-finite residual is never dropped.
-    """
-    if all(math.isfinite(v) for v in a + b):
-        return max(a, b)
-    return tuple(float(v) for v in np.maximum(a, b))
 
 
 # --------------------------------------------------------------------------

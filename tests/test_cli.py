@@ -19,7 +19,7 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
                     "--report", str(rp), "--quiet"])
     assert code == EXIT_PASS
     report = json.loads(rp.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert "engine_version" in report
     assert report["summary"]["failed"] == 0
     assert report["summary"]["passed"] == len(report["checks"])

@@ -326,6 +326,23 @@ def test_structural_zeros_are_free_read_only_views():
     assert s.data[0] is c.data[0] and jets._is_zero(s.data[1])
 
 
+def test_a_live_table_of_any_layout_passes_a_sum_with_a_zero():
+    """``x ± 0`` and ``0 + x`` hand on x's own tables even when they are not
+    C-contiguous, ``0 - x`` is ``-x``, and a sum that broadcasts still adds."""
+    rng = np.random.default_rng(5)
+    x = Jet(2, 1, 1, [rng.normal(size=(3, 4)).T,
+                      rng.normal(size=(2, 3, 4)).transpose(2, 1, 0)])
+    assert not any(t.flags.c_contiguous for t in x.data)
+    z = zeros_jet(2, 1, 1, (4, 3))
+    for s in (x + z, z + x, x - z):
+        assert all(got is t for got, t in zip(s.data, x.data, strict=True))
+    for got, t in zip((z - x).data, x.data, strict=True):
+        assert np.array_equal(got, -t)
+    wide = zeros_jet(2, 1, 1, (5, 4, 3)) + x
+    assert all(got.shape == (5,) + t.shape and np.array_equal(got[2], t)
+               for got, t in zip(wide.data, x.data, strict=True))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_non_finite_values_reach_the_value_table(order):
     # a structural zero may drop the 0 * NaN terms it would have produced,

@@ -33,11 +33,10 @@ from emtkit.suites import (
     SUITE_ORDER,
     Target,
     _fold,
-    _stats,
-    _worst,
     build_report,
     run_checks,
 )
+from emtkit.tensors import max_abs
 
 NAN, INF = float("nan"), float("inf")
 
@@ -79,21 +78,30 @@ def test_non_finite_relative_residual_fails_check(check_id):
     assert not oc.passed(check.tolerance)
 
 
-@pytest.mark.parametrize("bad", [(NAN, NAN), (1e-16, NAN), (INF, INF)])
+@pytest.mark.parametrize("bad", [(NAN, 1.0), (1e-16, NAN), (INF, INF), (1e-16, INF)])
 def test_worst_keeps_non_finite_pair_in_either_position(bad):
-    good = (3e-3, 1e-9)
-    for pair in (_worst(bad, good), _worst(good, bad)):
-        assert not all(math.isfinite(v) for v in pair)
-        assert not pair[0] < good[0]          # a finite residual is not hidden
-    acc = (0.0, 0.0)
-    for s in (good, bad, (1e-20, 1e-20)):
-        acc = _worst(acc, s)
-    assert not all(math.isfinite(v) for v in acc)
+    """A NaN or inf residual or scale, in any yield of a target, leaves the
+    target non-finite and hides no finite residual."""
+    good = [(3e-3, 1.0), (1e-20, 1e-20)]
+    for position in range(len(good) + 1):
+        pairs = good[:position] + [bad] + good[position:]
+        (target,) = _fold(("t", 1, r, s) for r, s in pairs)
+        assert not (math.isfinite(target.value_abs) and math.isfinite(target.value_rel))
+        assert not target.value_abs < 3e-3
+        assert not CheckOutcome(CHECKS["tilde-identity-map"], [target], 0.0).passed(1.0)
 
 
-def test_worst_of_finite_pairs_is_the_tuple_maximum():
-    assert _worst((1e-3, 1e-9), (1e-4, 1.0)) == (1e-3, 1e-9)
-    assert _worst((0.0, 0.0), (2e-14, 5e-15)) == (2e-14, 5e-15)
+def test_fold_of_finite_yields_is_the_ratio_of_their_maxima():
+    """max|r| / max|s| over a target's yields: neither the ratio of the yield
+    with the largest |r| (1e-3 / 10) nor the largest per-yield ratio, which
+    a roundoff scale blows up (1e-8 / 1e-12)."""
+    pairs = [(np.array([1e-3, -2e-4]), 10.0), (-1e-4, np.array([[100.0], [-3.0]])),
+             (1e-8, 1e-12)]
+    (target,) = _fold(("t", 1, r, s) for r, s in pairs)
+    assert (target.value_abs, target.value_rel) == (1e-3, 1e-3 / 100.0)
+    oc = CheckOutcome(CHECKS["tilde-identity-map"],
+                      [target, Target("u", 1, 1e-2, 1e-6)], 0.0)
+    assert (oc.max_abs, oc.max_rel) == (1e-2, 1e-5)
 
 
 def test_finite_targets_still_pass():
@@ -101,6 +109,12 @@ def test_finite_targets_still_pass():
     oc = CheckOutcome(check, [Target("a", 1, 0.0, 0.0), Target("b", 1, 1e-15, 1e-15)], 0.0)
     assert oc.max_abs == 1e-15 and oc.passed(check.tolerance)
     assert CheckOutcome(check, [], 0.0).max_abs == 0.0
+
+
+def test_outcome_value_is_the_figure_its_measure_names():
+    targets = [Target("a", 1, 2e-10, 3e-7)]
+    assert CheckOutcome(CHECKS["tilde-identity-map"], targets, 0.0).value == 2e-10
+    assert CheckOutcome(CHECKS["variational-agreement-4d"], targets, 0.0).value == 3e-7
 
 
 def test_a_check_that_measures_no_point_fails():
@@ -124,9 +138,12 @@ def test_fold_merges_consecutive_yields_of_one_target():
               ("a", 4, r[3], 1.0)]
     got = _fold(iter(yields))
     assert [(t.name, t.points) for t in got] == [("a", 5), ("b", 1), ("a", 4)]
-    assert (got[0].value_abs, got[0].value_rel) == _worst(_stats(r[0], 1.0),
-                                                         _stats(r[1], r[0]))
-    assert (got[2].value_abs, got[2].value_rel) == _stats(r[3], 1.0)
+    top = max_abs(r[0])
+    assert top > 1.0 > max_abs(r[1])
+    # the first target's scales are 1 and |r[0]|, so its ratio is |r[0]| / |r[0]|
+    assert (got[0].value_abs, got[0].value_rel) == (top, 1.0)
+    assert (got[1].value_abs, got[1].value_rel) == (max_abs(r[2]), max_abs(r[2]) / 2.0)
+    assert (got[2].value_abs, got[2].value_rel) == (max_abs(r[3]), max_abs(r[3]))
 
 
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
@@ -150,7 +167,8 @@ def test_fold_of_a_single_yield_is_its_stats_bit_for_bit(scale):
              "jet": Jet(2, 1, 2, [res[::-1], np.ones((3, 4, 2))]),
              "empty": np.empty(0)}.get(scale, scale)
     (target,) = _fold([("only", 7, res, scale)])
-    want = Target("only", 7, *_stats(res, scale))
+    r = max_abs(res)
+    want = Target("only", 7, r, r / max(max_abs(scale), 1e-300))
     assert repr(target) == repr(want)
 
 
@@ -299,6 +317,16 @@ def test_gauge_checks_share_one_shifted_theory_per_scenario(monkeypatch):
     gauge_scenarios = [sc for sc in SCENARIOS.values() if sc.theory.name == "maxwell"]
     assert len(outcomes) == 3 and all(oc.targets for oc in outcomes)
     assert counts["shifted"] == len(gauge_scenarios) > 0
+
+
+def test_gauge_shifted_theories_are_built_at_the_order_their_checks_read(monkeypatch):
+    orders = _count_calls(monkeypatch, "evaluate_theory", lambda theory, field, fr: (
+        fr.order if field.name.endswith("+grad chi") else None))
+    cfg = RunConfig(suites=("emt-onshell", "gauge"), points=2, xi_count=1)
+    assert max(c.jet_order for c in CHECKS.values() if c.suite in cfg.suites) == 3
+    run_checks(cfg)
+    gauge_orders = {c.jet_order for c in CHECKS.values() if c.suite == "gauge"}
+    assert set(orders) == gauge_orders == {2}
 
 
 def test_cached_field_tables_are_read_only():
