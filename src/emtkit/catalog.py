@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, constant_jet, jsin, jcos, jexp, jlog, jreciprocal, jsqrt, jet_stack
+from .jets import (Jet, constant_jet, jsin, jcos, jexp, jlog, jreciprocal, jsqrt, jet_einsum,
+                   jet_stack)
 from .geometry import (
     MetricField,
     TensorField,
@@ -494,8 +495,7 @@ def bump_perturbation(box, seed: int, width_frac: float = 0.09) -> TensorField:
         for i in range(n):
             u = (coords[i] - center[i]) * (1.0 / width[i])
             r2 = u * u if r2 is None else r2 + u * u
-        bump = jexp(-r2)
-        return jet_stack([[M[i, j] * bump for j in range(n)] for i in range(n)])
+        return jet_einsum(",ab->ab", jexp(-r2), M)
 
     return TensorField(("d", "d"), fn, name=f"bump-{seed}")
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from .jets import (
     Jet,
+    _derivative_part,
     constant_jet,
     differentiate,
     jet_einsum,
@@ -54,6 +55,7 @@ from .jets import (
 )
 from .tensors import (
     TensorValue,
+    _permuted,
     antisymmetrize_pair,
     contract,
     raise_slot,
@@ -169,12 +171,12 @@ def a_einsum(subs: str, x: ArgTensor, y: ArgTensor) -> ArgTensor:
 
 
 def a_transpose(x: ArgTensor, perm) -> ArgTensor:
-    """Slot permutation: slot k of the result is slot ``perm[k]`` of ``x``."""
-    src = _slot_letters(x.rank)
-    dst = "".join(src[p] for p in perm)
-    one = np.float64(1.0)
-    return ArgTensor(jet_einsum(f"{src},->{dst}", x.comps, one),
-                     ((x, lambda bar: jet_einsum(f"{dst},->{src}", bar, one)),))
+    """Slot permutation: slot k of the result is slot ``perm[k]`` of ``x``.
+    Its value is a view of ``x``'s tables, and its adjoint applies the
+    inverse permutation to ``bar``, again as a view."""
+    comps = _permuted(x.comps, x.rank, perm)
+    inverse = tuple(np.argsort(perm))
+    return ArgTensor(comps, ((x, lambda bar: _permuted(bar, x.rank, inverse)),))
 
 
 def _inverse_metric_arg(g_arg: ArgTensor, inv: Jet) -> ArgTensor:
@@ -610,6 +612,14 @@ def variational_pair(theory, field, metric: MetricField, h: TensorField,
     fixed and g -> g + eps h.  h must be compactly supported inside the box.
     Both sides read one frame of g + eps h per chunk, eps a jet variable at
     0, and one theory on it.
+
+    Each chunk builds its tables only to the order that something reads.
+    g is at order 2, because Gamma's order-1 table reads d^2 g.  g^-1 and
+    sqrt|g| are at order 1: Gamma, the tape, W, P, g^ab L, L sqrt|g| and
+    T_M h sqrt|g| read them no higher.  L and dL/dg come out at order 1,
+    which d_eps(L sqrt|g|) reads, and T_M at order 0.  eps h has no value
+    table, since eps is 0 at every point, and T_M pairs with h's values from
+    the support guard.
     """
     n = metric.n
     pts, vol = _midpoint_grid(box, shape)
@@ -629,7 +639,7 @@ def variational_pair(theory, field, metric: MetricField, h: TensorField,
     def eps_metric_fn(coords):
         base = metric.fn(coords[:n])
         hj = h.fn(coords[:n])
-        return base + jet_einsum("ab,->ab", hj, coords[n])
+        return base + jet_einsum("ab,->ab", hj, _derivative_part(coords[n]))
 
     eps_metric = MetricField(metric.name + "+eps*h", n, metric.signature, eps_metric_fn)
     pts_ext = np.concatenate([pts, np.zeros((npts, 1))], axis=1)
@@ -638,11 +648,10 @@ def variational_pair(theory, field, metric: MetricField, h: TensorField,
     rhs_vals = np.empty(npts)
     for lo in range(0, npts, _CHUNK):
         hi = min(lo + _CHUNK, npts)
-        fr = geometry_at(eps_metric, pts_ext[lo:hi], 2)
+        fr = geometry_at(eps_metric, pts_ext[lo:hi], 2, ginv_order=1)
         tf = evaluate_theory(theory, field, fr)
         lhs_vals[lo:hi] = partial_in_var(tf.L * fr.sqrt_g, n).data[0]
-        hv = evaluate(h, fr)
-        dens = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, hv.components)
+        dens = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, hvals[lo:hi])
         rhs_vals[lo:hi] = (dens * fr.sqrt_g).data[0]
 
     return vol * float(np.sum(lhs_vals)), vol * float(np.sum(rhs_vals))

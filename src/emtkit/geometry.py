@@ -3,7 +3,7 @@
 Everything here is evaluated at a batch of sample points wrapped in a
 :class:`Frame`: the metric and its exact coordinate derivatives (as jets),
 the inverse metric, the volume factor sqrt|det g|, the Christoffel symbols,
-and (lazily, cached on the frame) the curvature tensors and D g.
+and (lazily, cached on the frame) the Riemann tensor and D g.
 
 Index layout conventions used throughout:
 
@@ -12,7 +12,6 @@ Index layout conventions used throughout:
 * ``gamma[b, c, a]`` holds Gamma^b_{ca}.
 * ``riemann[e, c, a, b]`` holds R^e_{cab}, the convention fixed by
   ``(D_a D_b - D_b D_a) v^e = R^e_{cab} v^c``.
-* ``ricci[c, b] = riemann[a, c, a, b]``.
 
 The covariant derivative of an arbitrary tensor is computed through the
 index-replacement map:
@@ -163,10 +162,15 @@ def partial_tensor(t: TensorValue) -> TensorValue:
 class Frame:
     """Geometry of one metric evaluated at a batch of sample points.
 
-    The curvature tensors and D g are computed on first use and cached, so
-    every vector field evaluated on the frame shares them."""
+    The Riemann tensor and D g are computed on first use and cached, so
+    every vector field evaluated on the frame shares them.  g^-1 and
+    sqrt|g| are built at jet order ``ginv_order`` (default: g's order); a
+    lower one serves callers that read them at most to that order, since an
+    order-m coefficient never reads a higher one.  :meth:`truncate` drops
+    as many orders from them as from g."""
 
-    def __init__(self, metric: MetricField, coords: list[Jet], g: TensorValue):
+    def __init__(self, metric: MetricField, coords: list[Jet], g: TensorValue, *,
+                 ginv_order: int | None = None):
         self.metric = metric
         self.n = metric.n
         self.coords = coords
@@ -179,8 +183,9 @@ class Frame:
                 f"|det g| <= {_DEGENERATE_TOL} at a sample point of metric "
                 f"'{metric.name}'"
             )
-        self.sqrt_g = jet_sqrt_abs_det(g.components)
-        self.ginv = TensorValue(("u", "u"), self.n, jet_matrix_inverse(g.components))
+        gj = g.components if ginv_order is None else jet_truncate(g.components, ginv_order)
+        self.sqrt_g = jet_sqrt_abs_det(gj)
+        self.ginv = TensorValue(("u", "u"), self.n, jet_matrix_inverse(gj))
         self.gamma = self._christoffel()
 
     def _christoffel(self) -> TensorValue:
@@ -213,14 +218,6 @@ class Frame:
         gg2 = jet_einsum("edb,dca->ecab", self.gamma.components, self.gamma.components)
         comps = r1.components - r2.components + gg1 - gg2
         return TensorValue(("u", "d", "d", "d"), self.n, comps)
-
-    @cached_property
-    def ricci(self) -> TensorValue:
-        return contract(self.riemann, 0, 2)
-
-    @cached_property
-    def ricci_scalar(self) -> Jet:
-        return jet_einsum("ab,ab->", self.ginv.components, self.ricci.components)
 
 
 def _drop_orders(x, k: int):
@@ -255,12 +252,14 @@ def _truncated_view(obj, k: int, jets: tuple, same: dict):
     return views[k]
 
 
-def geometry_at(metric: MetricField, points: np.ndarray, order: int) -> Frame:
+def geometry_at(metric: MetricField, points: np.ndarray, order: int, *,
+                ginv_order: int | None = None) -> Frame:
     """Evaluate the metric geometry at sample points.
 
     ``points`` has shape batch + (k,) with k >= metric.n; any extra columns
     become auxiliary differentiation variables (they never appear as tensor
-    slots, only as extra derivative directions).
+    slots, only as extra derivative directions).  ``ginv_order`` is passed
+    to :class:`Frame`.
     """
     points = np.asarray(points, dtype=float)
     k = points.shape[-1]
@@ -272,7 +271,7 @@ def geometry_at(metric: MetricField, points: np.ndarray, order: int) -> Frame:
     asym = np.max(np.abs(comps.data[0] - np.swapaxes(comps.data[0], -1, -2)))
     if asym > 1e-12:
         raise ValueError(f"metric '{metric.name}' returned non-symmetric components")
-    return Frame(metric, coords, g)
+    return Frame(metric, coords, g, ginv_order=ginv_order)
 
 
 def evaluate(fieldlike, frame: Frame) -> TensorValue:

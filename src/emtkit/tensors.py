@@ -3,9 +3,11 @@
 A ``TensorValue`` is a concrete tensor at a point (or a broadcastable batch of
 points): an ordered list of slots, each contravariant ('u') or covariant
 ('d'), over components stored either as a plain float array or as a
-:class:`~emtkit.jets.Jet` whose value axes are the slots.  All index
-gymnastics run through einsum so that batch axes and derivative tables
-ride along untouched.
+:class:`~emtkit.jets.Jet` whose value axes are the slots.  Contractions and
+products run through einsum so that batch axes and derivative tables ride
+along untouched; a slot permutation is an ``ndarray.transpose`` view of
+each table, which copies nothing and shares memory with its input (safe
+because no table is written after construction; see :mod:`emtkit.jets`).
 
 The central algebraic operation here is :func:`tilde`: it maps a tensor of
 type (p, q) to type (p+1, q+1) by summing, over every slot, the copy of the
@@ -36,7 +38,6 @@ __all__ = [
     "contract",
     "transpose_slots",
     "raise_slot",
-    "lower_slot",
     "symmetrize_pair",
     "antisymmetrize_pair",
     "levi_civita",
@@ -222,16 +223,26 @@ def contract(t: TensorValue, i: int, j: int) -> TensorValue:
     return TensorValue(var, t.n, comps)
 
 
-def transpose_slots(t: TensorValue, perm) -> TensorValue:
-    """Reorder slots so that new slot k is old slot perm[k]."""
+def _permuted(comps, rank: int, perm):
+    """``comps`` of a rank-``rank`` tensor (a Jet or an array) with new slot
+    k taken from old slot ``perm[k]``: a transposed view of every table, with
+    the batch and derivative axes in place."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(t.rank)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{t.rank - 1}")
-    src = _LETTERS[: t.rank]
-    dst = "".join(src[p] for p in perm)
-    comps = jet_einsum(f"{src},->{dst}", t.components, np.float64(1.0))
-    var = tuple(t.variance[p] for p in perm)
-    return TensorValue(var, t.n, comps)
+    if sorted(perm) != list(range(rank)):
+        raise ValueError(f"perm {perm} is not a permutation of 0..{rank - 1}")
+    jet = isinstance(comps, Jet)
+    tables = comps.data if jet else (np.asarray(comps, dtype=float),)
+    nb = tables[0].ndim - rank
+    views = [t.transpose((*range(nb), *(nb + p for p in perm), *range(nb + rank, t.ndim)))
+             for t in tables]
+    return Jet(comps.nvars, comps.order, rank, views) if jet else views[0]
+
+
+def transpose_slots(t: TensorValue, perm) -> TensorValue:
+    """Reorder slots so that new slot k is old slot perm[k]; the components
+    are views of those of ``t``."""
+    comps = _permuted(t.components, t.rank, perm)
+    return TensorValue(tuple(t.variance[p] for p in perm), t.n, comps)
 
 
 def raise_slot(t: TensorValue, i: int, inverse_metric: TensorValue) -> TensorValue:
@@ -244,19 +255,6 @@ def raise_slot(t: TensorValue, i: int, inverse_metric: TensorValue) -> TensorVal
     dst = slots[:i] + A + slots[i + 1:]
     comps = jet_einsum(f"{slots},{A}{slots[i]}->{dst}", t.components, inverse_metric.components)
     var = t.variance[:i] + ("u",) + t.variance[i + 1:]
-    return TensorValue(var, t.n, comps)
-
-
-def lower_slot(t: TensorValue, i: int, metric: TensorValue) -> TensorValue:
-    if t.variance[i] != "u":
-        raise ValueError(f"slot {i} is already covariant")
-    if metric.variance != ("d", "d"):
-        raise ValueError("metric must be type (0,2)")
-    slots = _LETTERS[: t.rank]
-    A, B = _free_letters(set(slots), 2)
-    dst = slots[:i] + A + slots[i + 1:]
-    comps = jet_einsum(f"{slots},{A}{slots[i]}->{dst}", t.components, metric.components)
-    var = t.variance[:i] + ("d",) + t.variance[i + 1:]
     return TensorValue(var, t.n, comps)
 
 

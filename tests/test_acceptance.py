@@ -49,12 +49,12 @@ from emtkit.geometry import (
     lie_nabla_from_connection,
     volume_lie_residual,
 )
+from emtkit.jets import jet_einsum
 from emtkit.suites import RunConfig, build_report, report_json, run_checks
 from emtkit.tensors import (
     TensorValue,
     antisymmetrize_pair,
     contract,
-    lower_slot,
     max_abs,
     raise_slot,
     tensor_product,
@@ -146,7 +146,7 @@ def test_gate_02_metric_and_volume_flow():
         pts = sample_points(st.box, 64, seed=202)
         fr = geometry_at(st.metric, pts, 3)
         xi = evaluate(random_vector_field(st.box, seed=203), fr)
-        xil = lower_slot(xi, 0, fr.g)
+        xil = TensorValue(("d",), fr.n, jet_einsum("ab,b->a", fr.g.components, xi.components))
         dxil = covariant_derivative(xil, fr)          # [b, a] = D_a xi_b
         sym = dxil + transpose_slots(dxil, (1, 0))
         h = lie_derivative(fr.g, xi, fr)
@@ -318,9 +318,9 @@ def test_gate_08_metric_derivative_identity():
             dA = tf.dpsi                              # [i, a] = D_a A_i
             F = transpose_slots(dA, (1, 0)) - dA      # [a, b] = F_ab
             Fup = raise_slot(raise_slot(F, 0, tf.frame.ginv), 1, tf.frame.ginv)
-            Fmix = lower_slot(Fup, 1, tf.frame.g)     # [a, c] = F^a_c
-            want = np.einsum("...ac,...bc->...ab", value_array(Fup),
-                             value_array(Fmix))
+            Fmix = np.einsum("...ab,...bc->...ac", value_array(Fup),
+                             value_array(tf.frame.g))  # [a, c] = F^a_c
+            want = np.einsum("...ac,...bc->...ab", value_array(Fup), Fmix)
             worst_spec = fold_max(worst_spec, float(np.max(np.abs(
                 2.0 * value_array(tf.dL_dg) - want))))
     ok = worst_id <= 1e-9 and worst_sym <= 1e-9 and worst_spec <= 1e-9

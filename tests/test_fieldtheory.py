@@ -398,20 +398,90 @@ def test_variational_pair_exercises_connection_term():
 
 def test_variational_pair_builds_one_frame_and_one_theory_per_chunk(monkeypatch):
     calls = {"geometry_at": 0, "evaluate_theory": 0}
+    frames = []
     for name in calls:
         real = getattr(fieldtheory, name)
 
-        def counted(*args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            out = _real(*args, **kwargs)
+            if _name == "geometry_at":
+                frames.append(out)
+            return out
 
         monkeypatch.setattr(fieldtheory, name, counted)
     sc = SCENARIOS["gradient-vector-2d"]
     h = bump_perturbation(MINK2.box, seed=61)
+    h_calls = []
+    h = dataclasses.replace(h, fn=lambda coords, _fn=h.fn: h_calls.append(1) or _fn(coords))
     variational_pair(sc.theory, sc.field, MINK2.metric, h, MINK2.box, (64, 64))
     chunks = 64 * 64 // fieldtheory._CHUNK
     assert chunks == 4
     assert calls == {"geometry_at": chunks, "evaluate_theory": chunks}
+    # the support guard's values, then one eps-metric per chunk
+    assert len(h_calls) == 1 + chunks
+    for fr in frames:
+        assert fr.g.components.order == 2
+        assert fr.ginv.components.order == 1
+        assert fr.sqrt_g.order == 1
+
+
+def _stacked_bump(box, seed, width_frac=0.09):
+    """``bump_perturbation`` with its matrix stacked from n * n scaled jets."""
+    rng = np.random.default_rng(seed)
+    n = len(box)
+    M = rng.normal(size=(n, n))
+    M = 0.1 * (M + M.T) / 2.0
+    center = np.array([(b[0] + b[1]) / 2 for b in box])
+    width = np.array([(b[1] - b[0]) * width_frac for b in box])
+
+    def fn(coords):
+        r2 = None
+        for i in range(n):
+            u = (coords[i] - center[i]) * (1.0 / width[i])
+            r2 = u * u if r2 is None else r2 + u * u
+        bump = jets.jexp(-r2)
+        return jets.jet_stack([[M[i, j] * bump for j in range(n)] for i in range(n)])
+
+    return dataclasses.replace(bump_perturbation(box, seed, width_frac), fn=fn)
+
+
+def _full_order_pair(theory, field, metric, h, box, shape):
+    """``variational_pair`` with every table of a chunk at the frame's order:
+    g^-1 and sqrt|g| at order 2, eps h read through eps's value table, and
+    T_M paired with h evaluated on the chunk's frame."""
+    n = metric.n
+    pts, vol = fieldtheory._midpoint_grid(box, shape)
+    npts = pts.shape[0]
+
+    def eps_metric_fn(coords):
+        return metric.fn(coords[:n]) + jet_einsum("ab,->ab", h.fn(coords[:n]), coords[n])
+
+    eps_metric = MetricField(metric.name + "+eps*h", n, metric.signature, eps_metric_fn)
+    pts_ext = np.concatenate([pts, np.zeros((npts, 1))], axis=1)
+    lhs_vals, rhs_vals = np.empty(npts), np.empty(npts)
+    for lo in range(0, npts, fieldtheory._CHUNK):
+        hi = min(lo + fieldtheory._CHUNK, npts)
+        fr = geometry_at(eps_metric, pts_ext[lo:hi], 2)
+        tf = evaluate_theory(theory, field, fr)
+        lhs_vals[lo:hi] = partial_in_var(tf.L * fr.sqrt_g, n).data[0]
+        hv = evaluate(h, fr)
+        dens = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, hv.components)
+        rhs_vals[lo:hi] = (dens * fr.sqrt_g).data[0]
+    return vol * float(np.sum(lhs_vals)), vol * float(np.sum(rhs_vals))
+
+
+@pytest.mark.parametrize("name, shape", [("gradient-vector-2d", (32, 32)),
+                                         ("em-wave-4d", (8, 8, 8, 8))])
+def test_variational_pair_equals_the_full_order_recipe_bit_for_bit(name, shape):
+    sc = SCENARIOS[name]
+    st = spacetime(sc.spacetime)
+    got = variational_pair(sc.theory, sc.field, st.metric,
+                           bump_perturbation(st.box, 9000), st.box, shape)
+    want = _full_order_pair(sc.theory, sc.field, st.metric,
+                            _stacked_bump(st.box, 9000), st.box, shape)
+    assert abs(got[0]) > 1e-3
+    assert got == want
 
 
 def test_variational_support_guard():
@@ -513,6 +583,34 @@ def test_evaluate_theory_is_reentrant():
                                   value_array(getattr(alone, attr)))
         assert np.array_equal(value_array(got.dL_dg), value_array(alone.dL_dg))
         assert max_abs(alone.dL_dg) > 0.0
+
+
+def test_a_transpose_adjoint_applies_the_inverse_permutation():
+    frame = mink4_frame(count=5, order=2)
+    x = ArgTensor(evaluate(random_tensor_field(("u", "d", "u"), MINK4.box, seed=101),
+                           frame).components)
+    node = fieldtheory.a_transpose(x, (1, 2, 0))
+    assert np.array_equal(node.comps.data[0], np.einsum("...ijk->...jki", x.comps.data[0]))
+    rng = np.random.default_rng(103)
+    bar = Jet(x.comps.nvars, x.comps.order, 3,
+              [rng.normal(size=t.shape) for t in node.comps.data])
+    (parent, adjoint), = node.parents
+    assert parent is x
+    back = adjoint(bar)
+    for m in range(x.comps.order + 1):
+        # <bar, P x> = <P* bar, x>, table by table and point by point
+        lhs = np.sum(bar.data[m] * node.comps.data[m], axis=(1, 2, 3))
+        rhs = np.sum(back.data[m] * x.comps.data[m], axis=(1, 2, 3))
+        assert np.max(np.abs(lhs)) > 1e-3
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=0)
+        assert np.shares_memory(back.data[m], bar.data[m])
+
+
+@pytest.mark.parametrize("perm", [(0,), (0, 0), (1, 2), (0, 1, 2)])
+def test_a_transpose_rejects_a_malformed_perm(perm):
+    x = ArgTensor(Jet(2, 1, 2, [np.arange(4.0).reshape(2, 2), np.zeros((2, 2, 2))]))
+    with pytest.raises(ValueError, match="not a permutation"):
+        fieldtheory.a_transpose(x, perm)
 
 
 @pytest.mark.parametrize("subs", ["aa,->", "ab,bb->a", "ab,b->", "a,b->a", "ab,c->b"])

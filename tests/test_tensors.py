@@ -19,7 +19,6 @@ from emtkit.tensors import (
     antisymmetrize_pair,
     contract,
     levi_civita,
-    lower_slot,
     max_abs,
     raise_slot,
     symmetrize_pair,
@@ -29,7 +28,8 @@ from emtkit.tensors import (
     transpose_slots,
     value_array,
 )
-from emtkit.jets import Jet, jet_einsum
+from emtkit.jets import Jet, _is_zero, _zero_table, jet_einsum
+from emtkit.suites import _frozen
 
 
 def tilde_loops(variance, comps):
@@ -273,6 +273,63 @@ def test_transpose_slots_permutes():
     assert np.allclose(value_array(got), want)
 
 
+def special_components(rank, order, n=3, nvars=2, batch=(2,)):
+    """Components with -0.0, NaN and inf in every live table; above order 0
+    the top table is a structural zero.  Order None gives a plain array."""
+    rng = np.random.default_rng(rank * 5 + (order or 0))
+    live = []
+    for m in range(1 if order is None else order + 1):
+        t = rng.normal(size=batch + (n,) * rank + (nvars,) * m)
+        t.flat[:3] = (-0.0, np.nan, np.inf)
+        t.flat[-1] = -np.inf
+        live.append(t)
+    if order is None:
+        return live[0]
+    if order > 0:
+        live[-1] = _zero_table(live[-1].shape)
+    return Jet(nvars, order, rank, live)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", [None, 0, 1, 2, 3])
+def test_transpose_slots_is_a_view_equal_to_the_einsum_copy(rank, order):
+    comps = special_components(rank, order)
+    t = TensorValue(("u", "d", "u")[:rank], 3, comps)
+    src = "ijk"[:rank]
+    for perm in itertools.permutations(range(rank)):
+        got = transpose_slots(t, perm)
+        assert got.variance == tuple(t.variance[p] for p in perm)
+        dst = "".join(src[p] for p in perm)
+        want = jet_einsum(f"{src},->{dst}", comps, np.float64(1.0))
+        for g, w, c in zip(tables(got.components), tables(want), tables(comps)):
+            assert g.shape == w.shape
+            # NaN and inf keep their bits; the einsum copy summed into +0.0,
+            # so it turned -0.0 into +0.0, which + 0.0 does to the view too
+            assert (g + 0.0).tobytes() == (w + 0.0).tobytes()
+            assert np.shares_memory(g, c)
+            assert _is_zero(g) == _is_zero(c)
+            if not _is_zero(c):
+                assert np.sum(np.signbit(g) & (g == 0)) == np.sum(np.signbit(c) & (c == 0))
+
+
+@pytest.mark.parametrize("order", [None, 0, 2])
+def test_transpose_slots_accepts_a_frozen_tensor(order):
+    t = _frozen(TensorValue(("u", "d", "d"), 3, special_components(3, order)))
+    got = transpose_slots(t, (2, 0, 1))
+    for g in tables(got.components):
+        assert not g.flags.writeable
+    back = transpose_slots(got, (1, 2, 0))
+    for b, c in zip(tables(back.components), tables(t.components)):
+        assert b.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("perm", [(0,), (0, 0), (1, 2), (0, 1, 2)])
+def test_transpose_slots_rejects_a_malformed_perm(perm):
+    t = TensorValue(("u", "d"), 2, np.arange(4.0).reshape(2, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        transpose_slots(t, perm)
+
+
 def test_raise_lower_roundtrip():
     n = 3
     g = RNG.normal(size=(n, n))
@@ -283,8 +340,8 @@ def test_raise_lower_roundtrip():
     a = TensorValue(("d",), n, RNG.normal(size=n))
     up = raise_slot(a, 0, ginvv)
     assert up.variance == ("u",)
-    back = lower_slot(up, 0, gv)
-    assert np.allclose(value_array(back), value_array(a), atol=1e-12)
+    back = np.einsum("ab,b->a", value_array(gv), value_array(up))
+    assert np.allclose(back, value_array(a), atol=1e-12)
 
 
 def test_symmetrize_antisymmetrize_split():
