@@ -196,22 +196,22 @@ def _bump2_killing():
 
 SPACETIMES = {
     "minkowski2": Spacetime(
-        MetricField("minkowski2", 2, "mostly-plus", _flat_fn(2)),
+        MetricField("minkowski2", 2, _flat_fn(2)),
         box=((-2.0, 2.0), (-2.0, 2.0)),
         killing=_mink_killing(2),
     ),
     "minkowski4": Spacetime(
-        MetricField("minkowski4", 4, "mostly-plus", _flat_fn(4)),
+        MetricField("minkowski4", 4, _flat_fn(4)),
         box=((-2.0, 2.0),) * 4,
         killing=_mink_killing(4),
     ),
     "schwarzschild": Spacetime(
-        MetricField("schwarzschild", 4, "mostly-plus", _schwarzschild_fn(1.0)),
+        MetricField("schwarzschild", 4, _schwarzschild_fn(1.0)),
         box=((-1.0, 1.0), (4.0, 12.0), (0.4, math.pi - 0.4), (0.0, 2.0 * math.pi)),
         killing=_schwarzschild_killing(),
     ),
     "bump2": Spacetime(
-        MetricField("bump2", 2, "euclidean", _bump2_fn),
+        MetricField("bump2", 2, _bump2_fn),
         box=((-3.0, 3.0), (-3.0, 3.0)),
         killing=_bump2_killing(),
     ),

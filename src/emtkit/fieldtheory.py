@@ -57,7 +57,6 @@ from .tensors import (
     TensorValue,
     _permuted,
     antisymmetrize_pair,
-    contract,
     raise_slot,
     tilde,
     transpose_slots,
@@ -67,8 +66,10 @@ from .geometry import (
     MetricField,
     TensorField,
     covariant_derivative,
+    divergence,
     evaluate,
     geometry_at,
+    lie_derivative,
     _drop_orders,
     _truncated_view,
 )
@@ -344,9 +345,8 @@ class TheoryFrame:
     @cached_property
     def eom_residual(self) -> TensorValue:
         """D_a dL/d(grad_a psi) - dL/dpsi."""
-        rS = self.dL_ddpsi.rank - 1
-        dG = covariant_derivative(self.dL_ddpsi, self.frame)
-        return contract(dG, rS, rS + 1) - self.dL_dpsi
+        G = self.dL_ddpsi
+        return divergence(G, self.frame, slot=G.rank - 1) - self.dL_dpsi
 
     # -- superpotential and energy-momentum tensors ----------------------
 
@@ -397,15 +397,13 @@ class TheoryFrame:
     @cached_property
     def emt_metric(self) -> TensorValue:
         """T_M^ab = 2 dL/dg_ab - D_c(bracket^cab) + g^ab L."""
-        dbr = covariant_derivative(self._bracket, self.frame)
-        div = contract(dbr, 0, 3)
-        return 2.0 * self.dL_dg - div + self._g_up_L
+        return 2.0 * self.dL_dg - divergence(self._bracket, self.frame) + self._g_up_L
 
     @cached_property
     def div_theta(self) -> TensorValue:
         """D_c Theta^cab, slots [a, b]; shared by the improved tensor and
         every difference current."""
-        return contract(covariant_derivative(self.theta, self.frame), 0, 3)
+        return divergence(self.theta, self.frame)
 
     @cached_property
     def emt_belinfante(self) -> TensorValue:
@@ -460,15 +458,6 @@ def evaluate_theory(theory: LagrangianTheory, field: TensorField, frame: Frame) 
 # --------------------------------------------------------------------------
 
 
-def _scalar_values(j: Jet) -> np.ndarray:
-    return j.data[0]
-
-
-def _div_current(j: TensorValue, frame: Frame) -> Jet:
-    dj = covariant_derivative(j, frame)
-    return contract(dj, 0, 1).components
-
-
 def _lower(xi: TensorValue, frame: Frame) -> TensorValue:
     return TensorValue(("d",), frame.n,
                        jet_einsum("ab,b->a", frame.g.components, xi.components))
@@ -476,9 +465,7 @@ def _lower(xi: TensorValue, frame: Frame) -> TensorValue:
 
 def master_identity_terms(tf: TheoryFrame, xi: TensorValue):
     """(D_a(T_B^ab xi_b), 1/2 T_M^ab (Lie_xi g)_ab) as scalar jets."""
-    from .geometry import lie_derivative
-
-    lhs = _div_current(noether_current(tf, xi), tf.frame)
+    lhs = divergence(noether_current(tf, xi), tf.frame).components
     h = lie_derivative(tf.frame.g, xi, tf.frame)
     rhs = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, h.components)
     return lhs, rhs
@@ -486,10 +473,10 @@ def master_identity_terms(tf: TheoryFrame, xi: TensorValue):
 
 def current_gradient_pairing_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
     """D_a(T_B^ab xi_b) - T_M^ab D_a xi_b."""
-    lhs = _div_current(noether_current(tf, xi), tf.frame)
+    lhs = divergence(noether_current(tf, xi), tf.frame).components
     dxil = covariant_derivative(_lower(xi, tf.frame), tf.frame)   # [b, a] = D_a xi_b
     rhs = jet_einsum("ab,ba->", tf.emt_metric.components, dxil.components)
-    return _scalar_values(lhs - rhs)
+    return (lhs - rhs).data[0]
 
 
 def noether_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
@@ -518,14 +505,8 @@ def difference_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     return TensorValue(("u",), tf.n, t1 + t2)
 
 
-def current_divergence(tf: TheoryFrame, current: TensorValue) -> np.ndarray:
-    return _scalar_values(_div_current(current, tf.frame))
-
-
 def lie_matter_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """j^a = dL/d(grad_a psi) Lie_xi psi - L xi^a."""
-    from .geometry import lie_derivative
-
     G = tf.dL_ddpsi
     lpsi = lie_derivative(tf.psi, xi, tf.frame)
     S = _slot_letters(G.rank - 1)
@@ -541,23 +522,19 @@ def canonical_divergence_terms(tf: TheoryFrame):
     in general the canonical tensor fails to be conserved by exactly this
     curvature term.
     """
-    dT = covariant_derivative(tf.emt_canonical, tf.frame)
-    lhs = contract(dT, 0, 2)                     # [b]
+    lhs = divergence(tf.emt_canonical, tf.frame)        # [b]
     rhs = jet_einsum("acd,badc->b", tf.W.components, tf.frame.riemann.components)
     return lhs, TensorValue(("u",), tf.n, rhs)
 
 
 def metric_derivative_identity_terms(tf: TheoryFrame):
     """On-shell: (2 dL/dg_ab, D_c W^cab - P^ab), both (2,0)."""
-    div = contract(covariant_derivative(tf.W, tf.frame), 0, 3)
-    return 2.0 * tf.dL_dg, div - tf.P
+    return 2.0 * tf.dL_dg, divergence(tf.W, tf.frame) - tf.P
 
 
 def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
     """Chain-rule expansion of Lie_xi L minus grad_a L xi^a; identically zero
     for any generally covariant Lagrangian, on or off shell."""
-    from .geometry import lie_derivative
-
     G = tf.dL_ddpsi
     ldpsi = lie_derivative(tf.dpsi, xi, tf.frame)
     S = _slot_letters(G.rank)
@@ -571,7 +548,7 @@ def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
     acc = acc + jet_einsum("ab,ab->", tf.dL_dg.components, h.components)
     dL = differentiate(tf.L, keep=tf.n)
     acc = acc - jet_einsum("a,a->", dL, xi.components)
-    return _scalar_values(acc)
+    return acc.data[0]
 
 
 # --------------------------------------------------------------------------
@@ -641,7 +618,7 @@ def variational_pair(theory, field, metric: MetricField, h: TensorField,
         hj = h.fn(coords[:n])
         return base + jet_einsum("ab,->ab", hj, _derivative_part(coords[n]))
 
-    eps_metric = MetricField(metric.name + "+eps*h", n, metric.signature, eps_metric_fn)
+    eps_metric = MetricField(metric.name + "+eps*h", n, eps_metric_fn)
     pts_ext = np.concatenate([pts, np.zeros((npts, 1))], axis=1)
 
     lhs_vals = np.empty(npts)

@@ -57,6 +57,7 @@ __all__ = [
     "jet_sqrt_abs_det",
     "partial_tensor",
     "covariant_derivative",
+    "divergence",
     "lie_derivative",
     "curvature_commutator_residual",
     "tilde_gradient_commutator_residual",
@@ -82,7 +83,6 @@ class MetricField:
 
     name: str
     n: int
-    signature: tuple
     fn: Callable[[list[Jet]], Jet]
 
 
@@ -292,6 +292,12 @@ def covariant_derivative(t: TensorValue, frame: Frame) -> TensorValue:
     # dt is one order below t, so the correction needs no more of t than that
     corr = tilde_contract(_drop_orders(t, 1), frame.gamma.components, 1)
     return dt + TensorValue(t.variance + ("d",), t.n, corr)
+
+
+def divergence(t: TensorValue, frame: Frame, slot: int = 0) -> TensorValue:
+    """D_a T^{..a..}: the covariant derivative contracted with ``slot``, an
+    up slot of ``t`` (the first by default)."""
+    return contract(covariant_derivative(t, frame), slot, t.rank)
 
 
 def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) -> TensorValue:

@@ -41,6 +41,7 @@ from .tensors import (
 from .geometry import (
     covariant_derivative,
     curvature_commutator_residual,
+    divergence,
     evaluate,
     geometry_at,
     killing_residual,
@@ -57,7 +58,6 @@ from .fieldtheory import (
     alternative_current,
     broken_scalar_theory,
     canonical_divergence_terms,
-    current_divergence,
     difference_current,
     evaluate_theory,
     gauge_shifted,
@@ -749,7 +749,7 @@ def _chk_110(ctx):
 def _chk_noether(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
         for v in spacetime(sc.spacetime).killing:
-            res = current_divergence(tf, noether_current(tf, evaluate(v, tf.frame)))
+            res = divergence(noether_current(tf, evaluate(v, tf.frame)), tf.frame)
             yield name, ctx.cfg.points, res, tf.emt_belinfante
 
 
@@ -763,8 +763,7 @@ def _chk_noether(ctx):
                 "solutions, on flat and curved backgrounds alike.")
 def _chk_tb_div(ctx):
     for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        res = contract(covariant_derivative(tf.emt_belinfante, tf.frame), 0, 2)
-        yield name, ctx.cfg.points, res, tf.emt_belinfante
+        yield name, ctx.cfg.points, divergence(tf.emt_belinfante, tf.frame), tf.emt_belinfante
 
 
 @_register(
@@ -777,8 +776,7 @@ def _chk_tb_div(ctx):
                 "from the exchange identity with arbitrary localized xi.")
 def _chk_tm_div(ctx):
     for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        res = contract(covariant_derivative(tf.emt_metric, tf.frame), 0, 2)
-        yield name, ctx.cfg.points, res, tf.emt_metric
+        yield name, ctx.cfg.points, divergence(tf.emt_metric, tf.frame), tf.emt_metric
 
 
 @_register(
@@ -823,7 +821,7 @@ def _chk_can_div_magnitude(ctx):
 def _chk_diff_current(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True):
         for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
-            res = current_divergence(tf, difference_current(tf, xi))
+            res = divergence(difference_current(tf, xi), tf.frame)
             yield name, ctx.cfg.points, res, tf.theta
 
 
@@ -856,7 +854,7 @@ def _chk_current_decomp(ctx):
 def _chk_matter_current(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
         for v in spacetime(sc.spacetime).killing:
-            res = current_divergence(tf, lie_matter_current(tf, evaluate(v, tf.frame)))
+            res = divergence(lie_matter_current(tf, evaluate(v, tf.frame)), tf.frame)
             yield name, ctx.cfg.points, res, tf.L
 
 
@@ -1027,11 +1025,46 @@ def checks_for(suites) -> list:
     return out
 
 
-def run_checks(cfg: RunConfig, emit=None) -> list:
-    """Run the configured checks, each reading the run's one context at its
-    declared jet order, returning a list of CheckOutcome.  ``cfg.jet_order``
-    is a ceiling: a selected check that declares a higher order is rejected
-    before any check runs."""
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate(cfg: RunConfig) -> list:
+    """The checks ``cfg`` selects; ValueError, naming the first rule the
+    config breaks, if it is not one that runs.  ``cfg.jet_order`` is a
+    ceiling: a selected check that declares a higher order is rejected."""
+    for key in ("suites", "scenarios", "spacetimes"):
+        names = getattr(cfg, key)
+        if names is not None and not (isinstance(names, (tuple, list))
+                                      and all(isinstance(s, str) for s in names)):
+            raise ValueError(f"{key} must be a list of names")
+    if not cfg.suites:
+        raise ValueError("suites must name at least one suite")
+    for key in ("points", "seed", "jet_order", "xi_count"):
+        if not _is_int(getattr(cfg, key)):
+            raise ValueError(f"{key} must be an integer")
+    for key, dim in (("grid_2d", 2), ("grid_4d", 4)):
+        grid = getattr(cfg, key)
+        if not (isinstance(grid, (tuple, list)) and len(grid) == dim
+                and all(_is_int(m) and m >= 1 for m in grid)):
+            raise ValueError(f"{key} must be a list of {dim} positive integers")
+    if not (isinstance(cfg.tolerances, dict)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in cfg.tolerances.values())):
+        raise ValueError("tolerances must be an object mapping check ids to finite numbers")
+    for name in cfg.tolerances:
+        if name not in CHECKS:
+            raise ValueError(f"config tolerance names unknown check '{name}'")
+    for s in cfg.scenarios or ():
+        if s not in SCENARIOS:
+            raise ValueError(f"unknown scenario '{s}' (have: {', '.join(sorted(SCENARIOS))})")
+    for s in cfg.spacetimes or ():
+        if s not in SPACETIMES:
+            raise ValueError(f"unknown spacetime '{s}' (have: {', '.join(sorted(SPACETIMES))})")
+    if cfg.points < 1:
+        raise ValueError("--points must be positive")
+    if cfg.xi_count < 1:
+        raise ValueError("xi_count must be at least 1")
     for s in cfg.suites:
         if s not in SUITE_ORDER:
             raise ValueError(f"unknown suite '{s}' (have: {', '.join(SUITE_ORDER)})")
@@ -1041,6 +1074,17 @@ def run_checks(cfg: RunConfig, emit=None) -> list:
         need = max(c.jet_order for c in low)
         raise ValueError(f"--jet-order {cfg.jet_order} is too low for the selected "
                          f"checks ({', '.join(c.id for c in low)} need {need})")
+    # last, so that a config an earlier rule rejects keeps that rule's message
+    if cfg.seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return checks
+
+
+def run_checks(cfg: RunConfig, emit=None) -> list:
+    """Run the configured checks, each reading the run's one context at its
+    declared jet order, returning a list of CheckOutcome.  A config that
+    :func:`_validate` rejects raises ValueError before any check runs."""
+    checks = _validate(cfg)
     ctx = RunContext(cfg, max((c.jet_order for c in checks), default=0))
     outcomes = []
     for check in checks:

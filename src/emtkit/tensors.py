@@ -38,7 +38,6 @@ __all__ = [
     "contract",
     "transpose_slots",
     "raise_slot",
-    "symmetrize_pair",
     "antisymmetrize_pair",
     "levi_civita",
     "max_abs",
@@ -258,22 +257,12 @@ def raise_slot(t: TensorValue, i: int, inverse_metric: TensorValue) -> TensorVal
     return TensorValue(var, t.n, comps)
 
 
-def _pair_swapped(t: TensorValue, i: int, j: int) -> TensorValue:
-    perm = list(range(t.rank))
-    perm[i], perm[j] = perm[j], perm[i]
-    return transpose_slots(t, perm)
-
-
-def symmetrize_pair(t: TensorValue, i: int, j: int) -> TensorValue:
-    if t.variance[i] != t.variance[j]:
-        raise ValueError("can only (anti)symmetrize slots of equal variance")
-    return (t + _pair_swapped(t, i, j)) * 0.5
-
-
 def antisymmetrize_pair(t: TensorValue, i: int, j: int) -> TensorValue:
     if t.variance[i] != t.variance[j]:
-        raise ValueError("can only (anti)symmetrize slots of equal variance")
-    return (t - _pair_swapped(t, i, j)) * 0.5
+        raise ValueError("can only antisymmetrize slots of equal variance")
+    perm = list(range(t.rank))
+    perm[i], perm[j] = perm[j], perm[i]
+    return (t - transpose_slots(t, perm)) * 0.5
 
 
 def levi_civita(n: int) -> TensorValue:

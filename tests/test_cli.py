@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from emtkit import suites
 from emtkit.cli import EXIT_FAIL, EXIT_OFFSHELL, EXIT_PASS, EXIT_USAGE, main
+from emtkit.suites import RunConfig, run_checks
 
 
 def run_cli(args):
@@ -60,6 +62,82 @@ def test_per_check_tolerance_override(tmp_path):
     rows = {c["id"]: c for c in report["checks"]}
     assert not rows["killing-metric-flow"]["passed"]
     assert rows["lie-dual-forms"]["passed"]
+
+
+@pytest.mark.parametrize("file_first", [True, False], ids=["file-flag", "flag-file"])
+def test_a_bare_tol_flag_wins_over_a_file_tolerance(tmp_path, file_first):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"tilde-metric-closed-form": 1.0}}))
+    rp = tmp_path / "report.json"
+    flags = [["--config", str(cfg)], ["--tol", "1e-30"]]
+    argv = ["verify", "--suite", "tilde-algebra", "--points", "4", "--quiet",
+            "--report", str(rp)]
+    for pair in (flags if file_first else flags[::-1]):
+        argv += pair
+    assert run_cli(argv) == EXIT_FAIL
+    rows = json.loads(rp.read_text())["checks"]
+    assert {row["tolerance"] for row in rows} == {1e-30}
+
+
+@pytest.mark.parametrize("bare_first", [True, False], ids=["bare-check", "check-bare"])
+def test_a_per_check_tol_flag_wins_over_a_bare_one_and_the_file(tmp_path, bare_first):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"tilde-metric-closed-form": 1.0,
+                                              "tilde-trace-collapse": 0.5}}))
+    rp = tmp_path / "report.json"
+    tols = [["--tol", "1e-30"], ["--tol", "tilde-metric-closed-form=2.0"]]
+    argv = ["verify", "--suite", "tilde-algebra", "--points", "4", "--quiet",
+            "--report", str(rp), "--config", str(cfg)]
+    for pair in (tols if bare_first else tols[::-1]):
+        argv += pair
+    assert run_cli(argv) == EXIT_FAIL
+    rows = {row["id"]: row["tolerance"] for row in json.loads(rp.read_text())["checks"]}
+    assert rows.pop("tilde-metric-closed-form") == 2.0
+    assert set(rows.values()) == {1e-30}
+
+
+def test_negative_seed_is_usage_error_before_any_check(capsys):
+    code = run_cli(["verify", "--suite", "tilde-algebra", "--seed", "-1"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer\n"
+
+
+def test_a_run_that_cannot_allocate_is_usage_error(monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+    monkeypatch.setattr(suites, "sample_points", too_large)
+    code = run_cli(["verify", "--suite", "tilde-algebra", "--points", "4"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2.91 TiB" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [
+    {"suites": []},
+    {"suites": ["bogus"]},
+    {"tolerances": {"bogus": 1.0}},
+    {"points": 0},
+    {"grid_2d": [0, 0]},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"scenarios": ["phlogiston"]},
+    {"spacetimes": ["flatland"]},
+    {"suites": ["emt-onshell"], "jet_order": 2},
+], ids=lambda bad: json.dumps(bad))
+def test_cli_prints_the_library_gate_message(tmp_path, capsys, bad):
+    config = {"suites": ["tilde-algebra"], **bad}
+    with pytest.raises(ValueError) as exc:
+        run_checks(RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                for k, v in config.items()}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["verify", "--config", str(cfg)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc.value}\n"
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -30,7 +30,6 @@ from emtkit.fieldtheory import (
     alternative_current,
     broken_scalar_theory,
     canonical_divergence_terms,
-    current_divergence,
     current_gradient_pairing_residual,
     difference_current,
     evaluate_theory,
@@ -47,6 +46,7 @@ from emtkit.fieldtheory import (
 from emtkit.geometry import (
     MetricField,
     covariant_derivative,
+    divergence,
     evaluate,
     geometry_at,
     jet_matrix_inverse,
@@ -257,7 +257,7 @@ def test_current_decomposition_and_conservation():
     jd = difference_current(tf, xi)
     assert max_abs(jn - (ja - jd)) < 1e-11
     # the difference current is conserved for any smooth vector field
-    assert np.max(np.abs(current_divergence(tf, jd))) < 1e-9
+    assert max_abs(divergence(jd, tf.frame)) < 1e-9
 
 
 def _same_bits(got, want):
@@ -288,13 +288,16 @@ def test_superpotential_is_differentiated_once_per_theory_frame(monkeypatch):
            for k in range(4)]
     theta = tf.theta
     seen = []
-    real = fieldtheory.covariant_derivative
 
-    def counting(t, frame):
-        seen.append(t)
-        return real(t, frame)
+    def counting(real):
+        def wrapped(t, *args, **kwargs):
+            seen.append(t)
+            return real(t, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(fieldtheory, "covariant_derivative", counting)
+    # Theta may be differentiated through either name
+    for name in ("divergence", "covariant_derivative"):
+        monkeypatch.setattr(fieldtheory, name, counting(getattr(fieldtheory, name)))
     for xi in xis:
         difference_current(tf, xi)
     tf.emt_belinfante
@@ -307,8 +310,7 @@ def test_symmetry_currents_conserved():
         xi = evaluate(vf, tf.frame)
         for cur in (noether_current(tf, xi), alternative_current(tf, xi),
                     lie_matter_current(tf, xi)):
-            div = current_divergence(tf, cur)
-            assert np.max(np.abs(div)) < 1e-9, vf.name
+            assert max_abs(divergence(cur, tf.frame)) < 1e-9, vf.name
 
 
 def test_kinematic_residual_and_negative_control():
@@ -457,7 +459,7 @@ def _full_order_pair(theory, field, metric, h, box, shape):
     def eps_metric_fn(coords):
         return metric.fn(coords[:n]) + jet_einsum("ab,->ab", h.fn(coords[:n]), coords[n])
 
-    eps_metric = MetricField(metric.name + "+eps*h", n, metric.signature, eps_metric_fn)
+    eps_metric = MetricField(metric.name + "+eps*h", n, eps_metric_fn)
     pts_ext = np.concatenate([pts, np.zeros((npts, 1))], axis=1)
     lhs_vals, rhs_vals = np.empty(npts), np.empty(npts)
     for lo in range(0, npts, fieldtheory._CHUNK):
@@ -531,7 +533,7 @@ def test_reverse_derivatives_match_directional_derivative(where, what):
         box, metric = SPACETIMES[where].box, SPACETIMES[where].metric
     n = metric.n
     pts = sample_points(box, 8, seed=811)
-    ext = MetricField(metric.name, n, metric.signature, lambda c: metric.fn(c[:n]))
+    ext = MetricField(metric.name, n, lambda c: metric.fn(c[:n]))
     frame = geometry_at(ext, np.concatenate([pts, np.zeros((8, 1))], axis=1), 3)
     eps = frame.coords[n]
     tf = evaluate_theory(theory, field, frame)

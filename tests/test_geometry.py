@@ -25,6 +25,7 @@ from emtkit.geometry import (
     VectorField,
     covariant_derivative,
     curvature_commutator_residual,
+    divergence,
     evaluate,
     geometry_at,
     killing_residual,
@@ -36,7 +37,7 @@ from emtkit.geometry import (
     volume_lie_residual,
 )
 from emtkit.jets import Jet, jet_einsum, jet_stack, lift
-from emtkit.tensors import TensorValue, max_abs, value_array
+from emtkit.tensors import TensorValue, contract, max_abs, value_array
 
 SCHW = SPACETIMES["schwarzschild"]
 MINK2 = SPACETIMES["minkowski2"]
@@ -245,6 +246,21 @@ def test_covariant_derivative_forms_its_correction_at_the_result_order(monkeypat
         assert seen == [got.components.order]
 
 
+@pytest.mark.parametrize("st", [SCHW, BUMP2], ids=lambda st: st.metric.name)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_divergence_equals_the_contracted_covariant_derivative_bit_for_bit(st, order):
+    fr = geometry_at(st.metric, sample_points(st.box, 5, seed=21), order)
+    for seed, variance in enumerate((("u",), ("u", "u"), ("d", "u"), ("u", "d", "u"))):
+        t = evaluate(random_tensor_field(variance, st.box, seed=30 + seed), fr)
+        for slot in {0, t.rank - 1} & {k for k, v in enumerate(variance) if v == "u"}:
+            got = divergence(t, fr, slot)
+            want = contract(covariant_derivative(t, fr), slot, t.rank)
+            assert got.variance == want.variance
+            assert got.components.order == order - 1
+            for g, w in zip(got.components.data, want.components.data, strict=True):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("t_order,xi_order", [(1, 2), (2, 1), (2, 2)])
 def test_lie_derivative_forms_its_tilde_term_at_the_result_order(monkeypatch, t_order, xi_order):
     fr = schw_frame(order=2)
@@ -367,7 +383,7 @@ def test_degenerate_metric_raises():
         z = 0.0 * x
         return jet_stack([[x * x, z], [z, z + 1.0]])
 
-    m = MetricField(name="pinch", n=2, signature=(1, 1), fn=collapsing)
+    m = MetricField(name="pinch", n=2, fn=collapsing)
     with pytest.raises(DegenerateMetricError):
         geometry_at(m, np.array([[0.0, 1.0]]), 1)
 

@@ -411,3 +411,54 @@ def test_claim_is_verified_on_every_run_point_before_its_first_check(monkeypatch
                              xi_count=1),
                    emit=lambda outcome, tol: lines.append(outcome.check.id))
     assert lines == []
+
+
+# --------------------------------------------------------------------------
+# the config gate: run_checks alone decides what a RunConfig may hold
+# --------------------------------------------------------------------------
+
+
+_INVALID_CONFIGS = [
+    ({"suites": ()}, "suites must name at least one suite"),
+    ({"suites": ("bogus",)}, "unknown suite 'bogus'"),
+    ({"tolerances": {"bogus": 1.0}}, "unknown check 'bogus'"),
+    ({"tolerances": {"master-identity": math.nan}}, "tolerances must be"),
+    ({"points": 0}, "--points must be positive"),
+    ({"grid_2d": (0, 0)}, "grid_2d must be a list of 2 positive integers"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"xi_count": 0}, "xi_count must be at least 1"),
+    ({"scenarios": ("phlogiston",)}, "unknown scenario 'phlogiston'"),
+    ({"spacetimes": ("flatland",)}, "unknown spacetime 'flatland'"),
+    ({"suites": ("emt-onshell",), "jet_order": 2}, "--jet-order 2 is too low"),
+]
+
+
+@pytest.mark.parametrize("bad,message", _INVALID_CONFIGS,
+                         ids=[json.dumps(b, default=str) for b, _ in _INVALID_CONFIGS])
+def test_run_checks_rejects_an_invalid_config_before_any_frame_is_built(
+        monkeypatch, bad, message):
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a frame was built for an invalid config")
+
+    monkeypatch.setattr(suites, "geometry_at", no_frame)
+    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+        run_checks(RunConfig(**{"suites": ("tilde-algebra",), **bad}),
+                   emit=lambda outcome, tol: pytest.fail("a check ran"))
+
+
+def test_gate_keeps_the_first_broken_rule_of_a_config():
+    # a bad seed type is reported before an unknown suite, and an unknown
+    # suite before a too-low ceiling or a negative seed
+    cases = [({"seed": 1.5, "suites": ("bogus",)}, "seed must be an integer"),
+             ({"suites": ("bogus",), "jet_order": -1}, "unknown suite"),
+             ({"suites": ("emt-onshell",), "jet_order": 2, "seed": -1}, "--jet-order 2")]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_checks(RunConfig(**bad))
+
+
+def test_gate_accepts_lists_where_a_config_holds_tuples():
+    cfg = RunConfig(suites=["tilde-algebra"], spacetimes=["minkowski4"], points=2,
+                    grid_2d=[4, 4])
+    assert all(oc.passed(oc.check.tolerance) for oc in run_checks(cfg))
