@@ -22,11 +22,10 @@ from .jets import (Jet, constant_jet, jsin, jcos, jexp, jlog, jreciprocal, jsqrt
 from .geometry import (
     MetricField,
     TensorField,
-    VectorField,
+    covariant_derivative,
     evaluate,
     geometry_at,
-    killing_residual,
-    parallel_residual,
+    lie_derivative,
 )
 from .tensors import max_abs
 from .fieldtheory import (
@@ -46,7 +45,6 @@ __all__ = [
     "scenario",
     "sample_points",
     "random_tensor_field",
-    "random_vector_field",
     "bump_perturbation",
     "verify_spacetime_claims",
     "verify_frame_claims",
@@ -60,9 +58,13 @@ class CatalogClaimError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spacetime:
+    """A metric, its sampling box, the vectors it claims Killing, and those
+    of them it also claims parallel."""
+
     metric: MetricField
     box: tuple
     killing: tuple = ()
+    parallel: tuple = ()
 
     @property
     def name(self):
@@ -129,16 +131,15 @@ def bump2_conformal_factor(coords):
     return BUMP_AMP * jexp(-(x * x + y * y) / (BUMP_WIDTH ** 2))
 
 
-def _const_vec(n, i):
-    def fn(coords):
-        z = coords[0] * 0.0
-        return jet_stack([z + 1.0 if k == i else z for k in range(n)])
-    return VectorField(fn, name=f"translation-{i}", claimed_killing=True,
-                       claimed_parallel=True)
-
-
-def _mink_killing(n):
-    vecs = [_const_vec(n, i) for i in range(n)]
+def _minkowski(n):
+    """Flat space with its translations (claimed parallel too), spatial
+    rotations and boosts."""
+    vecs = []
+    for i in range(n):
+        def shift(coords, i=i):
+            z = coords[0] * 0.0
+            return jet_stack([z + 1.0 if k == i else z for k in range(n)])
+        vecs.append(TensorField(("u",), shift, f"translation-{i}"))
     # rotations among spatial axes: x^i d_j - x^j d_i
     for i in range(1, n):
         for j in range(i + 1, n):
@@ -148,7 +149,7 @@ def _mink_killing(n):
                 comps[j] = coords[i] + z
                 comps[i] = -coords[j] + z
                 return jet_stack(comps)
-            vecs.append(VectorField(rot, name=f"rotation-{i}{j}", claimed_killing=True))
+            vecs.append(TensorField(("u",), rot, f"rotation-{i}{j}"))
     # boosts: t d_i + x^i d_t
     for i in range(1, n):
         def boost(coords, i=i):
@@ -157,8 +158,9 @@ def _mink_killing(n):
             comps[0] = coords[i] + z
             comps[i] = coords[0] + z
             return jet_stack(comps)
-        vecs.append(VectorField(boost, name=f"boost-{i}", claimed_killing=True))
-    return tuple(vecs)
+        vecs.append(TensorField(("u",), boost, f"boost-{i}"))
+    return Spacetime(MetricField(f"minkowski{n}", n, _flat_fn(n)), box=((-2.0, 2.0),) * n,
+                     killing=tuple(vecs), parallel=tuple(vecs[:n]))
 
 
 def _schwarzschild_killing():
@@ -181,7 +183,7 @@ def _schwarzschild_killing():
         return jet_stack([z, z, jcos(ph), -jsin(ph) * jcos(th) / jsin(th)])
 
     return tuple(
-        VectorField(fn, name=nm, claimed_killing=True)
+        TensorField(("u",), fn, nm)
         for fn, nm in [(timelike, "static-time"), (axial, "axial"),
                        (rot_a, "rotation-a"), (rot_b, "rotation-b")]
     )
@@ -191,20 +193,12 @@ def _bump2_killing():
     def rot(coords):
         x, y = coords
         return jet_stack([-y + x * 0.0, x + y * 0.0])
-    return (VectorField(rot, name="rotation", claimed_killing=True),)
+    return (TensorField(("u",), rot, "rotation"),)
 
 
 SPACETIMES = {
-    "minkowski2": Spacetime(
-        MetricField("minkowski2", 2, _flat_fn(2)),
-        box=((-2.0, 2.0), (-2.0, 2.0)),
-        killing=_mink_killing(2),
-    ),
-    "minkowski4": Spacetime(
-        MetricField("minkowski4", 4, _flat_fn(4)),
-        box=((-2.0, 2.0),) * 4,
-        killing=_mink_killing(4),
-    ),
+    "minkowski2": _minkowski(2),
+    "minkowski4": _minkowski(4),
     "schwarzschild": Spacetime(
         MetricField("schwarzschild", 4, _schwarzschild_fn(1.0)),
         box=((-1.0, 1.0), (4.0, 12.0), (0.4, math.pi - 0.4), (0.0, 2.0 * math.pi)),
@@ -474,11 +468,6 @@ def random_tensor_field(variance, box, seed: int) -> TensorField:
     return TensorField(tuple(variance), fn, name=f"random-{seed}")
 
 
-def random_vector_field(box, seed: int) -> VectorField:
-    t = random_tensor_field(("u",), box, seed)
-    return VectorField(t.fn, name=f"random-xi-{seed}")
-
-
 def bump_perturbation(box, seed: int, width_frac: float = 0.09) -> TensorField:
     """Symmetric (0,2) perturbation, 0.1 times a seeded random symmetric
     matrix under a Gaussian envelope that is negligible on the box boundary;
@@ -511,14 +500,15 @@ def verify_spacetime_claims(st: Spacetime, seed: int = 0):
 
 
 def verify_frame_claims(st: Spacetime, fr):
-    """Check every claimed Killing/parallel property of ``st`` on its frame
-    ``fr`` to 1e-10; a non-finite residual refutes the claim."""
+    """Check on its frame ``fr``, to 1e-10, that each vector ``st`` lists is
+    parallel if ``st.parallel`` lists it, D xi = 0, and Killing, Lie_xi g = 0
+    (which D xi = 0 implies); a non-finite residual refutes the claim."""
     tol = 1e-10
-    for v in st.killing:
+    for v in dict.fromkeys(st.killing + st.parallel):
         xi = evaluate(v, fr)
-        for claim, claimed, residual in (("Killing", v.claimed_killing, killing_residual),
-                                         ("parallel", v.claimed_parallel, parallel_residual)):
-            r = max_abs(residual(xi, fr)) if claimed else 0.0
+        for claim in ("parallel", "Killing") if v in st.parallel else ("Killing",):
+            r = max_abs(covariant_derivative(xi, fr) if claim == "parallel"
+                        else lie_derivative(fr.g, xi, fr))
             if not r <= tol:
                 raise CatalogClaimError(f"{st.name}: vector '{v.name}' claims {claim}, "
                                         f"residual {r:.3e} > {tol:.1e}")

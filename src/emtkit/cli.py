@@ -14,10 +14,10 @@ import time
 
 from . import __version__
 from .catalog import SCENARIOS, SPACETIMES, CatalogClaimError
-from .fieldtheory import OffShellError
 from .jets import JetOrderError
 from .suites import (
     CHECKS,
+    OffShellError,
     RunConfig,
     SUITE_ORDER,
     build_report,

@@ -56,6 +56,7 @@ from .jets import (
 from .tensors import (
     TensorValue,
     _permuted,
+    _slot_letters,
     antisymmetrize_pair,
     raise_slot,
     tilde,
@@ -75,7 +76,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "OffShellError",
     "LagrangianTheory",
     "scalar_theory",
     "maxwell_theory",
@@ -86,10 +86,6 @@ __all__ = [
     "variational_pair",
     "gauge_shifted",
 ]
-
-
-class OffShellError(RuntimeError):
-    """An on-shell identity was requested for a scenario claimed off shell."""
 
 
 # --------------------------------------------------------------------------
@@ -306,10 +302,6 @@ def broken_scalar_theory(mass: float = 0.0) -> LagrangianTheory:
 
 def _dual(variance):
     return tuple("u" if v == "d" else "d" for v in variance)
-
-
-def _slot_letters(r):
-    return "".join(chr(ord("i") + k) for k in range(r))
 
 
 class TheoryFrame:

@@ -43,13 +43,13 @@ from .jets import (
     jexp,
     lift,
 )
-from .tensors import TensorValue, contract, tilde, tilde_contract, transpose_slots
+from .tensors import (TensorValue, _slot_letters, contract, tilde, tilde_contract,
+                      transpose_slots)
 
 __all__ = [
     "DegenerateMetricError",
     "MetricField",
     "TensorField",
-    "VectorField",
     "Frame",
     "geometry_at",
     "evaluate",
@@ -65,8 +65,6 @@ __all__ = [
     "lie_nabla_from_connection",
     "lie_connection_tensor",
     "christoffel_deformation",
-    "killing_residual",
-    "parallel_residual",
     "volume_lie_residual",
 ]
 
@@ -88,25 +86,12 @@ class MetricField:
 
 @dataclass(frozen=True)
 class TensorField:
-    """Map from coordinate jets to tensor components of fixed variance."""
+    """Map from coordinate jets to tensor components of fixed variance; a
+    vector field is one of variance ("u",)."""
 
     variance: tuple
     fn: Callable[[list[Jet]], Jet]
     name: str = ""
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Contravariant vector field, optionally claiming Killing/parallel status."""
-
-    fn: Callable[[list[Jet]], Jet]
-    name: str = ""
-    claimed_killing: bool = False
-    claimed_parallel: bool = False
-
-    @property
-    def variance(self):
-        return ("u",)
 
 
 def jet_matrix_inverse(g: Jet) -> Jet:
@@ -154,8 +139,6 @@ def jet_sqrt_abs_det(g: Jet) -> Jet:
 
 def partial_tensor(t: TensorValue) -> TensorValue:
     """Coordinate partials as an extra covariant slot appended last."""
-    if not isinstance(t.components, Jet):
-        raise TypeError("partial_tensor needs jet-valued components")
     return TensorValue(t.variance + ("d",), t.n, differentiate(t.components, keep=t.n))
 
 
@@ -274,14 +257,14 @@ def geometry_at(metric: MetricField, points: np.ndarray, order: int, *,
     return Frame(metric, coords, g, ginv_order=ginv_order)
 
 
-def evaluate(fieldlike, frame: Frame) -> TensorValue:
-    """Evaluate a TensorField/VectorField on a frame's coordinate jets.
+def evaluate(field: TensorField, frame: Frame) -> TensorValue:
+    """Evaluate a TensorField on a frame's coordinate jets.
 
     Fields only ever see the manifold coordinates; auxiliary differentiation
     variables riding along on the frame stay hidden from them.
     """
-    comps = fieldlike.fn(frame.coords[: frame.n])
-    return TensorValue(tuple(fieldlike.variance), frame.n, comps)
+    comps = field.fn(frame.coords[: frame.n])
+    return TensorValue(tuple(field.variance), frame.n, comps)
 
 
 def covariant_derivative(t: TensorValue, frame: Frame) -> TensorValue:
@@ -317,7 +300,7 @@ def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) 
     # its order-m tables read no higher order of any operand
     top = min(t.components.order, xi.components.order) - 1
     t, xi, dt, dxi = (_drop_orders(v, v.components.order - top) for v in (t, xi, dt, dxi))
-    S = "".join(chr(ord("i") + k) for k in range(t.rank))
+    S = _slot_letters(t.rank)
     term1 = jet_einsum(f"{S}a,a->{S}", dt.components, xi.components)
     term2 = tilde_contract(t, dxi.components, 0)
     return TensorValue(t.variance, t.n, term1 - term2)
@@ -342,7 +325,7 @@ def tilde_gradient_commutator_residual(t: TensorValue, frame: Frame) -> TensorVa
     rhs1 = covariant_derivative(tilde(t), frame)          # [S, a, b, e]
     perm = list(range(r)) + [r + 2, r, r + 1]
     rhs1 = transpose_slots(rhs1, perm)                    # [S, e, a, b]
-    S = "".join(chr(ord("i") + k) for k in range(r))
+    S = _slot_letters(r)
     rhs2 = jet_einsum(f"{S}b,ae->{S}eab", dt.components, np.eye(t.n))
     rhs2 = TensorValue(t.variance + ("d", "u", "d"), t.n, rhs2)
     return lhs - rhs1 + rhs2
@@ -391,14 +374,6 @@ def lie_nabla_from_connection(t: TensorValue, C: TensorValue) -> TensorValue:
     """[Lie_xi, D] T from the connection tensor: D_{xi a} T = C^c_{ba} (tilde T)^b_c."""
     comps = tilde_contract(t, C.components, 1)
     return TensorValue(t.variance + ("d",), t.n, comps)
-
-
-def killing_residual(xi: TensorValue, frame: Frame) -> TensorValue:
-    return lie_derivative(frame.g, xi, frame)
-
-
-def parallel_residual(xi: TensorValue, frame: Frame) -> TensorValue:
-    return covariant_derivative(xi, frame)
 
 
 def volume_lie_residual(xi: TensorValue, frame: Frame) -> Jet:

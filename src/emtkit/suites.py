@@ -27,9 +27,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from . import __version__
-from .jets import Jet, jet_einsum
+from .jets import constant_jet, jet_einsum
 from .tensors import (
     TensorValue,
+    _slot_letters,
     contract,
     levi_civita,
     max_abs,
@@ -44,17 +45,14 @@ from .geometry import (
     divergence,
     evaluate,
     geometry_at,
-    killing_residual,
     lie_connection_tensor,
     lie_derivative,
     lie_nabla_commutator,
     lie_nabla_from_connection,
-    parallel_residual,
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
 from .fieldtheory import (
-    OffShellError,
     alternative_current,
     broken_scalar_theory,
     canonical_divergence_terms,
@@ -95,6 +93,10 @@ SUITE_ORDER = (
 )
 
 _TENSOR_RANKS = ((), ("u",), ("d",), ("u", "d"), ("d", "d"))
+
+
+class OffShellError(RuntimeError):
+    """An on-shell identity was requested for a scenario claimed off shell."""
 
 
 @dataclass(frozen=True)
@@ -306,8 +308,7 @@ class RunContext:
 
 def _frozen(t: TensorValue) -> TensorValue:
     """``t`` with every table of its components marked read-only."""
-    comps = t.components
-    for table in (comps.data if isinstance(comps, Jet) else [comps]):
+    for table in t.components.data:
         table.flags.writeable = False
     return t
 
@@ -370,7 +371,7 @@ def _random_tensors(ctx, st_name, fr, ranks=_TENSOR_RANKS, base_seed=0):
 def _chk_tilde_identity(ctx):
     for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild")):
         n = spacetime(st_name).n
-        yield st_name, 1, tilde(TensorValue(("u", "d"), n, np.eye(n))), 1.0
+        yield st_name, 1, tilde(TensorValue(("u", "d"), n, constant_jet(np.eye(n), n, 0))), 1.0
 
 
 @_register(
@@ -406,8 +407,8 @@ def _chk_tilde_eps(ctx):
         n = spacetime(st_name).n
         eps = levi_civita(n)
         got = tilde(eps)
-        S = "".join(chr(ord("i") + k) for k in range(n))
-        want = -np.einsum(f"{S},cd->{S}cd", eps.components, np.eye(n))
+        S = _slot_letters(n)
+        want = -np.einsum(f"{S},cd->{S}cd", value_array(eps), np.eye(n))
         yield st_name, 1, value_array(got) - want, 1.0
 
 
@@ -490,8 +491,7 @@ def _chk_killing(ctx):
     for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
         fr = ctx.frame(st_name)
         for v in spacetime(st_name).killing:
-            if v.claimed_killing:
-                yield st_name, ctx.cfg.points, killing_residual(evaluate(v, fr), fr), fr.g
+            yield st_name, ctx.cfg.points, lie_derivative(fr.g, evaluate(v, fr), fr), fr.g
 
 
 @_register(
@@ -505,10 +505,9 @@ def _chk_killing(ctx):
 def _chk_parallel(ctx):
     for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
         fr = ctx.frame(st_name)
-        for v in spacetime(st_name).killing:
-            if v.claimed_parallel:
-                xi = evaluate(v, fr)
-                yield st_name, ctx.cfg.points, parallel_residual(xi, fr), xi
+        for v in spacetime(st_name).parallel:
+            xi = evaluate(v, fr)
+            yield st_name, ctx.cfg.points, covariant_derivative(xi, fr), xi
 
 
 @_register(
@@ -1077,6 +1076,13 @@ def _validate(cfg: RunConfig) -> list:
     # last, so that a config an earlier rule rejects keeps that rule's message
     if cfg.seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    for key in ("scenarios", "spacetimes"):
+        names = getattr(cfg, key)
+        if names is not None and not names:
+            raise ValueError(f"{key} must name at least one {key[:-1]}, or be left out")
+        twice = [s for k, s in enumerate(names or ()) if s in names[:k]]
+        if twice:
+            raise ValueError(f"{key} names '{twice[0]}' more than once")
     return checks
 
 

@@ -2,8 +2,8 @@
 
 A ``TensorValue`` is a concrete tensor at a point (or a broadcastable batch of
 points): an ordered list of slots, each contravariant ('u') or covariant
-('d'), over components stored either as a plain float array or as a
-:class:`~emtkit.jets.Jet` whose value axes are the slots.  Contractions and
+('d'), over components stored as a :class:`~emtkit.jets.Jet` whose value
+axes are the slots (a constant is an order-0 jet).  Contractions and
 products run through einsum so that batch axes and derivative tables ride
 along untouched; a slot permutation is an ``ndarray.transpose`` view of
 each table, which copies nothing and shares memory with its input (safe
@@ -28,7 +28,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, zeros_jet, _LETTERS, _free_letters
+from .jets import Jet, constant_jet, jet_einsum, zeros_jet, _LETTERS, _free_letters
 
 __all__ = [
     "TensorValue",
@@ -57,15 +57,12 @@ class TensorValue:
         if any(v not in _UD for v in variance):
             raise ValueError(f"variance entries must be 'u' or 'd', got {variance}")
         r = len(variance)
-        if isinstance(components, Jet):
-            if components.vdim != r:
-                raise ValueError(f"component jet has vdim {components.vdim}, slots {r}")
-            if components.vshape != (n,) * r:
-                raise ValueError(f"component jet value shape {components.vshape} != {(n,)*r}")
-        else:
-            components = np.asarray(components, dtype=float)
-            if components.ndim < r or components.shape[components.ndim - r:] != (n,) * r:
-                raise ValueError("component array does not end in the slot axes")
+        if not isinstance(components, Jet):
+            raise TypeError(f"tensor components must be a Jet, got {type(components).__name__}")
+        if components.vdim != r:
+            raise ValueError(f"component jet has vdim {components.vdim}, slots {r}")
+        if components.vshape != (n,) * r:
+            raise ValueError(f"component jet value shape {components.vshape} != {(n,)*r}")
         self.variance = variance
         self.n = n
         self.components = components
@@ -116,16 +113,14 @@ def max_abs(x) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _slot_letters(r: int) -> str:
+    """The einsum letters "ij..." of ``r`` tensor slots."""
+    return "".join(chr(ord("i") + k) for k in range(r))
+
+
 def _zeros_like(t: TensorValue, variance) -> TensorValue:
-    r = len(variance)
-    c = t.components
-    if isinstance(c, Jet):
-        batch = c.batch_shape
-        z = zeros_jet(c.nvars, c.order, r, batch + (t.n,) * r)
-    else:
-        batch = c.shape[: c.ndim - t.rank]
-        z = np.zeros(batch + (t.n,) * r)
-    return TensorValue(variance, t.n, z)
+    r, c = len(variance), t.components
+    return TensorValue(variance, t.n, zeros_jet(c.nvars, c.order, r, c.batch_shape + (t.n,) * r))
 
 
 def tilde(t: TensorValue) -> TensorValue:
@@ -144,11 +139,10 @@ def tilde(t: TensorValue) -> TensorValue:
     if r == 0:
         return _zeros_like(t, variance)
     c = t.components
-    jet = isinstance(c, Jet)
     S = _LETTERS[:r]
-    A, B, *dl = _free_letters(set(S), 2 + (c.order if jet else 0))
+    A, B, *dl = _free_letters(set(S), 2 + c.order)
     tables = []
-    for m, src in enumerate(c.data if jet else (c,)):
+    for m, src in enumerate(c.data):
         dm = "".join(dl[:m])
         nb = src.ndim - r - m
         # a writable accumulator of its own: zeros_jet's tables are read-only
@@ -163,8 +157,7 @@ def tilde(t: TensorValue) -> TensorValue:
             else:
                 diag = np.einsum(f"...{S}{S[k]}{B}{dm}->...{S}{B}{dm}", res)
                 diag -= moved
-    comps = Jet(c.nvars, c.order, r + 2, tables) if jet else tables[0]
-    return TensorValue(variance, t.n, comps)
+    return TensorValue(variance, t.n, Jet(c.nvars, c.order, r + 2, tables))
 
 
 def tilde_contract(t: TensorValue, m, extra: int):
@@ -222,19 +215,17 @@ def contract(t: TensorValue, i: int, j: int) -> TensorValue:
     return TensorValue(var, t.n, comps)
 
 
-def _permuted(comps, rank: int, perm):
-    """``comps`` of a rank-``rank`` tensor (a Jet or an array) with new slot
-    k taken from old slot ``perm[k]``: a transposed view of every table, with
-    the batch and derivative axes in place."""
+def _permuted(comps: Jet, rank: int, perm) -> Jet:
+    """``comps`` of a rank-``rank`` tensor with new slot k taken from old
+    slot ``perm[k]``: a transposed view of every table, with the batch and
+    derivative axes in place."""
     perm = tuple(perm)
     if sorted(perm) != list(range(rank)):
         raise ValueError(f"perm {perm} is not a permutation of 0..{rank - 1}")
-    jet = isinstance(comps, Jet)
-    tables = comps.data if jet else (np.asarray(comps, dtype=float),)
-    nb = tables[0].ndim - rank
+    nb = comps.data[0].ndim - rank
     views = [t.transpose((*range(nb), *(nb + p for p in perm), *range(nb + rank, t.ndim)))
-             for t in tables]
-    return Jet(comps.nvars, comps.order, rank, views) if jet else views[0]
+             for t in comps.data]
+    return Jet(comps.nvars, comps.order, rank, views)
 
 
 def transpose_slots(t: TensorValue, perm) -> TensorValue:
@@ -266,9 +257,10 @@ def antisymmetrize_pair(t: TensorValue, i: int, j: int) -> TensorValue:
 
 
 def levi_civita(n: int) -> TensorValue:
-    """Totally antisymmetric symbol with eps[0,1,...,n-1] = +1, type (0,n)."""
+    """Totally antisymmetric symbol with eps[0,1,...,n-1] = +1, type (0,n),
+    as an order-0 jet."""
     eps = np.zeros((n,) * n)
     for perm in permutations(range(n)):
         inv = sum(1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y])
         eps[perm] = -1.0 if inv % 2 else 1.0
-    return TensorValue(("d",) * n, n, eps)
+    return TensorValue(("d",) * n, n, constant_jet(eps, n, 0))

@@ -14,7 +14,6 @@ from emtkit.catalog import (
     Scenario,
     Spacetime,
     random_tensor_field,
-    random_vector_field,
     sample_points,
     scenario_box,
     spacetime,
@@ -22,9 +21,9 @@ from emtkit.catalog import (
     verify_spacetime_claims,
 )
 from emtkit.fieldtheory import evaluate_theory, scalar_theory
-from emtkit.geometry import VectorField, evaluate, geometry_at
+from emtkit.geometry import TensorField, evaluate, geometry_at
 from emtkit import jets
-from emtkit.jets import jet_stack
+from emtkit.jets import Jet, jet_stack
 from emtkit.tensors import TensorValue, value_array
 
 
@@ -52,8 +51,18 @@ def test_expected_symmetry_counts():
     assert len(SPACETIMES["minkowski4"].killing) == 10
     assert len(SPACETIMES["minkowski2"].killing) == 3
     assert len(SPACETIMES["schwarzschild"].killing) == 4
-    assert all(v.claimed_killing for st in SPACETIMES.values()
-               for v in st.killing)
+    # flat space claims its translations parallel, and nothing else does
+    assert [v.name for v in SPACETIMES["minkowski4"].parallel] == [
+        f"translation-{i}" for i in range(4)]
+    assert len(SPACETIMES["minkowski2"].parallel) == 2
+    assert SPACETIMES["schwarzschild"].parallel == SPACETIMES["bump2"].parallel == ()
+
+
+@pytest.mark.parametrize("name", sorted(SPACETIMES))
+def test_parallel_vectors_are_listed_as_killing(name):
+    st = SPACETIMES[name]
+    assert all(v.variance == ("u",) for v in st.killing)
+    assert all(any(v is k for k in st.killing) for v in st.parallel)
 
 
 def test_sampling_is_deterministic():
@@ -77,7 +86,7 @@ def test_random_fields_are_deterministic():
     f3 = evaluate(random_tensor_field(("u", "d"), box, seed=6), frame)
     assert np.array_equal(value_array(f1), value_array(f2))
     assert not np.array_equal(value_array(f1), value_array(f3))
-    v = evaluate(random_vector_field(box, seed=5), frame)
+    v = evaluate(random_tensor_field(("u",), box, seed=5), frame)
     assert v.variance == ("u",)
 
 
@@ -186,20 +195,28 @@ def test_false_killing_claim_caught():
         t, x = coords
         return jet_stack([0.0 * t, x * x])
 
-    liar = VectorField(fn=shear, name="liar", claimed_killing=True)
+    liar = TensorField(("u",), shear, "liar")
     fake = Spacetime(st.metric, st.box, killing=st.killing + (liar,))
-    with pytest.raises(CatalogClaimError):
+    with pytest.raises(CatalogClaimError, match="'liar' claims Killing"):
         verify_spacetime_claims(fake, seed=1)
 
 
 def test_false_parallel_claim_caught():
     st = SPACETIMES["schwarzschild"]
     # static time translation is Killing but not parallel
-    timelike = next(v for v in st.killing if v.claimed_killing)
-    liar = VectorField(fn=timelike.fn, name="liar",
-                       claimed_killing=True, claimed_parallel=True)
-    fake = Spacetime(st.metric, st.box, killing=(liar,))
-    with pytest.raises(CatalogClaimError):
+    timelike = st.killing[0]
+    assert timelike.name == "static-time"
+    liar = TensorField(("u",), timelike.fn, "liar")
+    fake = Spacetime(st.metric, st.box, killing=(liar,), parallel=(liar,))
+    with pytest.raises(CatalogClaimError, match="'liar' claims parallel"):
+        verify_spacetime_claims(fake, seed=1)
+
+
+def test_a_parallel_claim_outside_the_killing_list_is_checked():
+    st = SPACETIMES["schwarzschild"]
+    liar = TensorField(("u",), st.killing[0].fn, "liar")
+    fake = dataclasses.replace(st, parallel=(liar,))
+    with pytest.raises(CatalogClaimError, match="'liar' claims parallel"):
         verify_spacetime_claims(fake, seed=1)
 
 
@@ -242,12 +259,13 @@ def _nan_valued(fn):
 @pytest.mark.parametrize("claim", ["Killing", "parallel"])
 def test_non_finite_symmetry_residual_refutes_claim(claim):
     st = SPACETIMES["minkowski2"]
-    v = next(v for v in st.killing if v.claimed_parallel)
-    bad = dataclasses.replace(v, fn=_nan_valued(v.fn),
-                              claimed_killing=claim == "Killing",
-                              claimed_parallel=claim == "parallel")
+    v = st.parallel[0]
+    bad = dataclasses.replace(v, fn=_nan_valued(v.fn))
+    # a vector claimed parallel is checked for that first
+    parallel = (bad,) if claim == "parallel" else ()
+    fake = dataclasses.replace(st, killing=(bad,), parallel=parallel)
     with pytest.raises(CatalogClaimError, match=f"claims {claim}"):
-        verify_spacetime_claims(dataclasses.replace(st, killing=(bad,)), seed=1)
+        verify_spacetime_claims(fake, seed=1)
 
 
 @pytest.mark.parametrize("name", ["scalar-wave-2d", "scalar-blob-2d"])  # on, off shell
@@ -265,8 +283,10 @@ def test_one_non_finite_residual_component_refutes_an_off_shell_claim(position):
     sc = SCENARIOS["gradient-vector-2d"]
     tf = _theory_frame(sc)
     res = tf.eom_residual
+    c = res.components
     table = value_array(res).copy()
     table.flat[position] = np.nan
-    tf.eom_residual = TensorValue(res.variance, res.n, table)
+    tf.eom_residual = TensorValue(res.variance, res.n,
+                                  Jet(c.nvars, c.order, c.vdim, [table, *c.data[1:]]))
     with pytest.raises(CatalogClaimError, match="non-finite"):
         verify_scenario_claims(sc, tf)

@@ -127,6 +127,10 @@ def test_a_run_that_cannot_allocate_is_usage_error(monkeypatch, capsys):
     {"scenarios": ["phlogiston"]},
     {"spacetimes": ["flatland"]},
     {"suites": ["emt-onshell"], "jet_order": 2},
+    {"scenarios": []},
+    {"spacetimes": []},
+    {"scenarios": ["em-wave-4d", "em-wave-4d"]},
+    {"spacetimes": ["minkowski4", "bump2", "minkowski4"]},
 ], ids=lambda bad: json.dumps(bad))
 def test_cli_prints_the_library_gate_message(tmp_path, capsys, bad):
     config = {"suites": ["tilde-algebra"], **bad}
@@ -138,6 +142,17 @@ def test_cli_prints_the_library_gate_message(tmp_path, capsys, bad):
     assert run_cli(["verify", "--config", str(cfg)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("flag,name", [("--scenario", "em-wave-4d"),
+                                       ("--spacetime", "minkowski4")])
+def test_a_target_named_twice_is_usage_error_before_any_check(capsys, flag, name):
+    # measured twice, its points would be counted twice in the report
+    code = run_cli(["verify", "--suite", "emt-onshell", flag, name, flag, name])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag[2:]}s names '{name}' more than once\n"
 
 
 def test_unknown_suite_is_usage_error(capsys):

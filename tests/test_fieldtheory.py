@@ -17,7 +17,6 @@ from emtkit.catalog import (
     SPACETIMES,
     bump_perturbation,
     random_tensor_field,
-    random_vector_field,
     sample_points,
     scenario_box,
     verify_scenario_claims,
@@ -237,7 +236,7 @@ def test_field_variance_validated():
 
 def test_master_identity_for_generic_vector():
     sc, tf = scenario_theory_frame("schwarzschild-scalar", count=6)
-    xi = evaluate(random_vector_field(scenario_box(sc), seed=29), tf.frame)
+    xi = evaluate(random_tensor_field(("u",), scenario_box(sc), seed=29), tf.frame)
     lhs, rhs = master_identity_terms(tf, xi)
     scale = max(np.max(np.abs(lhs.data[0])), 1e-30)
     assert np.max(np.abs(lhs.data[0] - rhs.data[0])) / scale < 1e-9
@@ -245,13 +244,13 @@ def test_master_identity_for_generic_vector():
 
 def test_current_gradient_pairing():
     sc, tf = scenario_theory_frame("coulomb-4d", count=6)
-    xi = evaluate(random_vector_field(scenario_box(sc), seed=31), tf.frame)
+    xi = evaluate(random_tensor_field(("u",), scenario_box(sc), seed=31), tf.frame)
     assert np.max(np.abs(current_gradient_pairing_residual(tf, xi))) < 1e-9
 
 
 def test_current_decomposition_and_conservation():
     sc, tf = scenario_theory_frame("em-wave-4d", count=6)
-    xi = evaluate(random_vector_field(scenario_box(sc), seed=37), tf.frame)
+    xi = evaluate(random_tensor_field(("u",), scenario_box(sc), seed=37), tf.frame)
     jn = noether_current(tf, xi)
     ja = alternative_current(tf, xi)
     jd = difference_current(tf, xi)
@@ -273,7 +272,7 @@ def test_superpotential_divergence_is_shared_bit_for_bit():
     div = contract(covariant_derivative(tf.theta, fr), 0, 3)      # [a, b]
     _same_bits(tf.emt_belinfante.components, (tf.emt_canonical - div).components)
     for seed in (61, 62):
-        xi = evaluate(random_vector_field(scenario_box(sc), seed=seed), fr)
+        xi = evaluate(random_tensor_field(("u",), scenario_box(sc), seed=seed), fr)
         xil = TensorValue(("d",), tf.n, jet_einsum("ab,b->a", fr.g.components,
                                                    xi.components))
         t1 = jet_einsum("ab,b->a", div.components, xil.components)
@@ -284,7 +283,7 @@ def test_superpotential_divergence_is_shared_bit_for_bit():
 
 def test_superpotential_is_differentiated_once_per_theory_frame(monkeypatch):
     sc, tf = scenario_theory_frame("em-wave-4d", count=4)
-    xis = [evaluate(random_vector_field(scenario_box(sc), seed=70 + k), tf.frame)
+    xis = [evaluate(random_tensor_field(("u",), scenario_box(sc), seed=70 + k), tf.frame)
            for k in range(4)]
     theta = tf.theta
     seen = []
@@ -316,7 +315,7 @@ def test_symmetry_currents_conserved():
 def test_kinematic_residual_and_negative_control():
     frame = mink4_frame(seed=7)
     fld = random_tensor_field((), MINK4.box, seed=41)
-    xi = evaluate(random_vector_field(MINK4.box, seed=43), frame)
+    xi = evaluate(random_tensor_field(("u",), MINK4.box, seed=43), frame)
 
     tf = evaluate_theory(scalar_theory(0.3), fld, frame)
     assert np.max(np.abs(kinematic_lie_residual(tf, xi))) < 1e-12

@@ -431,6 +431,11 @@ _INVALID_CONFIGS = [
     ({"scenarios": ("phlogiston",)}, "unknown scenario 'phlogiston'"),
     ({"spacetimes": ("flatland",)}, "unknown spacetime 'flatland'"),
     ({"suites": ("emt-onshell",), "jet_order": 2}, "--jet-order 2 is too low"),
+    ({"scenarios": ()}, "scenarios must name at least one scenario"),
+    ({"spacetimes": []}, "spacetimes must name at least one spacetime"),
+    ({"scenarios": ("em-wave-4d", "coulomb-4d", "em-wave-4d")},
+     "scenarios names 'em-wave-4d' more than once"),
+    ({"spacetimes": ["bump2", "bump2"]}, "spacetimes names 'bump2' more than once"),
 ]
 
 
@@ -453,6 +458,17 @@ def test_gate_keeps_the_first_broken_rule_of_a_config():
     cases = [({"seed": 1.5, "suites": ("bogus",)}, "seed must be an integer"),
              ({"suites": ("bogus",), "jet_order": -1}, "unknown suite"),
              ({"suites": ("emt-onshell",), "jet_order": 2, "seed": -1}, "--jet-order 2")]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_checks(RunConfig(**bad))
+
+
+def test_gate_checks_selections_after_every_other_rule():
+    # an empty or repeated selection is reported only when nothing else is wrong
+    cases = [({"scenarios": (), "seed": -1}, "seed must be a non-negative integer"),
+             ({"spacetimes": ("bump2", "bump2"), "suites": ("bogus",)}, "unknown suite"),
+             ({"scenarios": ("phlogiston", "phlogiston")}, "unknown scenario"),
+             ({"scenarios": ("coulomb-4d",), "spacetimes": ()}, "spacetimes must name")]
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
             run_checks(RunConfig(**bad))

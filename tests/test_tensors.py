@@ -27,7 +27,7 @@ from emtkit.tensors import (
     transpose_slots,
     value_array,
 )
-from emtkit.jets import Jet, _is_zero, _zero_table, jet_einsum
+from emtkit.jets import Jet, _is_zero, _zero_table, constant_jet, jet_einsum
 from emtkit.suites import _frozen
 
 
@@ -59,6 +59,23 @@ def tilde_loops(variance, comps):
 RNG = np.random.default_rng(11)
 
 
+def tensor(variance, n, comps):
+    """A tensor whose components are the array ``comps``, or a jet passed as
+    it is; an array becomes an order-0 jet whose value axes are the last
+    ``len(variance)`` of it."""
+    if not isinstance(comps, Jet):
+        comps = constant_jet(comps, 2, 0, vdim=len(variance))
+    return TensorValue(variance, n, comps)
+
+
+@pytest.mark.parametrize("comps", [np.eye(2), np.float64(1.0), [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["array", "number", "list"])
+def test_tensor_value_components_must_be_a_jet(comps):
+    variance = ("u", "d") if np.ndim(comps) else ()
+    with pytest.raises(TypeError, match="must be a Jet"):
+        TensorValue(variance, 2, comps)
+
+
 @pytest.mark.parametrize("variance", [
     ("u",), ("d",), ("u", "d"), ("d", "d"), ("u", "u"),
     ("u", "d", "d"), ("d", "u", "u"),
@@ -66,7 +83,7 @@ RNG = np.random.default_rng(11)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tilde_matches_loop_oracle(variance, n):
     comps = RNG.normal(size=(n,) * len(variance))
-    got = tilde(TensorValue(variance, n, comps))
+    got = tilde(tensor(variance, n, comps))
     want, want_var = tilde_loops(variance, comps)
     assert got.variance == want_var
     assert np.allclose(value_array(got), want, atol=0, rtol=0)
@@ -92,7 +109,8 @@ def tables(c):
 
 
 def random_components(rng, rank, order, n=3, nvars=4, batch=(2, 3), vshape=None):
-    """Plain array components for order None, else a jet of that order."""
+    """A plain array for order None (``tensor`` makes it an order-0 jet),
+    else a jet of that order."""
     shape = batch + (vshape if vshape is not None else (n,) * rank)
     if order is None:
         return rng.normal(size=shape)
@@ -112,7 +130,7 @@ def variance_id(variance):
 def test_tilde_matches_eye_products_bitwise(variance, order):
     seed = ALL_VARIANCES.index(variance) * 5 + (0 if order is None else order + 1)
     rng = np.random.default_rng(seed)
-    t = TensorValue(variance, 3, random_components(rng, len(variance), order))
+    t = tensor(variance, 3, random_components(rng, len(variance), order))
     got = tilde(t)
     assert got.variance == variance + ("u", "d")
     if not variance:
@@ -145,7 +163,7 @@ def test_tilde_contract_matches_materialised_tilde(variance, extra, m_order):
 
 
 def test_tilde_scalar_is_zero():
-    t = TensorValue((), 3, np.float64(4.2))
+    t = tensor((), 3, np.float64(4.2))
     got = tilde(t)
     assert got.variance == ("u", "d")
     assert np.allclose(value_array(got), 0.0)
@@ -154,7 +172,7 @@ def test_tilde_scalar_is_zero():
 def test_tilde_vector_closed_form():
     n = 4
     v = RNG.normal(size=n)
-    got = value_array(tilde(TensorValue(("u",), n, v)))
+    got = value_array(tilde(tensor(("u",), n, v)))
     want = np.einsum("c,ad->acd", v, np.eye(n))
     # up slot: value v^c lands in the new up slot, delta pairs old slot with
     # the new down slot
@@ -164,14 +182,14 @@ def test_tilde_vector_closed_form():
 def test_tilde_oneform_closed_form():
     n = 4
     a = RNG.normal(size=n)
-    got = value_array(tilde(TensorValue(("d",), n, a)))
+    got = value_array(tilde(tensor(("d",), n, a)))
     want = -np.einsum("d,ca->acd", a, np.eye(n))
     assert np.allclose(got, want)
 
 
 def test_tilde_identity_tensor_vanishes():
     for n in (2, 3, 4):
-        got = tilde(TensorValue(("u", "d"), n, np.eye(n)))
+        got = tilde(tensor(("u", "d"), n, np.eye(n)))
         assert max_abs(got) == 0.0
 
 
@@ -181,14 +199,13 @@ _NAN_ROW = np.array([1.0, np.nan, 2.0])
 
 
 @pytest.mark.parametrize("x,values,want", [
-    (TensorValue(("u", "d"), 2, _VALUES), _VALUES, 3.0),
     (TensorValue(("u", "d"), 2, _JET), _VALUES, 3.0),
     (_JET, _VALUES, 3.0),                   # derivative tables are not read
     (_VALUES, _VALUES, 3.0),
     (-2.5, np.array(-2.5), 2.5),
     (np.empty((0, 3)), np.empty((0, 3)), 0.0),
     (_NAN_ROW, _NAN_ROW, np.nan),
-], ids=["tensor", "jet-tensor", "jet", "array", "number", "empty", "nan"])
+], ids=["jet-tensor", "jet", "array", "number", "empty", "nan"])
 def test_max_abs_reads_the_value_part_of_every_input_form(x, values, want):
     assert np.array_equal(value_array(x), values, equal_nan=True)
     got = max_abs(x)
@@ -200,7 +217,7 @@ def test_tilde_metric_form():
     n = 4
     g = RNG.normal(size=(n, n))
     g = g + g.T
-    got = value_array(tilde(TensorValue(("d", "d"), n, g)))
+    got = value_array(tilde(tensor(("d", "d"), n, g)))
     eye = np.eye(n)
     want = -np.einsum("db,ca->abcd", g, eye) - np.einsum("ad,cb->abcd", g, eye)
     assert np.allclose(got, want)
@@ -219,7 +236,7 @@ def test_tilde_trace_counts_slots():
     n = 3
     for variance in [("u", "u"), ("u", "d"), ("d", "d"), ("u", "u", "d")]:
         comps = RNG.normal(size=(n,) * len(variance))
-        t = TensorValue(variance, n, comps)
+        t = tensor(variance, n, comps)
         tr = contract(tilde(t), t.rank, t.rank + 1)
         p = variance.count("u")
         q = variance.count("d")
@@ -228,8 +245,8 @@ def test_tilde_trace_counts_slots():
 
 def test_tilde_leibniz_over_products():
     n = 3
-    t = TensorValue(("u",), n, RNG.normal(size=n))
-    s = TensorValue(("d", "u"), n, RNG.normal(size=(n, n)))
+    t = tensor(("u",), n, RNG.normal(size=n))
+    s = tensor(("d", "u"), n, RNG.normal(size=(n, n)))
     lhs = tilde(tensor_product(t, s))
     term1 = tensor_product(tilde(t), s)
     perm = (0, 3, 4, 1, 2)  # pull til(t)'s replacement slots to the end
@@ -254,7 +271,7 @@ def test_levi_civita_parity():
 def test_contract_is_trace():
     n = 4
     comps = RNG.normal(size=(n, n, n))
-    t = TensorValue(("u", "d", "d"), n, comps)
+    t = tensor(("u", "d", "d"), n, comps)
     tr = contract(t, 0, 1)
     assert tr.variance == ("d",)
     assert np.allclose(value_array(tr), np.einsum("aab->b", comps), atol=1e-15)
@@ -265,7 +282,7 @@ def test_contract_is_trace():
 def test_transpose_slots_permutes():
     n = 3
     comps = RNG.normal(size=(n, n, n))
-    t = TensorValue(("u", "d", "u"), n, comps)
+    t = tensor(("u", "d", "u"), n, comps)
     got = transpose_slots(t, (2, 0, 1))
     assert got.variance == ("u", "u", "d")
     want = np.einsum("abc->cab", comps)
@@ -274,7 +291,8 @@ def test_transpose_slots_permutes():
 
 def special_components(rank, order, n=3, nvars=2, batch=(2,)):
     """Components with -0.0, NaN and inf in every live table; above order 0
-    the top table is a structural zero.  Order None gives a plain array."""
+    the top table is a structural zero.  Order None gives a plain array,
+    which ``tensor`` makes an order-0 jet."""
     rng = np.random.default_rng(rank * 5 + (order or 0))
     live = []
     for m in range(1 if order is None else order + 1):
@@ -293,7 +311,8 @@ def special_components(rank, order, n=3, nvars=2, batch=(2,)):
 @pytest.mark.parametrize("order", [None, 0, 1, 2, 3])
 def test_transpose_slots_is_a_view_equal_to_the_einsum_copy(rank, order):
     comps = special_components(rank, order)
-    t = TensorValue(("u", "d", "u")[:rank], 3, comps)
+    t = tensor(("u", "d", "u")[:rank], 3, comps)
+    comps = t.components
     src = "ijk"[:rank]
     for perm in itertools.permutations(range(rank)):
         got = transpose_slots(t, perm)
@@ -313,7 +332,7 @@ def test_transpose_slots_is_a_view_equal_to_the_einsum_copy(rank, order):
 
 @pytest.mark.parametrize("order", [None, 0, 2])
 def test_transpose_slots_accepts_a_frozen_tensor(order):
-    t = _frozen(TensorValue(("u", "d", "d"), 3, special_components(3, order)))
+    t = _frozen(tensor(("u", "d", "d"), 3, special_components(3, order)))
     got = transpose_slots(t, (2, 0, 1))
     for g in tables(got.components):
         assert not g.flags.writeable
@@ -324,7 +343,7 @@ def test_transpose_slots_accepts_a_frozen_tensor(order):
 
 @pytest.mark.parametrize("perm", [(0,), (0, 0), (1, 2), (0, 1, 2)])
 def test_transpose_slots_rejects_a_malformed_perm(perm):
-    t = TensorValue(("u", "d"), 2, np.arange(4.0).reshape(2, 2))
+    t = tensor(("u", "d"), 2, np.arange(4.0).reshape(2, 2))
     with pytest.raises(ValueError, match="not a permutation"):
         transpose_slots(t, perm)
 
@@ -334,9 +353,9 @@ def test_raise_lower_roundtrip():
     g = RNG.normal(size=(n, n))
     g = g @ g.T + n * np.eye(n)  # positive definite
     ginv = np.linalg.inv(g)
-    gv = TensorValue(("d", "d"), n, g)
-    ginvv = TensorValue(("u", "u"), n, ginv)
-    a = TensorValue(("d",), n, RNG.normal(size=n))
+    gv = tensor(("d", "d"), n, g)
+    ginvv = tensor(("u", "u"), n, ginv)
+    a = tensor(("d",), n, RNG.normal(size=n))
     up = raise_slot(a, 0, ginvv)
     assert up.variance == ("u",)
     back = np.einsum("ab,b->a", value_array(gv), value_array(up))
@@ -346,7 +365,7 @@ def test_raise_lower_roundtrip():
 def test_symmetrize_antisymmetrize_split():
     n = 4
     comps = RNG.normal(size=(n, n))
-    t = TensorValue(("u", "u"), n, comps)
+    t = tensor(("u", "u"), n, comps)
     a = antisymmetrize_pair(t, 0, 1)
     s = comps - value_array(a)
     assert np.allclose(value_array(a), 0.5 * (comps - comps.T), atol=1e-15)
@@ -356,8 +375,8 @@ def test_symmetrize_antisymmetrize_split():
 
 def test_addition_requires_matching_variance():
     n = 2
-    t = TensorValue(("u",), n, np.ones(n))
-    s = TensorValue(("d",), n, np.ones(n))
+    t = tensor(("u",), n, np.ones(n))
+    s = tensor(("d",), n, np.ones(n))
     with pytest.raises(ValueError):
         _ = t + s
 
@@ -378,8 +397,8 @@ def test_property_tilde_linear(spec, scale):
     shape = (n,) * len(variance)
     a = rng.normal(size=shape)
     b = rng.normal(size=shape)
-    ta = TensorValue(tuple(variance), n, a)
-    tb = TensorValue(tuple(variance), n, b)
+    ta = tensor(tuple(variance), n, a)
+    tb = tensor(tuple(variance), n, b)
     lhs = tilde(ta + scale * tb)
     rhs = tilde(ta) + scale * tilde(tb)
     assert np.allclose(value_array(lhs), value_array(rhs), atol=1e-10)
@@ -390,6 +409,6 @@ def test_property_tilde_linear(spec, scale):
 def test_property_double_transpose_identity(n, seed):
     rng = np.random.default_rng(seed)
     comps = rng.normal(size=(n, n))
-    t = TensorValue(("u", "d"), n, comps)
+    t = tensor(("u", "d"), n, comps)
     back = transpose_slots(transpose_slots(t, (1, 0)), (1, 0))
     assert np.allclose(value_array(back), comps, atol=0)
