@@ -58,6 +58,7 @@ from .tensors import (
     _permuted,
     _slot_letters,
     antisymmetrize_pair,
+    einsum,
     raise_slot,
     tilde,
     transpose_slots,
@@ -71,6 +72,7 @@ from .geometry import (
     evaluate,
     geometry_at,
     lie_derivative,
+    partial_tensor,
     _drop_orders,
     _truncated_view,
 )
@@ -300,10 +302,6 @@ def broken_scalar_theory(mass: float = 0.0) -> LagrangianTheory:
 # --------------------------------------------------------------------------
 
 
-def _dual(variance):
-    return tuple("u" if v == "d" else "d" for v in variance)
-
-
 class TheoryFrame:
     """A theory, a field configuration, and a frame, with every derived
     quantity computed lazily and cached; the xi-independent parts of the
@@ -349,8 +347,7 @@ class TheoryFrame:
         t = tilde(_drop_orders(self.psi, 1))     # at dL/d(grad psi)'s order
         ttr = raise_slot(t, t.rank - 1, self.frame.ginv)                # [S, a, b]
         S = _slot_letters(ttr.rank - 2)
-        comps = jet_einsum(f"{S}c,{S}ab->cab", self.dL_ddpsi.components, ttr.components)
-        return TensorValue(("u", "u", "u"), self.n, comps)
+        return einsum(f"{S}c,{S}ab->cab", self.dL_ddpsi, ttr)
 
     @cached_property
     def P(self) -> TensorValue:
@@ -358,8 +355,7 @@ class TheoryFrame:
         d = self.dpsi
         dup = raise_slot(d, d.rank - 1, self.frame.ginv)
         S = _slot_letters(d.rank - 1)
-        comps = jet_einsum(f"{S}a,{S}b->ab", self.dL_ddpsi.components, dup.components)
-        return TensorValue(("u", "u"), self.n, comps)
+        return einsum(f"{S}a,{S}b->ab", self.dL_ddpsi, dup)
 
     @cached_property
     def theta(self) -> TensorValue:
@@ -372,8 +368,7 @@ class TheoryFrame:
 
     @cached_property
     def _g_up_L(self) -> TensorValue:
-        comps = jet_einsum("ab,->ab", self.frame.ginv.components, self.L)
-        return TensorValue(("u", "u"), self.n, comps)
+        return einsum("ab,->ab", self.frame.ginv, self.L)
 
     @cached_property
     def emt_canonical(self) -> TensorValue:
@@ -436,7 +431,7 @@ def evaluate_theory(theory: LagrangianTheory, field: TensorField, frame: Frame) 
             g = zeros_jet(L.nvars, L.order, r, shape)
         elif not isinstance(g, Jet):
             g = constant_jet(np.broadcast_to(g, shape), L.nvars, L.order, vdim=r)
-        return TensorValue(_dual(arg_variance), frame.n, g)
+        return TensorValue(tuple("u" if v == "d" else "d" for v in arg_variance), frame.n, g)
 
     dL_dpsi = grad_tensor(psi_arg, variance)
     dL_ddpsi = grad_tensor(dpsi_arg, variance + ("d",))
@@ -450,51 +445,42 @@ def evaluate_theory(theory: LagrangianTheory, field: TensorField, frame: Frame) 
 # --------------------------------------------------------------------------
 
 
-def _lower(xi: TensorValue, frame: Frame) -> TensorValue:
-    return TensorValue(("d",), frame.n,
-                       jet_einsum("ab,b->a", frame.g.components, xi.components))
-
-
 def master_identity_terms(tf: TheoryFrame, xi: TensorValue):
-    """(D_a(T_B^ab xi_b), 1/2 T_M^ab (Lie_xi g)_ab) as scalar jets."""
-    lhs = divergence(noether_current(tf, xi), tf.frame).components
+    """(D_a(T_B^ab xi_b), 1/2 T_M^ab (Lie_xi g)_ab) as scalars."""
+    lhs = divergence(noether_current(tf, xi), tf.frame)
     h = lie_derivative(tf.frame.g, xi, tf.frame)
-    rhs = 0.5 * jet_einsum("ab,ab->", tf.emt_metric.components, h.components)
-    return lhs, rhs
+    return lhs, 0.5 * einsum("ab,ab->", tf.emt_metric, h)
 
 
-def current_gradient_pairing_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
+def current_gradient_pairing_residual(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """D_a(T_B^ab xi_b) - T_M^ab D_a xi_b."""
-    lhs = divergence(noether_current(tf, xi), tf.frame).components
-    dxil = covariant_derivative(_lower(xi, tf.frame), tf.frame)   # [b, a] = D_a xi_b
-    rhs = jet_einsum("ab,ba->", tf.emt_metric.components, dxil.components)
-    return (lhs - rhs).data[0]
+    lhs = divergence(noether_current(tf, xi), tf.frame)
+    xil = einsum("ab,b->a", tf.frame.g, xi)
+    dxil = covariant_derivative(xil, tf.frame)   # [b, a] = D_a xi_b
+    return lhs - einsum("ab,ba->", tf.emt_metric, dxil)
 
 
 def noether_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """j^a = T_B^ab xi_b."""
-    xil = _lower(xi, tf.frame)
-    return TensorValue(("u",), tf.n,
-                       jet_einsum("ab,b->a", tf.emt_belinfante.components, xil.components))
+    return einsum("ab,b->a", tf.emt_belinfante, einsum("ab,b->a", tf.frame.g, xi))
+
+
+def _theta_current(tf: TheoryFrame, T: TensorValue, xi: TensorValue) -> TensorValue:
+    """T^ab xi_b + Theta^cab D_c xi_b."""
+    xil = einsum("ab,b->a", tf.frame.g, xi)
+    dxil = covariant_derivative(xil, tf.frame)   # [b, c] = D_c xi_b
+    return einsum("ab,b->a", T, xil) + einsum("cab,bc->a", tf.theta, dxil)
 
 
 def alternative_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """j^a = T_C^ab xi_b + Theta^cab D_c xi_b."""
-    xil = _lower(xi, tf.frame)
-    t1 = jet_einsum("ab,b->a", tf.emt_canonical.components, xil.components)
-    dxil = covariant_derivative(xil, tf.frame)   # [b, c] = D_c xi_b
-    t2 = jet_einsum("cab,bc->a", tf.theta.components, dxil.components)
-    return TensorValue(("u",), tf.n, t1 + t2)
+    return _theta_current(tf, tf.emt_canonical, xi)
 
 
 def difference_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """V^a = (D_c Theta^cab) xi_b + Theta^cab D_c xi_b; its divergence vanishes
     because Theta is antisymmetric in (c, a) and the Ricci tensor is symmetric."""
-    xil = _lower(xi, tf.frame)
-    t1 = jet_einsum("ab,b->a", tf.div_theta.components, xil.components)
-    dxil = covariant_derivative(xil, tf.frame)
-    t2 = jet_einsum("cab,bc->a", tf.theta.components, dxil.components)
-    return TensorValue(("u",), tf.n, t1 + t2)
+    return _theta_current(tf, tf.div_theta, xi)
 
 
 def lie_matter_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
@@ -502,9 +488,7 @@ def lie_matter_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     G = tf.dL_ddpsi
     lpsi = lie_derivative(tf.psi, xi, tf.frame)
     S = _slot_letters(G.rank - 1)
-    term = jet_einsum(f"{S}a,{S}->a", G.components, lpsi.components)
-    lterm = jet_einsum("a,->a", xi.components, tf.L)
-    return TensorValue(("u",), tf.n, term - lterm)
+    return einsum(f"{S}a,{S}->a", G, lpsi) - einsum("a,->a", xi, tf.L)
 
 
 def canonical_divergence_terms(tf: TheoryFrame):
@@ -515,8 +499,7 @@ def canonical_divergence_terms(tf: TheoryFrame):
     curvature term.
     """
     lhs = divergence(tf.emt_canonical, tf.frame)        # [b]
-    rhs = jet_einsum("acd,badc->b", tf.W.components, tf.frame.riemann.components)
-    return lhs, TensorValue(("u",), tf.n, rhs)
+    return lhs, einsum("acd,badc->b", tf.W, tf.frame.riemann)
 
 
 def metric_derivative_identity_terms(tf: TheoryFrame):
@@ -524,23 +507,16 @@ def metric_derivative_identity_terms(tf: TheoryFrame):
     return 2.0 * tf.dL_dg, divergence(tf.W, tf.frame) - tf.P
 
 
-def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> np.ndarray:
+def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """Chain-rule expansion of Lie_xi L minus grad_a L xi^a; identically zero
     for any generally covariant Lagrangian, on or off shell."""
-    G = tf.dL_ddpsi
-    ldpsi = lie_derivative(tf.dpsi, xi, tf.frame)
-    S = _slot_letters(G.rank)
-    t1 = jet_einsum(f"{S},{S}->", G.components, ldpsi.components)
-    P = tf.dL_dpsi
-    lpsi = lie_derivative(tf.psi, xi, tf.frame)
-    Sp = _slot_letters(P.rank)
-    t2 = jet_einsum(f"{Sp},{Sp}->", P.components, lpsi.components)
-    acc = t1 + t2
-    h = lie_derivative(tf.frame.g, xi, tf.frame)
-    acc = acc + jet_einsum("ab,ab->", tf.dL_dg.components, h.components)
-    dL = differentiate(tf.L, keep=tf.n)
-    acc = acc - jet_einsum("a,a->", dL, xi.components)
-    return acc.data[0]
+    S = _slot_letters(tf.dL_ddpsi.rank)
+    acc = einsum(f"{S},{S}->", tf.dL_ddpsi, lie_derivative(tf.dpsi, xi, tf.frame))
+    S = S[:-1]                                   # the slots of psi
+    acc = acc + einsum(f"{S},{S}->", tf.dL_dpsi, lie_derivative(tf.psi, xi, tf.frame))
+    acc = acc + einsum("ab,ab->", tf.dL_dg, lie_derivative(tf.frame.g, xi, tf.frame))
+    dL = partial_tensor(TensorValue((), tf.n, tf.L))
+    return acc - einsum("a,a->", dL, xi)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,9 @@ which reproduces the usual one-Gamma-per-slot prescription for every rank.
 The contraction with tilde T is taken slot by slot
 (:func:`~emtkit.tensors.tilde_contract`), so tilde T itself is never built;
 the Lie derivative and the curvature and connection-tensor commutators
-contract it the same way.
+contract it the same way.  Every contraction of two tensors is a
+:func:`~emtkit.tensors.einsum`, which derives the result's variance and
+checks it; only the g^-1 and sqrt|g| series contract bare component jets.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .jets import (
     jexp,
     lift,
 )
-from .tensors import (TensorValue, _slot_letters, contract, tilde, tilde_contract,
+from .tensors import (TensorValue, _slot_letters, contract, einsum, tilde, tilde_contract,
                       transpose_slots)
 
 __all__ = [
@@ -62,7 +64,6 @@ __all__ = [
     "curvature_commutator_residual",
     "tilde_gradient_commutator_residual",
     "lie_nabla_commutator",
-    "lie_nabla_from_connection",
     "lie_connection_tensor",
     "christoffel_deformation",
     "volume_lie_residual",
@@ -177,8 +178,7 @@ class Frame:
         t2 = transpose_slots(dg, (0, 2, 1))   # [d, a, c] -> d_a g_dc
         t3 = transpose_slots(dg, (2, 1, 0))   # [d, a, c] -> d_d g_ca
         X = t1 + t2 - t3
-        comps = jet_einsum("bd,dac->bca", self.ginv.components, X.components)
-        return TensorValue(("u", "d", "d"), self.n, 0.5 * comps)
+        return 0.5 * einsum("bd,dac->bca", self.ginv, X)
 
     def truncate(self, order: int) -> Frame:
         """This frame at jet ``order``; see :func:`_truncated_view`."""
@@ -197,10 +197,9 @@ class Frame:
         dG = partial_tensor(self.gamma)       # [e, c, b, a] = d_a Gamma^e_{cb}
         r1 = transpose_slots(dG, (0, 1, 3, 2))  # [e, c, a, b] = d_a Gamma^e_{cb}
         r2 = dG                                 # [e, c, a, b] reading = d_b Gamma^e_{ca}
-        gg1 = jet_einsum("eda,dcb->ecab", self.gamma.components, self.gamma.components)
-        gg2 = jet_einsum("edb,dca->ecab", self.gamma.components, self.gamma.components)
-        comps = r1.components - r2.components + gg1 - gg2
-        return TensorValue(("u", "d", "d", "d"), self.n, comps)
+        gg1 = einsum("eda,dcb->ecab", self.gamma, self.gamma)
+        gg2 = einsum("edb,dca->ecab", self.gamma, self.gamma)
+        return r1 - r2 + gg1 - gg2
 
 
 def _drop_orders(x, k: int):
@@ -273,8 +272,7 @@ def covariant_derivative(t: TensorValue, frame: Frame) -> TensorValue:
     if t.rank == 0:
         return dt
     # dt is one order below t, so the correction needs no more of t than that
-    corr = tilde_contract(_drop_orders(t, 1), frame.gamma.components, 1)
-    return dt + TensorValue(t.variance + ("d",), t.n, corr)
+    return dt + tilde_contract(_drop_orders(t, 1), frame.gamma)
 
 
 def divergence(t: TensorValue, frame: Frame, slot: int = 0) -> TensorValue:
@@ -301,9 +299,7 @@ def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) 
     top = min(t.components.order, xi.components.order) - 1
     t, xi, dt, dxi = (_drop_orders(v, v.components.order - top) for v in (t, xi, dt, dxi))
     S = _slot_letters(t.rank)
-    term1 = jet_einsum(f"{S}a,a->{S}", dt.components, xi.components)
-    term2 = tilde_contract(t, dxi.components, 0)
-    return TensorValue(t.variance, t.n, term1 - term2)
+    return einsum(f"{S}a,a->{S}", dt, xi) - tilde_contract(t, dxi)
 
 
 def curvature_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:
@@ -313,8 +309,7 @@ def curvature_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:
     r = t.rank
     perm = list(range(r)) + [r + 1, r]
     lhs = transpose_slots(d2, perm) - d2        # [S, a, b]: D_a D_b T - D_b D_a T
-    rhs = tilde_contract(t, frame.riemann.components, 2)
-    return lhs - TensorValue(t.variance + ("d", "d"), t.n, rhs)
+    return lhs - tilde_contract(t, frame.riemann)
 
 
 def tilde_gradient_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:
@@ -326,9 +321,9 @@ def tilde_gradient_commutator_residual(t: TensorValue, frame: Frame) -> TensorVa
     perm = list(range(r)) + [r + 2, r, r + 1]
     rhs1 = transpose_slots(rhs1, perm)                    # [S, e, a, b]
     S = _slot_letters(r)
-    rhs2 = jet_einsum(f"{S}b,ae->{S}eab", dt.components, np.eye(t.n))
-    rhs2 = TensorValue(t.variance + ("d", "u", "d"), t.n, rhs2)
-    return lhs - rhs1 + rhs2
+    dc = dt.components
+    delta = TensorValue(("u", "d"), t.n, constant_jet(np.eye(t.n), dc.nvars, dc.order, vdim=2))
+    return lhs - rhs1 + einsum(f"{S}b,ae->{S}eab", dt, delta)
 
 
 def lie_nabla_commutator(t: TensorValue, xi: TensorValue, frame: Frame) -> TensorValue:
@@ -339,16 +334,17 @@ def lie_nabla_commutator(t: TensorValue, xi: TensorValue, frame: Frame) -> Tenso
 
 
 def lie_connection_tensor(xi: TensorValue, frame: Frame, form: str = "direct") -> TensorValue:
-    """The tensor C^c_{ba} mediating [Lie_xi, D]; slots ordered [c, b, a].
+    """The tensor C^c_{ba} mediating [Lie_xi, D]; slots ordered [c, b, a]:
+    [Lie_xi, D_a] T = C^c_{ba} (tilde T)^b_c is ``tilde_contract(T, C)``.
 
     form='direct':  C^c_{ba} = R^c_{bda} xi^d + D_a D_b xi^c.
     form='metric':  C^d_{ab} = 1/2 g^{dc} (D_a h_bc + D_b h_ac - D_c h_ab)
     with h = Lie_xi g, transposed into the same [c, b, a] layout.
     """
     if form == "direct":
-        rterm = jet_einsum("cbda,d->cba", frame.riemann.components, xi.components)
+        rterm = einsum("cbda,d->cba", frame.riemann, xi)
         ddxi = covariant_derivative(covariant_derivative(xi, frame), frame)  # [c, b, a]
-        return TensorValue(("u", "d", "d"), frame.n, rterm) + ddxi
+        return rterm + ddxi
     if form == "metric":
         h = lie_derivative(frame.g, xi, frame)
         defo = christoffel_deformation(h, frame)      # [d, a, b]
@@ -366,14 +362,7 @@ def christoffel_deformation(h: TensorValue, frame: Frame) -> TensorValue:
     t2 = transpose_slots(dh, (1, 0, 2))           # [c, a, b] = D_b h_ac
     t3 = transpose_slots(dh, (2, 0, 1))           # [c, a, b] = D_c h_ab
     W = t1 + t2 - t3
-    comps = jet_einsum("dc,cab->dab", frame.ginv.components, W.components)
-    return TensorValue(("u", "d", "d"), frame.n, 0.5 * comps)
-
-
-def lie_nabla_from_connection(t: TensorValue, C: TensorValue) -> TensorValue:
-    """[Lie_xi, D] T from the connection tensor: D_{xi a} T = C^c_{ba} (tilde T)^b_c."""
-    comps = tilde_contract(t, C.components, 1)
-    return TensorValue(t.variance + ("d",), t.n, comps)
+    return 0.5 * einsum("dc,cab->dab", frame.ginv, W)
 
 
 def volume_lie_residual(xi: TensorValue, frame: Frame) -> Jet:
@@ -381,6 +370,6 @@ def volume_lie_residual(xi: TensorValue, frame: Frame) -> Jet:
     the density, with the left side expanded as (1/2) sqrt|g| g^{ab} Lie_xi g_ab.
     The right side reads the first derivatives of sqrt|g|."""
     h = lie_derivative(frame.g, xi, frame)
-    lhs = 0.5 * frame.sqrt_g * jet_einsum("ab,ab->", frame.ginv.components, h.components)
-    flux = partial_tensor(TensorValue(("u",), frame.n, frame.sqrt_g * xi.components))
+    lhs = 0.5 * frame.sqrt_g * einsum("ab,ab->", frame.ginv, h).components
+    flux = partial_tensor(einsum(",a->a", frame.sqrt_g, xi))
     return lhs - contract(flux, 0, 1).components

@@ -3,11 +3,13 @@
 A ``TensorValue`` is a concrete tensor at a point (or a broadcastable batch of
 points): an ordered list of slots, each contravariant ('u') or covariant
 ('d'), over components stored as a :class:`~emtkit.jets.Jet` whose value
-axes are the slots (a constant is an order-0 jet).  Contractions and
-products run through einsum so that batch axes and derivative tables ride
-along untouched; a slot permutation is an ``ndarray.transpose`` view of
-each table, which copies nothing and shares memory with its input (safe
-because no table is written after construction; see :mod:`emtkit.jets`).
+axes are the slots (a constant is an order-0 jet).  Tensors are contracted
+through one primitive, :func:`einsum`, a jet einsum of the components (batch
+axes and derivative tables ride along) whose result variance is derived from
+the subscripts and checked: every summed index joins an up slot with a down
+slot.  A slot permutation is an ``ndarray.transpose`` view of each table,
+which copies nothing and shares memory with its input (safe because no table
+is written after construction; see :mod:`emtkit.jets`).
 
 The central algebraic operation here is :func:`tilde`: it maps a tensor of
 type (p, q) to type (p+1, q+1) by summing, over every slot, the copy of the
@@ -23,15 +25,18 @@ contraction directly, one product per slot of T, without building tilde T.
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import permutations
 
 import numpy as np
 
-from .jets import Jet, constant_jet, jet_einsum, zeros_jet, _LETTERS, _free_letters
+from .jets import (Jet, constant_jet, jet_einsum, zeros_jet, _LETTERS, _free_letters,
+                   _parse_subs)
 
 __all__ = [
     "TensorValue",
+    "einsum",
     "tilde",
     "tilde_contract",
     "tensor_product",
@@ -118,6 +123,40 @@ def _slot_letters(r: int) -> str:
     return "".join(chr(ord("i") + k) for k in range(r))
 
 
+@functools.lru_cache(maxsize=4096)
+def _einsum_variance(subs: str, vx: tuple, vy: tuple) -> tuple:
+    """The variance of ``einsum(subs, x, y)`` for operands of variance ``vx``
+    and ``vy``."""
+    (sx, sy), out = _parse_subs(subs)
+    if (len(sx), len(sy)) != (len(vx), len(vy)):
+        raise ValueError(f"einsum '{subs}' does not fit operands of rank {len(vx)} and {len(vy)}")
+    slots = {}
+    for c, v in zip(sx + sy, vx + vy):
+        slots[c] = slots.get(c, "") + v
+    for c in dict.fromkeys(sx + sy + out):
+        vs = slots.get(c, "")
+        if c in out and (len(vs) != 1 or out.count(c) > 1):
+            raise ValueError(f"einsum '{subs}': output letter '{c}' is in slots '{vs}', not one")
+        if c not in out and sorted(vs) != ["d", "u"]:
+            raise ValueError(f"einsum '{subs}': summed letter '{c}' joins slots '{vs}', "
+                             "not one up and one down")
+    return tuple(slots[c] for c in out)
+
+
+def einsum(subs: str, x, y) -> TensorValue:
+    """``jet_einsum(subs, ...)`` of two tensors, one of which may be a scalar
+    Jet (rank 0), with the result's variance read off ``subs``: an output letter
+    keeps the variance of its one slot, and a summed letter must join one up
+    slot with one down slot.  Any other pairing, or a subscript that does not
+    fit its operand's rank, raises ValueError."""
+    if isinstance(x, Jet):
+        x = TensorValue((), y.n, x)
+    elif isinstance(y, Jet):
+        y = TensorValue((), x.n, y)
+    variance = _einsum_variance(subs, x.variance, y.variance)
+    return TensorValue(variance, x.n, jet_einsum(subs, x.components, y.components))
+
+
 def _zeros_like(t: TensorValue, variance) -> TensorValue:
     r, c = len(variance), t.components
     return TensorValue(variance, t.n, zeros_jet(c.nvars, c.order, r, c.batch_shape + (t.n,) * r))
@@ -160,59 +199,56 @@ def tilde(t: TensorValue) -> TensorValue:
     return TensorValue(variance, t.n, Jet(c.nvars, c.order, r + 2, tables))
 
 
-def tilde_contract(t: TensorValue, m, extra: int):
-    """Components of (tilde T)^{S x}_y m[y, x, E], without building tilde T.
+def tilde_contract(t: TensorValue, m: TensorValue) -> TensorValue:
+    """(tilde T)^{S x}_y m^y_x{}^E, without building tilde T.
 
-    ``m`` is a jet or array whose value axes are [y, x] followed by ``extra``
-    slots E, which the result keeps after the slots S of ``t``.  Each
-    contravariant slot s adds T[s -> x] m[s, x, E] and each covariant slot
-    subtracts T[s -> y] m[y, s, E]: r products of T with m in place of the
+    ``m``'s first two slots are [y, x], up and down; its other slots E
+    follow the slots S of ``t`` in the result.  Each contravariant slot s
+    adds T[s -> x] m[s, x, E] and each covariant slot subtracts
+    T[s -> y] m[y, s, E]: r products of T with m in place of the
     rank-(r+2) tilde T and its contraction with m.
     """
+    if m.variance[:2] != ("u", "d"):
+        raise ValueError(f"tilde_contract needs m's first slots up, down; got {m.variance[:2]}")
     r = t.rank
     S = _LETTERS[:r]
-    x, y, *E = _free_letters(set(S), 2 + extra)
+    x, y, *E = _free_letters(set(S), m.rank)
     E = "".join(E)
     if r == 0:
         # tilde T is zero; contracting its table keeps the jet order and
         # batch shape that the general case would give
-        return jet_einsum(f"{x}{y},{y}{x}{E}->{E}", _zeros_like(t, ("u", "d")).components, m)
+        return einsum(f"{x}{y},{y}{x}{E}->{E}", _zeros_like(t, ("u", "d")), m)
     acc = None
     for k, v in enumerate(t.variance):
         if v == "u":
-            term = jet_einsum(f"{S[:k]}{x}{S[k + 1:]},{S[k]}{x}{E}->{S}{E}", t.components, m)
+            term = einsum(f"{S[:k]}{x}{S[k + 1:]},{S[k]}{x}{E}->{S}{E}", t, m)
             acc = term if acc is None else acc + term
         else:
-            term = jet_einsum(f"{S[:k]}{y}{S[k + 1:]},{y}{S[k]}{E}->{S}{E}", t.components, m)
+            term = einsum(f"{S[:k]}{y}{S[k + 1:]},{y}{S[k]}{E}->{S}{E}", t, m)
             acc = -term if acc is None else acc - term
     return acc
 
 
 def tensor_product(a: TensorValue, b: TensorValue) -> TensorValue:
-    if a.n != b.n:
-        raise ValueError("tensor product needs matching dimension")
-    ra, rb = a.rank, b.rank
-    la = _LETTERS[:ra]
-    lb = "".join(_free_letters(set(la), rb))
-    comps = jet_einsum(f"{la},{lb}->{la}{lb}", a.components, b.components)
-    return TensorValue(a.variance + b.variance, a.n, comps)
+    la = _LETTERS[:a.rank]
+    lb = "".join(_free_letters(set(la), b.rank))
+    return einsum(f"{la},{lb}->{la}{lb}", a, b)
+
+
+def _check_slots(t: TensorValue, *slots: int) -> None:
+    for i in slots:
+        if not 0 <= i < t.rank:
+            raise ValueError(f"slot index {i} is out of range for a rank-{t.rank} tensor")
 
 
 def contract(t: TensorValue, i: int, j: int) -> TensorValue:
     """Contract slot i (up) with slot j (down), or vice versa."""
-    if i == j:
-        raise ValueError("cannot contract a slot with itself")
-    if {t.variance[i], t.variance[j]} != {"u", "d"}:
-        raise ValueError(
-            f"contraction needs one up and one down slot, got "
-            f"{t.variance[i]!r} at {i} and {t.variance[j]!r} at {j}"
-        )
-    slots = list(_LETTERS[: t.rank])
-    slots[j] = slots[i]
-    out = [c for k, c in enumerate(_LETTERS[: t.rank]) if k not in (i, j)]
-    comps = jet_einsum(f"{''.join(slots)},->{''.join(out)}", t.components, np.float64(1.0))
-    var = tuple(v for k, v in enumerate(t.variance) if k not in (i, j))
-    return TensorValue(var, t.n, comps)
+    _check_slots(t, i, j)
+    S = _LETTERS[: t.rank]
+    subs = "".join(S[i] if k == j else c for k, c in enumerate(S)) + ",->" + \
+        "".join(c for k, c in enumerate(S) if k not in (i, j))
+    return TensorValue(_einsum_variance(subs, t.variance, ()), t.n,
+                       jet_einsum(subs, t.components, np.float64(1.0)))
 
 
 def _permuted(comps: Jet, rank: int, perm) -> Jet:
@@ -236,16 +272,12 @@ def transpose_slots(t: TensorValue, perm) -> TensorValue:
 
 
 def raise_slot(t: TensorValue, i: int, inverse_metric: TensorValue) -> TensorValue:
-    if t.variance[i] != "d":
-        raise ValueError(f"slot {i} is already contravariant")
+    _check_slots(t, i)
     if inverse_metric.variance != ("u", "u"):
         raise ValueError("inverse metric must be type (2,0)")
     slots = _LETTERS[: t.rank]
-    A, B = _free_letters(set(slots), 2)
-    dst = slots[:i] + A + slots[i + 1:]
-    comps = jet_einsum(f"{slots},{A}{slots[i]}->{dst}", t.components, inverse_metric.components)
-    var = t.variance[:i] + ("u",) + t.variance[i + 1:]
-    return TensorValue(var, t.n, comps)
+    A = _free_letters(set(slots), 1)[0]
+    return einsum(f"{slots},{A}{slots[i]}->{slots[:i]}{A}{slots[i + 1:]}", t, inverse_metric)
 
 
 def antisymmetrize_pair(t: TensorValue, i: int, j: int) -> TensorValue:

@@ -3,10 +3,11 @@
 import filecmp
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from emtkit import suites
+from emtkit import cli, suites
 from emtkit.cli import EXIT_FAIL, EXIT_OFFSHELL, EXIT_PASS, EXIT_USAGE, main
 from emtkit.suites import RunConfig, run_checks
 
@@ -344,3 +345,30 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
     assert exc.value.code == 0
+
+
+BENCHMARK_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "configs")
+                           .glob("*.json"))
+
+
+def test_the_benchmark_has_configs():
+    assert BENCHMARK_CONFIGS
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.stem)
+def test_a_benchmark_config_passes_the_gate(monkeypatch, tmp_path, path):
+    # the benchmark's own command line, with run_checks replaced by the gate
+    # alone: the config is built as verify builds it, and no check runs
+    selected = []
+
+    def gate_only(cfg, emit=None):
+        selected.append(suites._validate(cfg))
+        return []
+
+    monkeypatch.setattr(cli, "run_checks", gate_only)
+    argv = ["verify", "--config", str(path), "--seed", "7", "--quiet",
+            "--report", str(tmp_path / "report.json")]
+    assert run_cli(argv) == EXIT_PASS
+    (checks,) = selected
+    wanted = json.loads(path.read_text())["suites"]
+    assert checks and {c.suite for c in checks} == set(wanted)

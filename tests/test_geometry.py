@@ -30,12 +30,11 @@ from emtkit.geometry import (
     lie_connection_tensor,
     lie_derivative,
     lie_nabla_commutator,
-    lie_nabla_from_connection,
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
 from emtkit.jets import Jet, jet_einsum, jet_stack, lift
-from emtkit.tensors import TensorValue, contract, max_abs, value_array
+from emtkit.tensors import TensorValue, contract, max_abs, tilde_contract, value_array
 
 SCHW = SPACETIMES["schwarzschild"]
 MINK2 = SPACETIMES["minkowski2"]
@@ -205,7 +204,7 @@ def test_lie_nabla_commutator_from_connection():
     t = evaluate(random_tensor_field(("u", "d"), SCHW.box, seed=44), frame)
     direct = lie_nabla_commutator(t, xi, frame)
     C = lie_connection_tensor(xi, frame, form="direct")
-    assert max_abs(direct - lie_nabla_from_connection(t, C)) < 1e-10
+    assert max_abs(direct - tilde_contract(t, C)) < 1e-10
 
 
 def test_covariant_and_lie_derivatives_do_not_materialise_tilde(monkeypatch):
@@ -231,9 +230,9 @@ def test_covariant_derivative_forms_its_correction_at_the_result_order(monkeypat
     seen = []
     real = geometry.tilde_contract
 
-    def recording(t, m, extra):
+    def recording(t, m):
         seen.append(t.components.order)
-        return real(t, m, extra)
+        return real(t, m)
 
     monkeypatch.setattr(geometry, "tilde_contract", recording)
     # a field (order 3), the metric (order 3) and a derived tensor (order 2)
@@ -268,13 +267,13 @@ def test_lie_derivative_forms_its_tilde_term_at_the_result_order(monkeypatch, t_
     # the untruncated formula, whose tilde term may sit one order above the result
     dxi = covariant_derivative(xi, fr)
     term1 = jet_einsum("ija,a->ij", covariant_derivative(t, fr).components, xi.components)
-    want = term1 - geometry.tilde_contract(t, dxi.components, 0)
+    want = term1 - geometry.tilde_contract(t, dxi).components
     seen = []
     real = geometry.tilde_contract
 
-    def recording(t, m, extra):
-        seen.append((t.components.order, m.order))
-        return real(t, m, extra)
+    def recording(t, m):
+        seen.append((t.components.order, m.components.order))
+        return real(t, m)
 
     monkeypatch.setattr(geometry, "tilde_contract", recording)
     got = lie_derivative(t, xi, fr)

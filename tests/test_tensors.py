@@ -5,7 +5,9 @@ replacement operator over plain component arrays; the production path adds
 each summand into a diagonal view of a zero table and must agree exactly.
 It must also agree bit for bit with the summands written as einsums against
 the identity matrix, and the slot-by-slot contraction ``tilde_contract``
-must agree with contracting the materialised tilde T.
+must agree with contracting the materialised tilde T.  The one tensor
+contraction, ``einsum``, must give the bytes of ``jet_einsum`` and reject
+every subscript that does not pair an up slot with a down slot.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from emtkit.tensors import (
     TensorValue,
     antisymmetrize_pair,
     contract,
+    einsum,
     levi_civita,
     max_abs,
     raise_slot,
@@ -28,6 +31,8 @@ from emtkit.tensors import (
     value_array,
 )
 from emtkit.jets import Jet, _is_zero, _zero_table, constant_jet, jet_einsum
+from emtkit.catalog import SPACETIMES, random_tensor_field, sample_points
+from emtkit.geometry import evaluate, geometry_at
 from emtkit.suites import _frozen
 
 
@@ -152,10 +157,15 @@ def test_tilde_contract_matches_materialised_tilde(variance, extra, m_order):
     n = 3
     t = TensorValue(variance, n, random_components(rng, len(variance), 3, n=n))
     m = random_components(rng, 0, m_order, vshape=(n,) * (2 + extra))
+    if m_order is None:   # a derivative-free constant at t's order
+        m = constant_jet(m, 4, 3, vdim=2 + extra)
+    m = TensorValue(("u", "d") + ("d",) * extra, n, m)
     E = "pq"[:extra]
     S = "abc"[:t.rank]
-    want = tables(jet_einsum(f"{S}xy,yx{E}->{S}{E}", tilde(t).components, m))
-    got = tables(tilde_contract(t, m, extra))
+    want = tables(jet_einsum(f"{S}xy,yx{E}->{S}{E}", tilde(t).components, m.components))
+    got = tilde_contract(t, m)
+    assert got.variance == t.variance + m.variance[2:]
+    got = tables(got.components)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -412,3 +422,97 @@ def test_property_double_transpose_identity(n, seed):
     t = tensor(("u", "d"), n, comps)
     back = transpose_slots(transpose_slots(t, (1, 0)), (1, 0))
     assert np.allclose(value_array(back), comps, atol=0)
+
+
+# --------------------------------------------------------------------------
+# einsum: the one tensor contraction
+# --------------------------------------------------------------------------
+
+
+def random_tensor(rng, variance, order=2, n=3):
+    return TensorValue(variance, n, random_components(rng, len(variance), order, n=n))
+
+
+def scalar_jet(rng, order=2):
+    return random_components(rng, 0, order, vshape=())
+
+
+@pytest.mark.parametrize("subs,vx,vy,want", [
+    ("ab,b->a", ("u", "u"), ("d",), ("u",)),
+    ("ab,ba->", ("u", "u"), ("d", "d"), ()),
+    ("bd,dac->bca", ("u", "u"), ("d", "d", "d"), ("u", "d", "d")),
+    ("acd,badc->b", ("u", "u", "u"), ("u", "d", "d", "d"), ("u",)),
+    ("cbda,d->cba", ("u", "d", "d", "d"), ("u",), ("u", "d", "d")),
+    ("a,b->ab", ("d",), ("u",), ("d", "u")),
+    ("ab,->ab", ("u", "u"), None, ("u", "u")),
+    (",a->a", None, ("u",), ("u",)),
+    ("a,->a", ("u",), None, ("u",)),
+])
+def test_einsum_derives_the_variance_and_keeps_the_jet_einsum_bytes(subs, vx, vy, want):
+    rng = np.random.default_rng(len(subs))
+    x = scalar_jet(rng) if vx is None else random_tensor(rng, vx)
+    y = scalar_jet(rng) if vy is None else random_tensor(rng, vy)
+    got = einsum(subs, x, y)
+    assert got.variance == want and got.n == 3
+    comps = [v if isinstance(v, Jet) else v.components for v in (x, y)]
+    ref = jet_einsum(subs, *comps)
+    assert len(got.components.data) == len(ref.data)
+    for g, r in zip(got.components.data, ref.data):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("subs,vx,vy,match", [
+    ("ab,b->a", ("u", "u"), ("u",), "summed letter 'b' joins slots 'uu'"),
+    ("ab,b->a", ("u", "d"), ("d",), "summed letter 'b' joins slots 'dd'"),
+    ("abc,c->ab", ("u", "d"), ("u",), "does not fit operands of rank 2 and 1"),
+    ("ab,bc->a", ("u", "d"), ("u",), "does not fit operands of rank 2 and 1"),
+    ("a,a->a", ("u",), ("d",), "output letter 'a' is in slots 'ud'"),
+    ("a,b->abc", ("u",), ("d",), "output letter 'c' is in slots ''"),
+    ("aa,->", ("u", "u"), (), "summed letter 'a' joins slots 'uu'"),
+    # W^acd R^b_adc with R's slots misread: a meets R's up slot
+    ("acd,abdc->b", ("u", "u", "u"), ("u", "d", "d", "d"), "summed letter 'a' joins slots 'uu'"),
+])
+def test_einsum_rejects_a_pairing_that_is_no_tensor_contraction(subs, vx, vy, match):
+    rng = np.random.default_rng(3)
+    x, y = random_tensor(rng, vx), random_tensor(rng, vy)
+    with pytest.raises(ValueError, match=match):
+        einsum(subs, x, y)
+
+
+def test_einsum_rejects_a_jet_with_value_axes_as_a_scalar():
+    rng = np.random.default_rng(5)
+    v = random_tensor(rng, ("u",))
+    with pytest.raises(ValueError, match="vdim"):
+        einsum("a,a->", v.components, random_tensor(rng, ("d",)))
+
+
+@pytest.mark.parametrize("variance", [("d", "u"), ("u", "u"), ("d", "d", "d"), ("u",)],
+                         ids=variance_id)
+def test_tilde_contract_needs_an_up_then_a_down_slot_first(variance):
+    rng = np.random.default_rng(9)
+    t, m = random_tensor(rng, ("u", "d")), random_tensor(rng, variance)
+    with pytest.raises(ValueError, match="first slots up, down"):
+        tilde_contract(t, m)
+
+
+BUMP2 = SPACETIMES["bump2"]
+
+
+def bump2_field(variance, seed):
+    fr = geometry_at(BUMP2.metric, sample_points(BUMP2.box, 4, seed=1), 2)
+    return fr, evaluate(random_tensor_field(variance, BUMP2.box, seed=seed), fr)
+
+
+@pytest.mark.parametrize("i", [-1, 1])
+def test_raise_slot_rejects_a_slot_index_out_of_range(i):
+    fr, v = bump2_field(("d",), 2)
+    with pytest.raises(ValueError, match=f"slot index {i} is out of range"):
+        raise_slot(v, i, fr.ginv)
+
+
+@pytest.mark.parametrize("i,j", [(0, -1), (-2, 1), (0, 2)])
+def test_contract_rejects_a_slot_index_out_of_range(i, j):
+    _, t = bump2_field(("u", "d"), 3)
+    bad = i if not 0 <= i < 2 else j
+    with pytest.raises(ValueError, match=f"slot index {bad} is out of range"):
+        contract(t, i, j)
