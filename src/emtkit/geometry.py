@@ -365,11 +365,12 @@ def christoffel_deformation(h: TensorValue, frame: Frame) -> TensorValue:
     return 0.5 * einsum("dc,cab->dab", frame.ginv, W)
 
 
-def volume_lie_residual(xi: TensorValue, frame: Frame) -> Jet:
-    """Residual of: Lie_xi sqrt|g| = d_a(sqrt|g| xi^a), the Lie derivative of
-    the density, with the left side expanded as (1/2) sqrt|g| g^{ab} Lie_xi g_ab.
-    The right side reads the first derivatives of sqrt|g|."""
+def volume_lie_residual(xi: TensorValue, frame: Frame) -> TensorValue:
+    """Residual, a rank-0 tensor, of: Lie_xi sqrt|g| = d_a(sqrt|g| xi^a), the
+    Lie derivative of the density, with the left side expanded as
+    (1/2) sqrt|g| g^{ab} Lie_xi g_ab.  The right side reads the first
+    derivatives of sqrt|g|."""
     h = lie_derivative(frame.g, xi, frame)
-    lhs = 0.5 * frame.sqrt_g * einsum("ab,ab->", frame.ginv, h).components
+    lhs = einsum(",->", 0.5 * frame.sqrt_g, einsum("ab,ab->", frame.ginv, h))
     flux = partial_tensor(einsum(",a->a", frame.sqrt_g, xi))
-    return lhs - contract(flux, 0, 1).components
+    return lhs - contract(flux, 0, 1)

@@ -16,17 +16,23 @@ The tables are symmetric in the derivative axes.  ``vdim`` counts the
 value axes (0 for scalar jets); leading axes are broadcastable batch
 axes, which lets a whole grid of sample points flow through one einsum.
 
+Construction checks each table's shape against the value table's: a
+float64 ndarray shaped exactly ``data[0].shape + (nvars,)*m`` is stored
+as it is, and only a table that differs (a constant that widens the batch
+of a jet sum, say) is checked axis by axis and broadcast.
+
 Structural zeros: a table known to vanish before any arithmetic runs (the
 derivative tables of a constant or of a coordinate above order 1, the
-value table of a jet's derivative part) is ``np.broadcast_to(0.0, shape)``,
-a read-only view with every stride 0 that costs neither memory nor time.
-:func:`jet_einsum` skips each Leibniz split that reads one, and addition,
-negation and scaling pass one through untouched.  A skipped split drops
-only the 0 * x terms of a structural zero, so for finite operands the
-result equals the dense computation; a NaN or inf in a live table still
-reaches every result table that a split of two live tables forms.  Tables are shared between jets and
-may be read-only views, so a jet's tables are never written after
-construction: code that accumulates in place allocates its own array.
+value table of a jet's derivative part) is a view of one immutable 8-byte
+zero buffer with every stride 0, read-only and costing neither memory nor
+time.  :func:`jet_einsum` skips each Leibniz split that reads one, and
+addition, negation and scaling pass one through untouched.  A skipped
+split drops only the 0 * x terms of a structural zero, so for finite
+operands the result equals the dense computation; a NaN or inf in a live
+table still reaches every result table that a split of two live tables
+forms.  Tables are shared between jets and may be read-only views, so a
+jet's tables are never written after construction: code that accumulates
+in place allocates its own array.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_FLOAT = np.dtype(float)
+# the one 8-byte buffer every structural zero reads: immutable, so each
+# view of it is read-only
+_ZERO_BYTES = bytes(8)
 
 
 class JetOrderError(RuntimeError):
@@ -77,14 +87,21 @@ class Jet:
     def __init__(self, nvars: int, order: int, vdim: int, data):
         if order < 0:
             raise ValueError("jet order must be >= 0")
-        data = [np.asarray(t, dtype=float) for t in data]
+        data = [t if type(t) is np.ndarray and t.dtype is _FLOAT
+                else np.asarray(t, dtype=float) for t in data]
         if len(data) != order + 1:
             raise ValueError(f"expected {order + 1} derivative tables, got {len(data)}")
-        if data[0].ndim < vdim:
+        lead = data[0].shape
+        if len(lead) < vdim:
             raise ValueError("value table has fewer axes than vdim")
-        vshape = data[0].shape[data[0].ndim - vdim:] if vdim else ()
-        batches = []
+        vshape = lead[len(lead) - vdim:] if vdim else ()
+        # a table shaped exactly lead + (nvars,)*m passes every check below;
+        # only the others are checked and, with them, broadcast to one batch
+        loose = False
         for m, t in enumerate(data):
+            if t.shape == lead + (nvars,) * m:
+                continue
+            loose = True
             trail = vdim + m
             if t.ndim < trail:
                 raise ValueError(f"order-{m} table has too few axes")
@@ -94,16 +111,17 @@ class Jet:
                 )
             if vdim and t.shape[t.ndim - trail:t.ndim - m] != vshape:
                 raise ValueError("inconsistent value shape across derivative tables")
-            batches.append(t.shape[: t.ndim - trail])
-        common = np.broadcast_shapes(*batches)
-        norm = []
-        for m, t in enumerate(data):
-            want = common + vshape + (nvars,) * m
-            norm.append(t if t.shape == want else np.broadcast_to(t, want))
+        if loose:
+            common = np.broadcast_shapes(*(t.shape[: t.ndim - vdim - m]
+                                           for m, t in enumerate(data)))
+            for m, t in enumerate(data):
+                want = common + vshape + (nvars,) * m
+                if t.shape != want:
+                    data[m] = np.broadcast_to(t, want)
         self.nvars = nvars
         self.order = order
         self.vdim = vdim
-        self.data = tuple(norm)
+        self.data = tuple(data)
 
     # -- introspection -------------------------------------------------
 
@@ -161,7 +179,7 @@ def _is_const(x) -> bool:
 
 def _zero_table(shape) -> np.ndarray:
     """A structural zero: a read-only all-zero view with every stride 0."""
-    return np.broadcast_to(np.float64(0.0), shape)
+    return np.ndarray(shape, _FLOAT, buffer=_ZERO_BYTES, strides=(0,) * len(shape))
 
 
 def _is_zero(t: np.ndarray) -> bool:
@@ -397,20 +415,21 @@ def jet_einsum(subs: str, x, y):
                 else:
                     acc += term
         data.append(acc if acc is not None
-                    else _zero_table(_output_shape(subs, xs[0], ys[0]) + (nvars,) * m))
+                    else _zero_table(_output_shape(subs, xs[0].shape, ys[0].shape) + (nvars,) * m))
     if not (xj or yj):
         return data[0]
     return Jet(nvars, order, vdim, data)
 
 
-def _output_shape(subs: str, x0: np.ndarray, y0: np.ndarray) -> tuple:
-    """Batch and value shape of ``jet_einsum(subs, x, y)`` from the value
-    tables of its operands."""
+@functools.lru_cache(maxsize=4096)
+def _output_shape(subs: str, xshape: tuple, yshape: tuple) -> tuple:
+    """Batch and value shape of ``jet_einsum(subs, x, y)`` from the shapes
+    of its operands' value tables."""
     (sx, sy), so = _parse_subs(subs)
-    nx, ny = len(sx), len(sy)
-    size = dict(zip(sx, x0.shape[x0.ndim - nx:]))
-    size.update(zip(sy, y0.shape[y0.ndim - ny:]))
-    batch = np.broadcast_shapes(x0.shape[:x0.ndim - nx], y0.shape[:y0.ndim - ny])
+    nx, ny = len(xshape) - len(sx), len(yshape) - len(sy)
+    size = dict(zip(sx, xshape[nx:]))
+    size.update(zip(sy, yshape[ny:]))
+    batch = np.broadcast_shapes(xshape[:nx], yshape[:ny])
     return batch + tuple(size[c] for c in so)
 
 
@@ -524,12 +543,13 @@ def differentiate(f: Jet, keep: int | None = None) -> Jet:
     if f.order == 0:
         raise JetOrderError("jet order exhausted: cannot differentiate an order-0 jet")
     keep = f.nvars if keep is None else keep
-    nb = f.data[0].ndim - f.vdim
+    p = f.data[0].ndim   # batch and value axes
     out = []
     for m in range(f.order):
-        t = np.moveaxis(f.data[m + 1], -1, nb + f.vdim)
+        # the last derivative axis of the order-(m+1) table moves to axis p
+        t = f.data[m + 1].transpose((*range(p), p + m, *range(p, p + m)))
         if keep != f.nvars:
-            idx = (slice(None),) * (nb + f.vdim) + (slice(0, keep),)
+            idx = (slice(None),) * p + (slice(0, keep),)
             t = t[idx]
         out.append(t)
     return Jet(f.nvars, f.order - 1, f.vdim + 1, out)

@@ -114,6 +114,10 @@ class Check:
     # fields and theories truncated to this order, the lowest at which the
     # body runs and its targets equal those of every higher order
     jet_order: int = 2
+    # for a check that measures only some of the catalog entries a config
+    # may name: the RunConfig field naming them ("spacetimes" or
+    # "scenarios") and the test an entry must pass to be a target
+    keeps: tuple | None = None
     fn: object = None
 
 
@@ -500,7 +504,7 @@ def _chk_killing(ctx):
     identity="claimed parallel vectors have vanishing covariant derivative",
     formula="D_a xi^b = 0",
     tolerance=1e-10, measure="abs", mode="below",
-    jet_order=1,
+    jet_order=1, keeps=("spacetimes", lambda st: bool(st.parallel)),
     description="Translation generators on flat charts are claimed to be "
                 "covariantly constant; the claim is re-derived numerically.")
 def _chk_parallel(ctx):
@@ -662,6 +666,15 @@ def _chk_chain_negative(ctx):
 # --------------------------------------------------------------------------
 # suite: emt-onshell
 # --------------------------------------------------------------------------
+
+
+def _is_maxwell(sc) -> bool:
+    return sc.theory.name == "maxwell"
+
+
+def _is_first_order(sc) -> bool:
+    """A scalar or Maxwell theory, whose superpotential bracket cancels."""
+    return sc.theory.name.startswith(("scalar", "maxwell"))
 
 
 @_register(
@@ -877,13 +890,12 @@ def _chk_ee(ctx):
     id="first-order-emt-closed-form", suite="emt-onshell",
     identity="bracket-free closed form for scalar and one-form gauge theories",
     formula="T_M^ab = 2 dL/dg_ab + g^ab L   when the derivative bracket vanishes",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_first_order),
     description="For the built-in scalar and electromagnetic Lagrangians the "
                 "superpotential bracket cancels identically, so T_M reduces "
                 "to the bare metric-derivative form.")
 def _chk_tm_closed(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, where=lambda sc: (
-            sc.theory.name.startswith(("scalar", "maxwell")))):
+    for name, _, tf in ctx.scenarios(on_shell=True, where=_is_first_order):
         want = 2.0 * tf.dL_dg + tf._g_up_L
         yield name, ctx.cfg.points, tf.emt_metric - want, tf.emt_metric
 
@@ -892,12 +904,11 @@ def _chk_tm_closed(ctx):
     id="em-field-strength-form", suite="emt-onshell",
     identity="electromagnetic energy-momentum in field-strength form",
     formula="T_M^ab = F^ac F^b_c + g^ab L",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_maxwell),
     description="On electromagnetic scenarios the machine-built T_M matches "
                 "the textbook field-strength expression exactly.")
 def _chk_em_form(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True,
-                                     where=lambda sc: sc.theory.name == "maxwell"):
+    for name, _, tf in ctx.scenarios(on_shell=True, where=_is_maxwell):
         dA = tf.dpsi                        # [b, a] = D_a A_b
         F = transpose_slots(dA, (1, 0)) - dA
         ginv = tf.frame.ginv
@@ -914,8 +925,7 @@ def _chk_em_form(ctx):
 
 def _gauge_pairs(ctx):
     """``(name, theory frame, (T_M, T_B, T_C) after the gauge shift)``."""
-    for name, _, tf in ctx.scenarios(on_shell=True,
-                                     where=lambda sc: sc.theory.name == "maxwell"):
+    for name, _, tf in ctx.scenarios(on_shell=True, where=_is_maxwell):
         yield name, tf, ctx.gauge_shifted_emts(name)
 
 
@@ -923,7 +933,7 @@ def _gauge_pairs(ctx):
     id="gauge-invariance-metric-emt", suite="gauge",
     identity="metric tensor is gauge invariant",
     formula="T_M[A + d chi] = T_M[A]",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_maxwell),
     description="Shifting the potential by an exact gradient leaves the "
                 "metric energy-momentum tensor unchanged pointwise.")
 def _chk_gauge_tm(ctx):
@@ -935,7 +945,7 @@ def _chk_gauge_tm(ctx):
     id="gauge-invariance-improved-emt", suite="gauge",
     identity="improved tensor is gauge invariant",
     formula="T_B[A + d chi] = T_B[A]",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_maxwell),
     description="The superpotential correction removes the canonical "
                 "tensor's gauge dependence entirely.")
 def _chk_gauge_tb(ctx):
@@ -948,7 +958,7 @@ def _chk_gauge_tb(ctx):
     id="gauge-variance-canonical-emt", suite="gauge",
     identity="canonical tensor is not gauge invariant",
     formula="max |T_C[A + d chi] - T_C[A]|  is bounded away from zero",
-    tolerance=1e-4, measure="abs", mode="exceeds",
+    tolerance=1e-4, measure="abs", mode="exceeds", keeps=("scenarios", _is_maxwell),
     description="Negative control: the canonical tensor must move under a "
                 "gauge shift, demonstrating the invariance checks are not "
                 "passing vacuously.")
@@ -1085,14 +1095,37 @@ def _validate(cfg: RunConfig) -> list:
     return checks
 
 
+def _left_empty(cfg: RunConfig, checks) -> tuple:
+    """The ids of the checks whose ``keeps`` test passes none of the
+    spacetimes or scenarios ``cfg`` names, and a one-line message naming
+    them with the selection."""
+    ids, parts = set(), []
+    for key, entry in (("spacetimes", spacetime), ("scenarios", scenario)):
+        names = getattr(cfg, key)
+        empty = [c.id for c in checks if names and c.keeps and c.keeps[0] == key
+                 and not any(c.keeps[1](entry(n)) for n in names)]
+        if empty:
+            ids.update(empty)
+            parts.append(f"selected {key} {', '.join(names)} leave no target "
+                         f"for {', '.join(empty)}")
+    return ids, "; ".join(parts)
+
+
 def run_checks(cfg: RunConfig, emit=None) -> list:
     """Run the configured checks, each reading the run's one context at its
     declared jet order, returning a list of CheckOutcome.  A config that
-    :func:`_validate` rejects raises ValueError before any check runs."""
+    :func:`_validate` rejects raises ValueError before any check runs.  A
+    selection of spacetimes or scenarios that leaves a check no target
+    raises ValueError, naming every such check, when the run reaches the
+    first of them (so a claim or on-shell error of an earlier check keeps
+    its exit code); a check that measures nothing on its own defaults fails."""
     checks = _validate(cfg)
+    empty, message = _left_empty(cfg, checks)
     ctx = RunContext(cfg, max((c.jet_order for c in checks), default=0))
     outcomes = []
     for check in checks:
+        if check.id in empty:
+            raise ValueError(message)
         t0 = time.perf_counter()
         targets = list(check.fn(ctx.at(check.jet_order)))
         elapsed = time.perf_counter() - t0

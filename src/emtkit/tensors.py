@@ -49,8 +49,6 @@ __all__ = [
     "value_array",
 ]
 
-_UD = ("u", "d")
-
 
 class TensorValue:
     """Components plus slot bookkeeping for one tensor at (a batch of) point(s)."""
@@ -59,14 +57,15 @@ class TensorValue:
 
     def __init__(self, variance, n: int, components):
         variance = tuple(variance)
-        if any(v not in _UD for v in variance):
-            raise ValueError(f"variance entries must be 'u' or 'd', got {variance}")
         r = len(variance)
+        if variance.count("u") + variance.count("d") != r:
+            raise ValueError(f"variance entries must be 'u' or 'd', got {variance}")
         if not isinstance(components, Jet):
             raise TypeError(f"tensor components must be a Jet, got {type(components).__name__}")
         if components.vdim != r:
             raise ValueError(f"component jet has vdim {components.vdim}, slots {r}")
-        if components.vshape != (n,) * r:
+        shape = components.data[0].shape
+        if shape[len(shape) - r:] != (n,) * r:
             raise ValueError(f"component jet value shape {components.vshape} != {(n,)*r}")
         self.variance = variance
         self.n = n

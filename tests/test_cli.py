@@ -156,6 +156,21 @@ def test_a_target_named_twice_is_usage_error_before_any_check(capsys, flag, name
     assert err == f"error: {flag[2:]}s names '{name}' more than once\n"
 
 
+@pytest.mark.parametrize("args,checks", [
+    (["--suite", "gauge", "--scenario", "scalar-wave-2d"],
+     "scenarios scalar-wave-2d leave no target for gauge-invariance-metric-emt, "
+     "gauge-invariance-improved-emt, gauge-variance-canonical-emt"),
+    (["--suite", "lie-calculus", "--spacetime", "bump2"],
+     "spacetimes bump2 leave no target for parallel-claims"),
+])
+def test_a_selection_that_leaves_a_check_no_target_is_usage_error(tmp_path, capsys, args, checks):
+    rp = tmp_path / "report.json"
+    assert run_cli(["verify", *args, "--points", "4", "--report", str(rp)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err == f"error: selected {checks}\n"
+    assert "[FAIL]" not in out and not rp.exists()
+
+
 def test_unknown_suite_is_usage_error(capsys):
     assert run_cli(["verify", "--suite", "bogus"]) == EXIT_USAGE
     assert "bogus" in capsys.readouterr().err

@@ -330,7 +330,7 @@ def test_volume_weight_flow_identity():
     frame = geometry_at(BUMP2.metric, pts, order=2)
     xi = evaluate(random_tensor_field(("u",), BUMP2.box, seed=52), frame)
     res = volume_lie_residual(xi, frame)
-    assert np.max(np.abs(res.data[0])) < 1e-12
+    assert res.variance == () and max_abs(res) < 1e-12
 
 
 def test_volume_weight_flow_reads_the_derivatives_of_sqrt_g():
@@ -341,8 +341,7 @@ def test_volume_weight_flow_reads_the_derivatives_of_sqrt_g():
     xi = evaluate(random_tensor_field(("u",), BUMP2.box, seed=52), frame)
     sg = frame.sqrt_g
     frame.sqrt_g = Jet(sg.nvars, sg.order, 0, [sg.data[0], 2.0 * sg.data[1], sg.data[2]])
-    res = volume_lie_residual(xi, frame)
-    assert np.max(np.abs(res.data[0])) > 1e-2
+    assert max_abs(volume_lie_residual(xi, frame)) > 1e-2
 
 
 def test_christoffel_against_finite_differences():

@@ -343,6 +343,93 @@ def test_a_live_table_of_any_layout_passes_a_sum_with_a_zero():
                for got, t in zip(wide.data, x.data, strict=True))
 
 
+def _broadcast_error(*shapes) -> str:
+    with pytest.raises(ValueError) as exc:
+        np.broadcast_shapes(*shapes)
+    return str(exc.value)
+
+
+_MALFORMED = {
+    "negative-order": ((2, -1, 0, []), "jet order must be >= 0"),
+    "table-count": ((2, 1, 0, [np.zeros(3)]), "expected 2 derivative tables, got 1"),
+    "value-axes": ((2, 0, 2, [np.zeros(3)]), "value table has fewer axes than vdim"),
+    "order-m-axes": ((2, 1, 1, [np.zeros((4, 3)), np.zeros(2)]),
+                     "order-1 table has too few axes"),
+    "derivative-axes": ((2, 1, 0, [np.zeros(4), np.zeros((4, 3))]),
+                        "order-1 table derivative axes (3,) != (2,)"),
+    "value-shape": ((2, 1, 1, [np.zeros((4, 3)), np.zeros((4, 5, 2))]),
+                    "inconsistent value shape across derivative tables"),
+    "value-shape-order-2": ((2, 2, 1, [np.zeros((4, 3)), np.zeros((4, 3, 2)),
+                                       np.zeros((3, 2, 2, 2))]),
+                            "inconsistent value shape across derivative tables"),
+    "batch": ((2, 1, 0, [np.zeros(4), np.zeros((5, 2))]), _broadcast_error((4,), (5,))),
+    "batch-order-2": ((2, 2, 0, [np.zeros(4), np.zeros((4, 2)), np.zeros((5, 2, 2))]),
+                      _broadcast_error((4,), (4,), (5,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_a_malformed_jet_is_rejected_with_its_message(case):
+    args, message = _MALFORMED[case]
+    with pytest.raises(ValueError) as exc:
+        Jet(*args)
+    assert str(exc.value) == message
+
+
+def test_exactly_shaped_float_tables_are_kept_without_broadcasting(monkeypatch):
+    rng = np.random.default_rng(11)
+    tables = [rng.normal(size=(16, 3) + (4,) * m) for m in range(4)]
+    tables[1] = rng.normal(size=(4, 3, 16)).T   # not C-contiguous
+    tables[3] = jets._zero_table((16, 3, 4, 4, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exactly shaped jet needs no broadcasting")
+
+    monkeypatch.setattr(jets.np, "broadcast_shapes", refuse)
+    monkeypatch.setattr(jets.np, "broadcast_to", refuse)
+    j = Jet(4, 3, 1, tables)
+    assert all(got is t for got, t in zip(j.data, tables, strict=True))
+    assert (j.batch_shape, j.vshape) == ((16,), (3,))
+
+
+def test_tables_that_differ_in_batch_are_broadcast_to_one_batch():
+    rng = np.random.default_rng(4)
+    value, grad = rng.normal(size=(3, 1, 2)), rng.normal(size=(4, 2, 5))
+    j = Jet(5, 1, 1, [value, grad])
+    assert [t.shape for t in j.data] == [(3, 4, 2), (3, 4, 2, 5)]
+    assert np.array_equal(j.data[0][:, 2], value[:, 0]) and np.array_equal(j.data[1][1], grad)
+
+
+def test_int_and_list_tables_become_float():
+    j = Jet(2, 1, 0, [[1, 2], np.array([[1, 0], [0, 1]])])
+    assert all(t.dtype == np.float64 for t in j.data)
+    assert np.array_equal(j.data[0], [1.0, 2.0]) and np.array_equal(j.data[1], np.eye(2))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (16, 4, 4, 5)])
+def test_a_structural_zero_is_a_read_only_view_with_every_stride_0(shape):
+    z = jets._zero_table(shape)
+    assert z.shape == shape and z.dtype == np.float64
+    assert not z.flags.writeable and not any(z.strides)
+    with pytest.raises(ValueError):
+        z[...] = 1.0
+    assert np.all(z == 0.0)
+    assert jets._is_zero(z) == (z.size > 0)
+
+
+@pytest.mark.parametrize("keep", [None, 1])
+@pytest.mark.parametrize("vdim", [0, 2])
+def test_differentiate_is_moveaxis_of_each_table(keep, vdim):
+    rng = np.random.default_rng(2)
+    f = Jet(3, 3, vdim, [rng.normal(size=(5,) + (2,) * vdim + (3,) * m) for m in range(4)])
+    df = differentiate(f, keep)
+    p = 1 + vdim
+    for m, t in enumerate(df.data):
+        want = np.moveaxis(f.data[m + 1], -1, p)[(slice(None),) * p + (slice(0, keep),)]
+        assert t.shape == want.shape and t.strides == want.strides
+        assert np.array_equal(t, want)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_non_finite_values_reach_the_value_table(order):
     # a structural zero may drop the 0 * NaN terms it would have produced,

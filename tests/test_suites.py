@@ -117,14 +117,49 @@ def test_outcome_value_is_the_figure_its_measure_names():
     assert CheckOutcome(CHECKS["variational-agreement-4d"], targets, 0.0).value == 3e-7
 
 
-def test_a_check_that_measures_no_point_fails():
-    # scalar-wave-2d is not a Maxwell scenario, so every gauge check is left empty
-    cfg = RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d",), points=2)
+def test_a_check_that_measures_no_point_fails(monkeypatch):
+    # a body that yields nothing on its own defaults runs and fails
+    gauge = CHECKS["gauge-invariance-metric-emt"]
+    monkeypatch.setitem(CHECKS, gauge.id, dataclasses.replace(gauge, fn=lambda ctx: []))
+    cfg = RunConfig(suites=("gauge",), points=2)
     rows = build_report(cfg, run_checks(cfg))["checks"]
-    assert len(rows) == 3
-    assert all(r["points"] == 0 and r["passed"] is False for r in rows)
+    assert [(r["id"], r["points"] > 0, r["passed"]) for r in rows] == [
+        (gauge.id, False, False),
+        ("gauge-invariance-improved-emt", True, True),
+        ("gauge-variance-canonical-emt", True, True)]
     check = CHECKS["tilde-identity-map"]
     assert not CheckOutcome(check, [Target("a", 0, 0.0, 0.0)], 0.0).passed(1.0)
+
+
+@pytest.mark.parametrize("cfg,message,ran", [
+    (RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d",), points=2),
+     "selected scenarios scalar-wave-2d leave no target for gauge-invariance-metric-emt, "
+     "gauge-invariance-improved-emt, gauge-variance-canonical-emt", []),
+    (RunConfig(suites=("emt-onshell",), scenarios=("schwarzschild-scalar", "scalar-wave-4d"),
+               points=2),
+     "selected scenarios schwarzschild-scalar, scalar-wave-4d leave no target for "
+     "em-field-strength-form",
+     [c.id for c in suites.checks_for(["emt-onshell"])][:-1]),
+    (RunConfig(suites=("gauge", "lie-calculus"), scenarios=("scalar-wave-4d",),
+               spacetimes=("schwarzschild", "bump2"), points=2),
+     "selected spacetimes schwarzschild, bump2 leave no target for parallel-claims; "
+     "selected scenarios scalar-wave-4d leave no target for gauge-invariance-metric-emt, "
+     "gauge-invariance-improved-emt, gauge-variance-canonical-emt",
+     ["lie-dual-forms", "killing-metric-flow"]),
+], ids=["gauge", "em-form", "both"])
+def test_a_selection_that_leaves_a_check_no_target_is_rejected(cfg, message, ran):
+    # the run stops before the first check the selection leaves empty
+    seen = []
+    with pytest.raises(ValueError) as exc:
+        run_checks(cfg, emit=lambda outcome, tol: seen.append(outcome.check.id))
+    assert str(exc.value) == message
+    assert seen == ran
+
+
+def test_a_selection_some_of_whose_entries_a_check_keeps_runs():
+    cfg = RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d", "coulomb-4d"), points=2)
+    rows = build_report(cfg, run_checks(cfg))["checks"]
+    assert len(rows) == 3 and all(r["passed"] and r["points"] == 2 for r in rows)
 
 
 def _residuals(seed, count):
