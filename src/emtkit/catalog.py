@@ -8,12 +8,20 @@ on a frame it is given, a scenario's on- or off-shell claim by
 :func:`verify_scenario_claims` on a theory frame it is given.  A run calls
 them on the frames and theory frames it builds, once each, on its own
 sample points.
+
+A seeded random field is a cubic polynomial in the scaled coordinates of a
+box: :func:`monomial_basis` builds the monomials once from a set of
+coordinate jets, and :func:`coefficient_sum` forms one field's components
+over them, so a run that evaluates many fields on one frame builds one
+basis for all of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +52,10 @@ __all__ = [
     "spacetime",
     "scenario",
     "sample_points",
+    "MonomialBasis",
+    "monomial_basis",
+    "coefficient_sum",
+    "random_coefficients",
     "random_tensor_field",
     "bump_perturbation",
     "verify_spacetime_claims",
@@ -402,55 +414,99 @@ def _monomials(n, total):
             yield (first,) + rest
 
 
-def _take(v: Jet, idx) -> Jet:
-    """Entries ``idx`` of the value axis of a vector jet."""
-    nb = len(v.batch_shape)
-    return Jet(v.nvars, v.order, 1, [np.take(t, idx, axis=nb) for t in v.data])
+_DEGREE = 3
 
 
-def _poly_tensor_fn(box, rng, shape):
-    """Random cubic components in box-centered scaled coordinates, O(1) on
-    the box, evaluated through monomial jets shared by all of them."""
-    n, degree = len(box), 3
+@functools.lru_cache(maxsize=None)
+def _chains(n):
+    """Factor index chains u_i u_j ... with i <= j <= ..., one per monomial
+    of degree at most 3 in n coordinates, in ``_monomials`` order: the
+    constant chain () first, degree 1 running (u_{n-1}, ..., u_0)."""
+    return tuple(sum(((i,) * p for i, p in enumerate(powers)), ())
+                 for total in range(_DEGREE + 1) for powers in _monomials(n, total))
+
+
+class MonomialBasis(NamedTuple):
+    """The monomials of degree 1 to 3 of a box's scaled coordinates on one
+    set of coordinate jets.  ``tables[k]``, shaped batch + (T,), holds the
+    monomial of chain ``k + 1``: its derivative tables raveled and laid end
+    to end, order 0 first.  ``zero`` is the jet ``coords[0] * 0.0``.  Every
+    table is read-only."""
+
+    tables: np.ndarray
+    zero: Jet
+
+
+def monomial_basis(box, coords) -> MonomialBasis:
+    """The monomials of the box-centered scaled coordinates u_i, from the
+    coordinate jets ``coords``.  Each degree is one stack of jets: degree 1
+    is (u_{n-1}, ..., u_0) and each monomial above it is its prefix
+    monomial times one more factor, one elementwise jet product per degree
+    above 1."""
+    chains = _chains(len(box))
+    by_degree = [[c for c in chains if len(c) == d] for d in range(1, _DEGREE + 1)]
+    first = [c[0] for c in by_degree[0]]
+    zero = coords[0] * 0.0
+    batch, nb = zero.batch_shape, len(zero.batch_shape)
+
+    def pick(v, idx):
+        return Jet(v.nvars, v.order, 1, [np.take(t, idx, axis=nb) for t in v.data])
+
     center = np.array([(b[0] + b[1]) / 2 for b in box])
     halfw = np.array([(b[1] - b[0]) / 2 for b in box])
-    # factor index chains u_i u_j ... with i <= j <= ..., in _monomials order
-    chains = [sum(((i,) * p for i, p in enumerate(powers)), ())
-              for total in range(degree + 1) for powers in _monomials(n, total)]
+    u = jet_stack([(coords[i] - center[i]) * (1.0 / halfw[i]) for i in first])
+    stacks = [u]
+    for prev, chains_d in zip(by_degree, by_degree[1:]):
+        heads = [prev.index(c[:-1]) for c in chains_d]
+        last = [first.index(c[-1]) for c in chains_d]
+        stacks.append(pick(stacks[-1], heads) * pick(u, last))
+    flat = np.concatenate(
+        [np.concatenate([s.data[m] for s in stacks], axis=nb).reshape(batch + (len(chains) - 1, -1))
+         for m in range(zero.order + 1)], axis=-1)
+    tables = np.moveaxis(flat, nb, 0).copy()
+    for t in (tables, *zero.data):
+        t.flags.writeable = False
+    return MonomialBasis(tables, zero)
+
+
+def coefficient_sum(coef, basis: MonomialBasis) -> Jet:
+    """The jet of components c_0 + sum_k c_k m_k over ``basis``, with
+    ``coef`` shaped (component shape) + (chains,).
+
+    Every jet order is summed at once in the flat layout of the basis, term
+    by term in chain order.  Each table of the result is then copied out
+    C-contiguous, the layout of a table summed on its own (np.einsum picks
+    its inner loops by operand strides), and ``basis.zero`` is added to it
+    last.
+    """
+    zero = basis.zero
+    shape, batch = coef.shape[:-1], zero.batch_shape
+    lead = (slice(None),) * len(batch) + (None,) * len(shape)
+    acc = coef[..., 1, None] * basis.tables[0][lead]
+    # the constant chain () carries no jet: c_0 joins the value entry only
+    acc[..., 0] += coef[..., 0]
+    term = np.empty_like(acc)
+    for k in range(1, len(basis.tables)):
+        np.multiply(coef[..., k + 1, None], basis.tables[k][lead], out=term)
+        acc += term
+    data, start = [], 0
+    for m, z in enumerate(zero.data):
+        size = zero.nvars ** m
+        table = np.ascontiguousarray(acc[..., start:start + size])
+        table = table.reshape(batch + shape + (zero.nvars,) * m)
+        table += z[lead]
+        data.append(table)
+        start += size
+    return Jet(zero.nvars, zero.order, len(shape), data)
+
+
+def random_coefficients(variance, box, seed: int) -> np.ndarray:
+    """The coefficients of ``random_tensor_field(variance, box, seed)``,
+    shaped (component shape) + (chains,)."""
+    chains = _chains(len(box))
     denom = np.array([float(math.factorial(len(c) + 1)) for c in chains])
-    coef = rng.normal(size=tuple(shape) + (len(chains),)) / denom
-    # the value axis of the degree-d monomial stack runs over the degree-d
-    # chains in chain order; degree 1 is (u_{n-1}, ..., u_0)
-    by_degree = [[c for c in chains if len(c) == d] for d in range(degree + 1)]
-    first = [c[0] for c in by_degree[1]]
-    steps = [([by_degree[d - 1].index(c[:-1]) for c in by_degree[d]],
-              [first.index(c[-1]) for c in by_degree[d]]) for d in range(2, degree + 1)]
-
-    def fn(coords):
-        zero = coords[0] * 0.0
-        nb = len(zero.batch_shape)
-        lead = (slice(None),) * nb + (None,) * len(shape)
-        # coefficient sums term by term in chain order; the constant chain ()
-        # comes first and carries no jet
-        acc = [coef[..., 0]] + [None] * zero.order
-        k = 1
-        u = mono = jet_stack([(coords[i] - center[i]) * (1.0 / halfw[i]) for i in first])
-        for d in range(1, degree + 1):
-            if d > 1:
-                # each monomial is its prefix monomial times one more factor
-                heads, last = steps[d - 2]
-                mono = _take(mono, heads)      # releases the degree d-1 stack
-                mono = mono * _take(u, last)
-            for j in range(len(by_degree[d])):
-                for m in range(zero.order + 1):
-                    term = coef[(..., k) + (None,) * m] * mono.data[m][lead + (j,)]
-                    acc[m] = term if acc[m] is None else acc[m] + term
-                k += 1
-        for a, z in zip(acc, zero.data):
-            a += z[lead]
-        return Jet(zero.nvars, zero.order, len(shape), acc)
-
-    return fn
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(len(box),) * len(variance) + (len(chains),)) / denom
 
 
 def random_tensor_field(variance, box, seed: int) -> TensorField:
@@ -459,12 +515,17 @@ def random_tensor_field(variance, box, seed: int) -> TensorField:
     Each component is a cubic polynomial in box-centered scaled coordinates.
     Coefficients are drawn component-major (row-major over the component
     indices), each component's monomials in ``_monomials`` order of
-    increasing total degree, each divided by ``(degree + 1)!``.  All
-    components share one set of monomial jets per evaluation, built one
-    degree at a time: one elementwise jet product per degree above 1.
+    increasing total degree, each divided by ``(degree + 1)!``.  An
+    evaluation builds the :func:`monomial_basis` of its coordinates and
+    forms every component as one :func:`coefficient_sum` over it; a run
+    that evaluates many seeded fields on one frame shares one basis among
+    them.
     """
-    rng = np.random.default_rng(seed)
-    fn = _poly_tensor_fn(box, rng, (len(box),) * len(variance))
+    coef = random_coefficients(variance, box, seed)
+
+    def fn(coords):
+        return coefficient_sum(coef, monomial_basis(box, coords))
+
     return TensorField(tuple(variance), fn, name=f"random-{seed}")
 
 

@@ -72,6 +72,9 @@ from .catalog import (
     SCENARIOS,
     SPACETIMES,
     bump_perturbation,
+    coefficient_sum,
+    monomial_basis,
+    random_coefficients,
     random_tensor_field,
     sample_points,
     scenario,
@@ -207,16 +210,20 @@ class RunContext:
       potential shifted by the gradient of a seeded chi, per (scenario,
       order).  The shifted theory is evaluated on the scenario's frame view
       at the order its checks read, and only those three tensors are kept.
-    - ``_random``: one evaluation of each seeded random field (the xis of
-      ``random_xis`` and the tensors of ``_random_tensors``) per
-      (variance, box, seed, frame).  Every frame a check evaluates on is a
-      frame of ``_frames`` or one of its memoised views, alive for the
-      whole run, so frame identity names one set of sample points and one
-      order.
+    - ``_bases``: one :class:`~emtkit.catalog.MonomialBasis` per (box,
+      frame), the monomials every seeded random field on that box sums.
+    - ``_fields``: one evaluation of each field per frame.  A seeded random
+      field (the xis of ``random_xis`` and the tensors of
+      ``_random_tensors``) is keyed by (variance, box, seed, frame) and
+      evaluated as one coefficient sum over its basis; a catalog field (a
+      Killing vector) is keyed by (field, frame).
 
-    Catalog fields (Killing vectors, scenario fields) are evaluated afresh.
-    Every table of a cached evaluation is read-only, so an in-place write
-    raises instead of changing the input of every later check.
+    Every frame a check evaluates on is a frame of ``_frames`` or one of its
+    memoised views, alive for the whole run, so frame identity names one
+    set of sample points and one order.  Scenario fields are evaluated by
+    their theory frames.  Every table of a cached basis or evaluation is
+    read-only, so an in-place write raises instead of changing the input of
+    every later check.
     """
 
     def __init__(self, cfg: RunConfig, order: int):
@@ -225,7 +232,8 @@ class RunContext:
         self.build_order = max(2, order)
         self._frames = {}
         self._theories = {}
-        self._random = {}
+        self._bases = {}
+        self._fields = {}
         self._gauge = {}
 
     def at(self, order) -> RunContext:
@@ -277,14 +285,25 @@ class RunContext:
                                     f"and the check holds only on shell")
             yield name, sc, tf
 
+    def field(self, fld, fr) -> TensorValue:
+        """Catalog field ``fld`` evaluated on frame ``fr``, on first use only."""
+        key = (fld, fr)
+        if key not in self._fields:
+            self._fields[key] = _frozen(evaluate(fld, fr))
+        return self._fields[key]
+
     def random_field(self, variance, box, seed, fr) -> TensorValue:
         """The seeded random field of ``variance`` on ``box``, evaluated on
-        frame ``fr``; built and evaluated on first use only."""
+        frame ``fr`` as one coefficient sum over the frame's monomial basis,
+        on first use only."""
         key = (variance, box, seed, fr)
-        if key not in self._random:
-            fld = random_tensor_field(variance, box, seed)
-            self._random[key] = _frozen(evaluate(fld, fr))
-        return self._random[key]
+        if key not in self._fields:
+            if (box, fr) not in self._bases:
+                self._bases[box, fr] = monomial_basis(box, fr.coords[: fr.n])
+            comps = coefficient_sum(random_coefficients(variance, box, seed),
+                                    self._bases[box, fr])
+            self._fields[key] = _frozen(TensorValue(variance, fr.n, comps))
+        return self._fields[key]
 
     def random_xis(self, st_name, fr, count=None) -> list:
         """The first ``count`` (default ``xi_count``) seeded random vector
@@ -496,7 +515,7 @@ def _chk_killing(ctx):
     for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
         fr = ctx.frame(st_name)
         for v in spacetime(st_name).killing:
-            yield st_name, ctx.cfg.points, lie_derivative(fr.g, evaluate(v, fr), fr), fr.g
+            yield st_name, ctx.cfg.points, lie_derivative(fr.g, ctx.field(v, fr), fr), fr.g
 
 
 @_register(
@@ -511,7 +530,7 @@ def _chk_parallel(ctx):
     for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
         fr = ctx.frame(st_name)
         for v in spacetime(st_name).parallel:
-            xi = evaluate(v, fr)
+            xi = ctx.field(v, fr)
             yield st_name, ctx.cfg.points, covariant_derivative(xi, fr), xi
 
 
@@ -620,7 +639,7 @@ def _chk_killing_commute(ctx):
         ts = _random_tensors(ctx, st_name, fr, ranks=((), ("u",), ("d", "d")),
                              base_seed=110)
         for v in spacetime(st_name).killing[:4]:
-            xi = evaluate(v, fr)
+            xi = ctx.field(v, fr)
             for t in ts:
                 res = lie_nabla_commutator(t, xi, fr)
                 yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
@@ -762,7 +781,7 @@ def _chk_110(ctx):
 def _chk_noether(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
         for v in spacetime(sc.spacetime).killing:
-            res = divergence(noether_current(tf, evaluate(v, tf.frame)), tf.frame)
+            res = divergence(noether_current(tf, ctx.field(v, tf.frame)), tf.frame)
             yield name, ctx.cfg.points, res, tf.emt_belinfante
 
 
@@ -867,7 +886,7 @@ def _chk_current_decomp(ctx):
 def _chk_matter_current(ctx):
     for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
         for v in spacetime(sc.spacetime).killing:
-            res = divergence(lie_matter_current(tf, evaluate(v, tf.frame)), tf.frame)
+            res = divergence(lie_matter_current(tf, ctx.field(v, tf.frame)), tf.frame)
             yield name, ctx.cfg.points, res, tf.L
 
 

@@ -13,6 +13,9 @@ from emtkit.catalog import (
     CatalogClaimError,
     Scenario,
     Spacetime,
+    coefficient_sum,
+    monomial_basis,
+    random_coefficients,
     random_tensor_field,
     sample_points,
     scenario_box,
@@ -24,6 +27,7 @@ from emtkit.fieldtheory import evaluate_theory, scalar_theory
 from emtkit.geometry import TensorField, evaluate, geometry_at
 from emtkit import jets
 from emtkit.jets import Jet, jet_stack
+from emtkit.suites import _TENSOR_RANKS, RunConfig, RunContext
 from emtkit.tensors import TensorValue, value_array
 
 
@@ -132,11 +136,22 @@ def _reference_field(variance, box, seed):
     return fn
 
 
+def _assert_same_bits(got: Jet, want: Jet):
+    """Equal jets table for table, the sign of every zero included."""
+    assert (got.nvars, got.order, got.vdim) == (want.nvars, want.order, want.vdim)
+    for g, w in zip(got.data, want.data, strict=True):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 @pytest.mark.parametrize("space,order,batch,aux", [
     ("minkowski2", 3, (6,), 0),
     ("minkowski2", 2, (2, 3), 1),
     ("minkowski4", 3, (3,), 0),
     ("minkowski4", 2, (2, 2), 2),
+    ("schwarzschild", 3, (16,), 0),
+    ("bump2", 3, (16,), 0),
 ])
 @pytest.mark.parametrize("variance", [(), ("d",), ("u", "d"), ("d", "u", "d")])
 def test_random_fields_match_per_component_reference(space, order, batch, aux,
@@ -148,16 +163,33 @@ def test_random_fields_match_per_component_reference(space, order, batch, aux,
     frame = geometry_at(st.metric, pts, order)
     got = evaluate(random_tensor_field(variance, st.box, seed=17), frame).components
     want = _reference_field(variance, st.box, seed=17)(frame.coords[:n])
-    assert (got.nvars, got.order, got.vdim) == (want.nvars, want.order, want.vdim)
     assert got.nvars == n + aux
-    for g, w in zip(got.data, want.data):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("space", sorted(SPACETIMES))
+def test_run_fields_equal_standalone_evaluations(space, order):
+    # a run sums each seeded field over the frame's shared basis; the
+    # standalone field builds a basis of its own: the same bits
+    ctx = RunContext(RunConfig(points=5, seed=4, xi_count=2), order)
+    fr = ctx.frame(space)
+    box = SPACETIMES[space].box
+    got = [ctx.random_field(var, box, 30 + k, fr) for k, var in enumerate(_TENSOR_RANKS)]
+    want = [evaluate(random_tensor_field(var, box, 30 + k), fr)
+            for k, var in enumerate(_TENSOR_RANKS)]
+    got += ctx.random_xis(space, fr)
+    want += [evaluate(random_tensor_field(("u",), box, 1004 + k), fr) for k in range(2)]
+    assert fr.order == order
+    for g, w in zip(got, want, strict=True):
+        assert g.variance == w.variance
+        _assert_same_bits(g.components, w.components)
 
 
 def test_random_field_evaluation_shares_monomial_products(monkeypatch):
-    # one elementwise product per degree above 1; one cubic per component
-    # would take ~800, one product per monomial 30
+    # building a basis takes one elementwise product per degree above 1
+    # (one cubic per component would take ~800, one product per monomial
+    # 30), and summing a field over it none
     calls = []
     real = jets.jet_einsum
 
@@ -167,10 +199,11 @@ def test_random_field_evaluation_shares_monomial_products(monkeypatch):
 
     st = SPACETIMES["minkowski4"]
     frame = geometry_at(st.metric, sample_points(st.box, 4, seed=2), 3)
-    field = random_tensor_field(("d", "d"), st.box, seed=8)
     monkeypatch.setattr(jets, "jet_einsum", counting)
-    evaluate(field, frame)
-    assert 0 < len(calls) <= 2
+    basis = monomial_basis(st.box, frame.coords)
+    built = len(calls)
+    coefficient_sum(random_coefficients(("d", "d"), st.box, seed=8), basis)
+    assert 0 < built <= 2 and len(calls) == built
 
 
 def test_scenario_box_override():

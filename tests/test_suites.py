@@ -3,11 +3,13 @@ NaN or inf residual failing its check whatever the target order, in both
 "below" and "exceeds" modes; a check that measured no point fails.  Each
 check run at its declared jet order, reading the run's one build per frame
 and per theory through truncated views that equal fresh builds at that
-order and form no reference cycle.  The run's caches: each seeded random
-field evaluated once per frame, one gauge-shifted theory per scenario,
-read-only cached tables, and check rows that do not depend on which checks
-ran before.  The on-shell gate: each scenario's claim verified once, on the
-run's own frames."""
+order and form no reference cycle.  The run's caches: one monomial basis
+per box and frame, each seeded random field and each catalog vector
+evaluated once per frame, one gauge-shifted theory per scenario, read-only
+cached tables, and check rows that do not depend on which checks ran
+before.  Checks whose targets are fixed whatever the selection.  The
+on-shell gate: each scenario's claim verified once, on the run's own
+frames."""
 
 import dataclasses
 import gc
@@ -160,6 +162,22 @@ def test_a_selection_some_of_whose_entries_a_check_keeps_runs():
     cfg = RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d", "coulomb-4d"), points=2)
     rows = build_report(cfg, run_checks(cfg))["checks"]
     assert len(rows) == 3 and all(r["passed"] and r["points"] == 2 for r in rows)
+
+
+def test_checks_with_a_fixed_target_keep_it_whatever_the_selection():
+    # these checks name their own targets, so a scenario selection neither
+    # narrows nor empties them
+    fixed = {"flow-chain-rule-negative-control": ["broken-scalar"],
+             "canonical-obstruction-magnitude": ["schwarzschild-coulomb"],
+             "master-identity": ["em-wave-4d"]}
+    cfg = RunConfig(suites=("kinematic-lagrangian", "emt-onshell"),
+                    scenarios=("em-wave-4d",), points=2, xi_count=1)
+    targets = {oc.check.id: [t.name for t in oc.targets] for oc in run_checks(cfg)}
+    assert {k: targets[k] for k in fixed} == fixed
+    cfg = RunConfig(suites=("variational",), scenarios=("scalar-wave-2d",),
+                    grid_2d=(64, 64), grid_4d=(8, 8, 8, 8))
+    assert [[t.name for t in oc.targets] for oc in run_checks(cfg)] == [
+        ["scalar-wave-2d"], ["em-wave-4d"], ["gradient-vector-2d"]]
 
 
 def _residuals(seed, count):
@@ -337,12 +355,51 @@ def _count_calls(monkeypatch, name, key):
 
 
 def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
-    counts = _count_calls(monkeypatch, "evaluate", lambda fld, fr: (
-        (fld.name, tuple(fld.variance), id(fr))
-        if fld.name.startswith("random") else None))
+    # each coefficient sum is counted under the (variance, seed, frame) of
+    # the random_field call that makes it; a sum outside one has no key
+    counts, asked = Counter(), []
+    random_field, coefficient_sum = RunContext.random_field, suites.coefficient_sum
+
+    def field(self, variance, box, seed, fr):
+        asked.append((variance, seed, id(fr)))
+        try:
+            return random_field(self, variance, box, seed, fr)
+        finally:
+            asked.pop()
+
+    def summed(coef, basis):
+        counts[asked[-1]] += 1
+        return coefficient_sum(coef, basis)
+
+    monkeypatch.setattr(RunContext, "random_field", field)
+    monkeypatch.setattr(suites, "coefficient_sum", summed)
     run_checks(RunConfig(suites=("kinematic-lagrangian", "emt-onshell"),
                          points=2, xi_count=4))
     assert counts and set(counts.values()) == {1}
+
+
+def test_a_run_builds_one_monomial_basis_per_box_and_frame(monkeypatch):
+    bases = _count_calls(monkeypatch, "monomial_basis", lambda box, coords: (
+        box, id(coords[0])))
+    sums = _count_calls(monkeypatch, "coefficient_sum", lambda coef, basis: id(basis))
+    run_checks(RunConfig(suites=("tilde-algebra", "kinematic-lagrangian", "emt-onshell"),
+                         points=2, xi_count=2))
+    assert bases and set(bases.values()) == {1}
+    # every basis is summed over, and most by more than one field
+    assert len(sums) == len(bases)
+    assert sum(sums.values()) > 2 * len(bases)
+
+
+def test_each_catalog_vector_is_evaluated_once_per_frame(monkeypatch):
+    counts = _count_calls(monkeypatch, "evaluate", lambda fld, fr: (id(fld), id(fr)))
+    run_checks(RunConfig(suites=("emt-onshell",), points=2, xi_count=1))
+    assert counts and set(counts.values()) == {1}
+    # two checks read every Killing vector of every on-shell scenario, at
+    # orders 3 and 2; scenarios on one spacetime and box share their frame
+    on_shell = [sc for sc in SCENARIOS.values() if sc.on_shell]
+    killing = lambda sc: len(catalog.spacetime(sc.spacetime).killing)   # noqa: E731
+    boxes = {(sc.spacetime, scenario_box(sc)): killing(sc) for sc in on_shell}
+    assert len(counts) == 2 * sum(boxes.values()) < 2 * sum(map(killing, on_shell))
 
 
 def test_gauge_checks_share_one_shifted_theory_per_scenario(monkeypatch):
@@ -375,6 +432,15 @@ def test_cached_field_tables_are_read_only():
     for t in ctx.gauge_shifted_emts("em-wave-4d"):
         with pytest.raises(ValueError):
             t.components.data[0] += 1.0
+    (basis,) = ctx._bases.values()
+    for table in (basis.tables, *basis.zero.data):
+        with pytest.raises(ValueError):
+            table += 1.0
+    (rot,) = catalog.spacetime("bump2").killing
+    bump = ctx.frame("bump2")
+    assert ctx.field(rot, bump) is ctx.field(rot, bump)
+    with pytest.raises(ValueError):
+        ctx.field(rot, bump).components.data[1] += 1.0
 
 
 def test_check_rows_do_not_depend_on_which_checks_ran_before():
