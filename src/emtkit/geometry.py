@@ -104,8 +104,6 @@ def jet_matrix_inverse(g: Jet) -> Jet:
     """
     a0 = g.data[0]
     inv0 = np.linalg.inv(a0)
-    if g.order == 0:
-        return Jet(g.nvars, 0, 2, [inv0])
     B = jet_einsum("ij,jk->ik", -inv0, _derivative_part(g))
     total = constant_jet(inv0, g.nvars, g.order, vdim=2)
     P = total

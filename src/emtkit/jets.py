@@ -16,10 +16,10 @@ The tables are symmetric in the derivative axes.  ``vdim`` counts the
 value axes (0 for scalar jets); leading axes are broadcastable batch
 axes, which lets a whole grid of sample points flow through one einsum.
 
-Construction checks each table's shape against the value table's: a
-float64 ndarray shaped exactly ``data[0].shape + (nvars,)*m`` is stored
-as it is, and only a table that differs (a constant that widens the batch
-of a jet sum, say) is checked axis by axis and broadcast.
+One shape rule: table m is exactly ``data[0].shape + (nvars,)*m``, one
+comparison per table at construction, and any other shape is a ValueError.
+Jets of different batches broadcast table by table in sums and products;
+a constant added to a jet may not widen its batch.
 
 Structural zeros: a table known to vanish before any arithmetic runs (the
 derivative tables of a constant or of a coordinate above order 1, the
@@ -94,30 +94,10 @@ class Jet:
         lead = data[0].shape
         if len(lead) < vdim:
             raise ValueError("value table has fewer axes than vdim")
-        vshape = lead[len(lead) - vdim:] if vdim else ()
-        # a table shaped exactly lead + (nvars,)*m passes every check below;
-        # only the others are checked and, with them, broadcast to one batch
-        loose = False
         for m, t in enumerate(data):
-            if t.shape == lead + (nvars,) * m:
-                continue
-            loose = True
-            trail = vdim + m
-            if t.ndim < trail:
-                raise ValueError(f"order-{m} table has too few axes")
-            if m > 0 and t.shape[t.ndim - m:] != (nvars,) * m:
-                raise ValueError(
-                    f"order-{m} table derivative axes {t.shape[t.ndim - m:]} != {(nvars,) * m}"
-                )
-            if vdim and t.shape[t.ndim - trail:t.ndim - m] != vshape:
-                raise ValueError("inconsistent value shape across derivative tables")
-        if loose:
-            common = np.broadcast_shapes(*(t.shape[: t.ndim - vdim - m]
-                                           for m, t in enumerate(data)))
-            for m, t in enumerate(data):
-                want = common + vshape + (nvars,) * m
-                if t.shape != want:
-                    data[m] = np.broadcast_to(t, want)
+            if t.shape != lead + (nvars,) * m:
+                raise ValueError(f"order-{m} table has shape {t.shape}, "
+                                 f"expected {lead + (nvars,) * m}")
         self.nvars = nvars
         self.order = order
         self.vdim = vdim
@@ -216,15 +196,11 @@ def _derivative_part(f: "Jet") -> "Jet":
 
 def _add(x, y, op=np.add):
     """x + y, or x - y with ``op=np.subtract``, one pass per derivative table."""
-    if _is_const(x) and _is_const(y):
-        return op(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if _is_const(y):
-        c = np.asarray(y, dtype=float)
-        return Jet(x.nvars, x.order, x.vdim, [op(x.data[0], c), *x.data[1:]])
+        return Jet(x.nvars, x.order, x.vdim, [op(x.data[0], y), *x.data[1:]])
     if _is_const(x):
-        c = np.asarray(x, dtype=float)
         tail = y.data[1:] if op is np.add else [_neg(t) for t in y.data[1:]]
-        return Jet(y.nvars, y.order, y.vdim, [op(c, y.data[0]), *tail])
+        return Jet(y.nvars, y.order, y.vdim, [op(x, y.data[0]), *tail])
     if x.nvars != y.nvars:
         raise ValueError("jet addition needs matching nvars")
     if x.vdim != y.vdim:
@@ -235,9 +211,8 @@ def _add(x, y, op=np.add):
 
 
 def _mul(x, y):
-    """Elementwise product (scalar broadcast allowed on either side)."""
-    if _is_const(x) and _is_const(y):
-        return np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
+    """Elementwise product of two jets of equal vdim, or a jet scaled by a
+    constant broadcast against its batch and value axes."""
     if _is_const(y):
         x, y = y, x
     if _is_const(x):
@@ -245,14 +220,10 @@ def _mul(x, y):
         if c.ndim == 0:
             return Jet(y.nvars, y.order, y.vdim, [t if _is_zero(t) else c * t for t in y.data])
         return _const_mul(c, y)
-    vx, vy = _LETTERS[: x.vdim], _LETTERS[: y.vdim]
-    if x.vdim == y.vdim:
-        return jet_einsum(f"{vx},{vy}->{vx}", x, y)
-    if x.vdim == 0:
-        return jet_einsum(f",{vy}->{vy}", x, y)
-    if y.vdim == 0:
-        return jet_einsum(f"{vx},->{vx}", x, y)
-    raise ValueError("elementwise product needs equal vdim or a scalar operand")
+    if x.vdim != y.vdim:
+        raise ValueError("elementwise product needs equal vdim or a constant operand")
+    v = _LETTERS[: x.vdim]
+    return jet_einsum(f"{v},{v}->{v}", x, y)
 
 
 def _const_mul(c: np.ndarray, y: "Jet") -> "Jet":
@@ -607,6 +578,7 @@ def jet_stack(nested) -> Jet:
     """Stack a nested list of scalar jets (or numbers) into an array-valued jet.
 
     The nesting depth becomes the number of value axes, in row-major order.
+    An order above 0 at which no leaf is live stays one structural zero.
     """
     leaves, vshape = [nested], ()
     while any(isinstance(x, (list, tuple)) for x in leaves):
@@ -626,6 +598,9 @@ def jet_stack(nested) -> Jet:
     batch = np.broadcast_shapes(*[j.batch_shape for j in jets])
     data = []
     for m in range(order + 1):
+        if m and all(not isinstance(x, Jet) or _is_zero(x.data[m]) for x in leaves):
+            data.append(_zero_table(batch + vshape + (nvars,) * m))
+            continue
         shape = batch + (nvars,) * m
         # a number or array leaf is a constant: its value, then zero tables
         tables = [x.data[m] if isinstance(x, Jet) else np.asarray(x if m == 0 else 0.0, dtype=float)

@@ -36,6 +36,17 @@ def test_spacetime_claims_hold(name):
     verify_spacetime_claims(SPACETIMES[name], seed=1)
 
 
+@pytest.mark.parametrize("name", ["minkowski2", "minkowski4"])
+def test_a_translation_is_structurally_zero_above_order_1(name):
+    # a translation is constant, so its stacked tables above order 1 stay
+    # structural zeros rather than dense arrays of zeros
+    st = SPACETIMES[name]
+    frame = geometry_at(st.metric, sample_points(st.box, 4, seed=2), 3)
+    v = evaluate(st.killing[0], frame).components
+    assert st.killing[0].name == "translation-0"
+    assert [jets._is_zero(t) for t in v.data] == [False, False, True, True]
+
+
 def _theory_frame(sc, count=12, seed=1):
     """``sc``'s theory frame at ``count`` seeded points of its box, order 2."""
     pts = sample_points(scenario_box(sc), count, seed)
@@ -184,6 +195,24 @@ def test_run_fields_equal_standalone_evaluations(space, order):
     for g, w in zip(got, want, strict=True):
         assert g.variance == w.variance
         _assert_same_bits(g.components, w.components)
+
+
+@pytest.mark.parametrize("space", ["minkowski2", "minkowski4"])
+def test_a_sum_of_negative_zeros_ends_as_positive_zero(space):
+    # every coefficient of component 1 is -0.0, and on these points every
+    # monomial and each of its derivatives is >= 0, so each entry of that
+    # component sums only -0.0 terms; the final + coords[0] * 0.0 of the
+    # per-component reference makes every one of them +0.0
+    st = SPACETIMES[space]
+    n = len(st.box)
+    frame = geometry_at(st.metric, np.random.default_rng(3).uniform(0.2, 0.9, (6, n)), 3)
+    basis = monomial_basis(st.box, frame.coords)
+    assert np.all(basis.tables >= 0.0)
+    coef = random_coefficients(("d",), st.box, seed=17)
+    coef[1] = -0.0
+    got = coefficient_sum(coef, basis)
+    for t in got.data:
+        assert np.all(t[:, 1] == 0.0) and not np.signbit(t[:, 1]).any()
 
 
 def test_random_field_evaluation_shares_monomial_products(monkeypatch):

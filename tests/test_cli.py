@@ -171,6 +171,15 @@ def test_a_selection_that_leaves_a_check_no_target_is_usage_error(tmp_path, caps
     assert "[FAIL]" not in out and not rp.exists()
 
 
+def test_a_tol_flag_naming_an_unknown_check_prints_the_library_message(capsys):
+    # flags and config files go through the one tolerance gate of run_checks
+    with pytest.raises(ValueError) as exc:
+        run_checks(RunConfig(suites=("tilde-algebra",), tolerances={"bogus": 1.0}))
+    assert run_cli(["verify", "--suite", "tilde-algebra", "--tol", "bogus=1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc.value}\n"
+
+
 def test_unknown_suite_is_usage_error(capsys):
     assert run_cli(["verify", "--suite", "bogus"]) == EXIT_USAGE
     assert "bogus" in capsys.readouterr().err
