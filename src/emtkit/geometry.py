@@ -44,6 +44,7 @@ from .jets import (
     jet_truncate,
     jexp,
     lift,
+    zeros_jet,
 )
 from .tensors import (TensorValue, _slot_letters, contract, einsum, tilde, tilde_contract,
                       transpose_slots)
@@ -121,16 +122,14 @@ def jet_sqrt_abs_det(g: Jet) -> Jet:
     """
     a0 = g.data[0]
     root0 = np.sqrt(np.abs(np.linalg.det(a0)))
-    if g.order == 0:
-        return Jet(g.nvars, 0, 0, [root0])
     M = jet_einsum("ij,jk->ik", np.linalg.inv(a0), _derivative_part(g))
     P = M
     nb = a0.ndim - 2
-    series = None
+    series = zeros_jet(g.nvars, g.order, 0, a0.shape[:nb])
     for k in range(1, g.order + 1):
         tr = Jet(P.nvars, P.order, 0, [np.trace(t, axis1=nb, axis2=nb + 1) for t in P.data])
         term = ((-1.0) ** (k - 1) / (2 * k)) * tr
-        series = term if series is None else series + term
+        series = series + term
         if k < g.order:
             P = jet_einsum("ij,jk->ik", P, M)
     return root0 * jexp(series)

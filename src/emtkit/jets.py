@@ -88,7 +88,7 @@ class Jet:
         if order < 0:
             raise ValueError("jet order must be >= 0")
         data = [t if type(t) is np.ndarray and t.dtype is _FLOAT
-                else np.asarray(t, dtype=float) for t in data]
+                else np.asarray(t, dtype=_FLOAT) for t in data]
         if len(data) != order + 1:
             raise ValueError(f"expected {order + 1} derivative tables, got {len(data)}")
         lead = data[0].shape
@@ -144,7 +144,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return _mul(self, jreciprocal(other))
-        return _mul(self, 1.0 / np.asarray(other, dtype=float))
+        return _mul(self, 1.0 / np.asarray(other, dtype=_FLOAT))
 
     def __rtruediv__(self, other):
         return _mul(jreciprocal(self), other)
@@ -216,7 +216,7 @@ def _mul(x, y):
     if _is_const(y):
         x, y = y, x
     if _is_const(x):
-        c = np.asarray(x, dtype=float)
+        c = np.asarray(x, dtype=_FLOAT)
         if c.ndim == 0:
             return Jet(y.nvars, y.order, y.vdim, [t if _is_zero(t) else c * t for t in y.data])
         return _const_mul(c, y)
@@ -365,8 +365,8 @@ def jet_einsum(subs: str, x, y):
     else:
         order = x.order if xj else y.order if yj else 0
     nvars = x.nvars if xj else y.nvars if yj else 0
-    xs = x.data if xj else (np.asarray(x, float),)
-    ys = y.data if yj else (np.asarray(y, float),)
+    xs = x.data if xj else (np.asarray(x, _FLOAT),)
+    ys = y.data if yj else (np.asarray(y, _FLOAT),)
     nx, vdim, plan = _leibniz_plan(subs, order, xj, yj)
     zx, zy = [_is_zero(t) for t in xs], [_is_zero(t) for t in ys]
     points = math.prod(xs[0].shape[:xs[0].ndim - nx])
@@ -539,7 +539,7 @@ def lift(points: np.ndarray, nvars: int, order: int) -> list[Jet]:
     ``points`` has shape batch + (k,) with k <= nvars; coordinate i carries
     first derivative e_i and structurally zero higher derivatives.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points, dtype=_FLOAT)
     k = points.shape[-1]
     if k > nvars:
         raise ValueError("more coordinates than jet variables")
@@ -559,7 +559,7 @@ def lift(points: np.ndarray, nvars: int, order: int) -> list[Jet]:
 
 def constant_jet(value, nvars: int, order: int, vdim: int | None = None) -> Jet:
     """A jet with the given value part and structurally zero derivatives."""
-    value = np.asarray(value, dtype=float)
+    value = np.asarray(value, dtype=_FLOAT)
     vdim = value.ndim if vdim is None else vdim
     data = [value]
     for m in range(1, order + 1):
@@ -603,8 +603,8 @@ def jet_stack(nested) -> Jet:
             continue
         shape = batch + (nvars,) * m
         # a number or array leaf is a constant: its value, then zero tables
-        tables = [x.data[m] if isinstance(x, Jet) else np.asarray(x if m == 0 else 0.0, dtype=float)
-                  for x in leaves]
+        tables = [x.data[m] if isinstance(x, Jet)
+                  else np.asarray(x if m == 0 else 0.0, dtype=_FLOAT) for x in leaves]
         # broadcast only the tables that need it: at 16 points a call of
         # np.broadcast_to costs more than its share of the stack
         stacked = np.stack([t if t.shape == shape else np.broadcast_to(t, shape) for t in tables],

@@ -2,16 +2,20 @@
 energy-momentum identities, grouped for the command line runner.
 
 Each check measures a residual (or a required signal) over deterministic
-sample points and compares it against a tolerance.  A check body is a
-generator of ``(target_name, points, residual, scale)`` tuples, one per
-measurement; residual and scale are tensors, jets, arrays or numbers.
-``_register`` wraps the body into ``Check.fn``, which folds consecutive
-yields that share a target name (a spacetime or a field scenario) into one
-:class:`Target`: their points are summed, ``value_abs`` is the largest
-|residual| over the yields and ``value_rel`` is that divided by the largest
-|scale|, the normwise relative error of the target.  Both maxima propagate
-NaN and a scale that is not finite makes ``value_rel`` NaN, so a NaN or inf
-residual or scale is never dropped.
+sample points and compares it against a tolerance.  Its one ``targets``
+declaration (a :class:`TargetSpec`) names what it measures: spacetimes or
+field scenarios that a selection narrows, or fixed names.  A body measures
+one target: ``body(ctx, name)`` is a generator of ``(points, residual,
+scale)`` tuples, one per measurement; residual and scale are tensors, jets,
+arrays or numbers.  ``_register`` wraps the body into ``Check.fn``, which
+folds each target's yields into its one :class:`Target`: their points are
+summed, ``value_abs`` is the largest |residual| and ``value_rel`` is that
+divided by the largest |scale|, the normwise relative error of the target.
+Both maxima propagate NaN and a scale that is not finite makes
+``value_rel`` NaN, so a NaN or inf residual or scale is never dropped.
+``run_checks`` reads every declaration before any check runs, so a
+selection that a check refuses or leaves without a target is rejected from
+the configuration alone.
 All randomness is seeded from the run configuration, so a report is a pure
 function of its configuration.
 """
@@ -23,6 +27,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -103,6 +108,42 @@ class OffShellError(RuntimeError):
     """An on-shell identity was requested for a scenario claimed off shell."""
 
 
+def _every(entry) -> bool:
+    return True
+
+
+def _claimed_on_shell(sc) -> bool:
+    return sc.on_shell
+
+
+@dataclass(frozen=True)
+class TargetSpec:
+    """The targets of a check, each measured by one call of its body.
+
+    ``narrows`` names the catalog list ("spacetimes" or "scenarios") whose
+    selection replaces the defaults, or is None for fixed names that no
+    selection changes.  ``default`` is a tuple of names, or a test on
+    catalog entries: then the defaults are the entries that pass it, in
+    catalog order, read when the run asks.  A default or selected entry is
+    a target only if it passes ``keep``.  ``on_shell_only`` refuses a
+    scenario claimed off shell."""
+
+    narrows: str | None
+    default: tuple | Callable = _every
+    keep: Callable = _every
+    on_shell_only: bool = False
+
+    def names(self, cfg: RunConfig) -> list:
+        """The target names under ``cfg``, in the order they are measured."""
+        if self.narrows is None:
+            return list(self.default)
+        catalog = SPACETIMES if self.narrows == "spacetimes" else SCENARIOS
+        names = getattr(cfg, self.narrows) or (
+            self.default if isinstance(self.default, tuple)
+            else [name for name, entry in catalog.items() if self.default(entry)])
+        return [name for name in names if self.keep(catalog[name])]
+
+
 @dataclass(frozen=True)
 class Check:
     id: str
@@ -113,14 +154,11 @@ class Check:
     measure: str            # "abs" or "rel"
     mode: str               # "below" or "exceeds"
     description: str
+    targets: TargetSpec
     # a check runs at its declared jet order: it reads the run's frames,
     # fields and theories truncated to this order, the lowest at which the
     # body runs and its targets equal those of every higher order
     jet_order: int = 2
-    # for a check that measures only some of the catalog entries a config
-    # may name: the RunConfig field naming them ("spacetimes" or
-    # "scenarios") and the test an entry must pass to be a target
-    keeps: tuple | None = None
     fn: object = None
 
 
@@ -263,28 +301,6 @@ class RunContext:
             self._theories[scen_name] = tf
         return self._theories[scen_name].truncate(self.order)
 
-    def spacetime_names(self, default):
-        return self.cfg.spacetimes if self.cfg.spacetimes else default
-
-    def scenarios(self, on_shell=None, require=False, where=None):
-        """``(name, scenario, theory_frame)`` for the configured scenarios, or
-        else for every catalog scenario whose on-shell claim is ``on_shell``
-        (None: all).  ``where(scenario)`` skips a scenario before its theory
-        is evaluated; ``require`` raises OffShellError for a scenario claimed
-        off shell (``theory_frame`` has verified the claim)."""
-        names = self.cfg.scenarios or [
-            name for name, sc in SCENARIOS.items()
-            if on_shell is None or sc.on_shell == on_shell]
-        for name in names:
-            sc = scenario(name)
-            if where is not None and not where(sc):
-                continue
-            tf = self.theory_frame(name)
-            if require and not sc.on_shell:
-                raise OffShellError(f"scenario '{name}' is claimed off shell, "
-                                    f"and the check holds only on shell")
-            yield name, sc, tf
-
     def field(self, fld, fr) -> TensorValue:
         """Catalog field ``fld`` evaluated on frame ``fr``, on first use only."""
         key = (fld, fr)
@@ -342,34 +358,32 @@ CHECKS: dict[str, Check] = {}
 
 def _register(**kw):
     def deco(body):
-        check = Check(fn=lambda ctx: _fold(body(ctx)), **kw)
+        spec = kw["targets"]
+        check = Check(fn=lambda ctx: [_fold(name, body(ctx, name))
+                                      for name in spec.names(ctx.cfg)], **kw)
         CHECKS[check.id] = check
         return body
     return deco
 
 
-def _fold(yields) -> list:
-    """One Target per run of consecutive ``(name, points, residual, scale)``
-    yields sharing a name: points summed, ``value_abs`` the largest
-    |residual| and ``value_rel`` that over the largest |scale| (at least
-    1e-300).  Both maxima propagate NaN, and a scale that is not finite
-    makes ``value_rel`` NaN, so a non-finite residual or scale in any yield
-    reaches its target.  A target of one yield reads
-    ``r / max(max_abs(scale), 1e-300)``, r being ``max_abs(residual)``."""
-    targets = []
-    for name, points, residual, scale in yields:
+def _fold(name, yields) -> Target:
+    """Target ``name`` from its body's ``(points, residual, scale)`` yields:
+    points summed, ``value_abs`` the largest |residual| and ``value_rel``
+    that over the largest |scale| (at least 1e-300).  Both maxima propagate
+    NaN, and a scale that is not finite makes ``value_rel`` NaN, so a
+    non-finite residual or scale in any yield reaches the target.  A target
+    of one yield reads ``r / max(max_abs(scale), 1e-300)``, r being
+    ``max_abs(residual)``; one of no yield measures no point."""
+    target, top_scale = Target(name, 0, 0.0, 0.0), 0.0
+    for points, residual, scale in yields:
         r, s = max_abs(residual), max_abs(scale)
         del residual, scale   # not kept alive while the body computes its next yield
-        if not targets or targets[-1].name != name:
-            targets.append(Target(name, 0, 0.0, 0.0))
-            top_scale = 0.0
-        t = targets[-1]
-        t.points += points
-        t.value_abs = float(np.maximum(t.value_abs, r))
+        target.points += points
+        target.value_abs = float(np.maximum(target.value_abs, r))
         top_scale = float(np.maximum(top_scale, s))
-        t.value_rel = (t.value_abs / max(top_scale, 1e-300) if math.isfinite(top_scale)
-                       else math.nan)
-    return targets
+    target.value_rel = (target.value_abs / max(top_scale, 1e-300) if math.isfinite(top_scale)
+                        else math.nan)
+    return target
 
 
 # --------------------------------------------------------------------------
@@ -389,13 +403,12 @@ def _random_tensors(ctx, st_name, fr, ranks=_TENSOR_RANKS, base_seed=0):
     identity="index-replacement of the identity map vanishes",
     formula="til(delta)^a_b{}^c_d = 0",
     tolerance=1e-12, measure="abs", mode="below",
-    jet_order=0,
+    targets=TargetSpec("spacetimes", ("minkowski4", "schwarzschild")), jet_order=0,
     description="The mixed identity tensor is inert under the index-replacement "
                 "operator: its up-slot and down-slot contributions cancel exactly.")
-def _chk_tilde_identity(ctx):
-    for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild")):
-        n = spacetime(st_name).n
-        yield st_name, 1, tilde(TensorValue(("u", "d"), n, constant_jet(np.eye(n), n, 0))), 1.0
+def _chk_tilde_identity(ctx, st_name):
+    n = spacetime(st_name).n
+    yield 1, tilde(TensorValue(("u", "d"), n, constant_jet(np.eye(n), n, 0))), 1.0
 
 
 @_register(
@@ -403,19 +416,18 @@ def _chk_tilde_identity(ctx):
     identity="index-replacement of the metric",
     formula="til(g)_ab{}^c_d = -g_db delta^c_a - g_ad delta^c_b",
     tolerance=1e-12, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes", ("minkowski4", "schwarzschild", "bump2")), jet_order=1,
     description="Applying the index-replacement operator to the metric gives "
                 "minus two delta-weighted copies of the metric.")
-def _chk_tilde_metric(ctx):
-    for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild", "bump2")):
-        fr = ctx.frame(st_name)
-        n = fr.n
-        got = tilde(fr.g)
-        eye = np.eye(n)
-        t1 = jet_einsum("db,ca->abcd", fr.g.components, eye)
-        t2 = jet_einsum("ad,cb->abcd", fr.g.components, eye)
-        want = -(t1 + t2)
-        yield st_name, ctx.cfg.points, got.components - want, fr.g.components
+def _chk_tilde_metric(ctx, st_name):
+    fr = ctx.frame(st_name)
+    n = fr.n
+    got = tilde(fr.g)
+    eye = np.eye(n)
+    t1 = jet_einsum("db,ca->abcd", fr.g.components, eye)
+    t2 = jet_einsum("ad,cb->abcd", fr.g.components, eye)
+    want = -(t1 + t2)
+    yield ctx.cfg.points, got.components - want, fr.g.components
 
 
 @_register(
@@ -423,17 +435,16 @@ def _chk_tilde_metric(ctx):
     identity="index-replacement of the alternating symbol",
     formula="til(eps)_{a1..an}{}^c_d = -eps_{a1..an} delta^c_d",
     tolerance=1e-12, measure="abs", mode="below",
-    jet_order=0,
+    targets=TargetSpec("spacetimes", ("minkowski2", "minkowski4")), jet_order=0,
     description="The totally antisymmetric symbol reproduces itself (times "
                 "-delta) under index replacement; a determinant-style identity.")
-def _chk_tilde_eps(ctx):
-    for st_name in ctx.spacetime_names(("minkowski2", "minkowski4")):
-        n = spacetime(st_name).n
-        eps = levi_civita(n)
-        got = tilde(eps)
-        S = _slot_letters(n)
-        want = -np.einsum(f"{S},cd->{S}cd", value_array(eps), np.eye(n))
-        yield st_name, 1, value_array(got) - want, 1.0
+def _chk_tilde_eps(ctx, st_name):
+    n = spacetime(st_name).n
+    eps = levi_civita(n)
+    got = tilde(eps)
+    S = _slot_letters(n)
+    want = -np.einsum(f"{S},cd->{S}cd", value_array(eps), np.eye(n))
+    yield 1, value_array(got) - want, 1.0
 
 
 @_register(
@@ -441,17 +452,16 @@ def _chk_tilde_eps(ctx):
     identity="trace of the replacement slots",
     formula="til(T)^.._a{}^a_.. = (p - q) T",
     tolerance=1e-12, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes", ("schwarzschild",)), jet_order=1,
     description="Contracting the two new slots of the replaced tensor counts "
                 "up-slots minus down-slots times the original tensor.")
-def _chk_tilde_trace(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild",)):
-        fr = ctx.frame(st_name)
-        for t in _random_tensors(ctx, st_name, fr):
-            tr = contract(tilde(t), t.rank, t.rank + 1)
-            p = t.variance.count("u")
-            q = t.rank - p
-            yield st_name, ctx.cfg.points, tr - float(p - q) * t, t
+def _chk_tilde_trace(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for t in _random_tensors(ctx, st_name, fr):
+        tr = contract(tilde(t), t.rank, t.rank + 1)
+        p = t.variance.count("u")
+        q = t.rank - p
+        yield ctx.cfg.points, tr - float(p - q) * t, t
 
 
 @_register(
@@ -459,25 +469,24 @@ def _chk_tilde_trace(ctx):
     identity="replacement operator is a derivation over tensor products",
     formula="til(T ox S) = til(T) ox S + T ox til(S)  (new slots gathered last)",
     tolerance=1e-12, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes", ("minkowski4",)), jet_order=1,
     description="The index-replacement operator satisfies the Leibniz rule on "
                 "outer products, once the new slots are moved to the end.")
-def _chk_tilde_leibniz(ctx):
-    for st_name in ctx.spacetime_names(("minkowski4",)):
-        fr = ctx.frame(st_name)
-        ts = _random_tensors(ctx, st_name, fr, ranks=(("u",), ("d",), ("u", "d")))
-        for t in ts:
-            for s in ts:
-                lhs = tilde(tensor_product(t, s))
-                term1 = tensor_product(tilde(t), s)
-                rt = t.rank
-                rs = s.rank
-                # move the replacement slots of til(T) to the end
-                perm1 = (tuple(range(rt)) + tuple(range(rt + 2, rt + 2 + rs))
-                         + (rt, rt + 1))
-                term2 = tensor_product(t, tilde(s))
-                res = lhs - transpose_slots(term1, perm1) - term2
-                yield st_name, ctx.cfg.points, res, lhs
+def _chk_tilde_leibniz(ctx, st_name):
+    fr = ctx.frame(st_name)
+    ts = _random_tensors(ctx, st_name, fr, ranks=(("u",), ("d",), ("u", "d")))
+    for t in ts:
+        for s in ts:
+            lhs = tilde(tensor_product(t, s))
+            term1 = tensor_product(tilde(t), s)
+            rt = t.rank
+            rs = s.rank
+            # move the replacement slots of til(T) to the end
+            perm1 = (tuple(range(rt)) + tuple(range(rt + 2, rt + 2 + rs))
+                     + (rt, rt + 1))
+            term2 = tensor_product(t, tilde(s))
+            res = lhs - transpose_slots(term1, perm1) - term2
+            yield ctx.cfg.points, res, lhs
 
 
 # --------------------------------------------------------------------------
@@ -490,17 +499,16 @@ def _chk_tilde_leibniz(ctx):
     identity="derivative-agnostic form of the Lie derivative",
     formula="dT xi - til(T) dxi  ==  DT xi - til(T) Dxi",
     tolerance=1e-12, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes", ("minkowski4", "schwarzschild", "bump2")), jet_order=1,
     description="The Lie derivative written through the index-replacement "
                 "operator gives the same values with coordinate partials as "
                 "with covariant derivatives: the connection terms cancel.")
-def _chk_lie_dual(ctx):
-    for st_name in ctx.spacetime_names(("minkowski4", "schwarzschild", "bump2")):
-        fr = ctx.frame(st_name)
-        (xi,) = ctx.random_xis(st_name, fr, 1)
-        for t in _random_tensors(ctx, st_name, fr, base_seed=40):
-            a = lie_derivative(t, xi, None)
-            yield st_name, ctx.cfg.points, a - lie_derivative(t, xi, fr), a
+def _chk_lie_dual(ctx, st_name):
+    fr = ctx.frame(st_name)
+    (xi,) = ctx.random_xis(st_name, fr, 1)
+    for t in _random_tensors(ctx, st_name, fr, base_seed=40):
+        a = lie_derivative(t, xi, None)
+        yield ctx.cfg.points, a - lie_derivative(t, xi, fr), a
 
 
 @_register(
@@ -508,14 +516,13 @@ def _chk_lie_dual(ctx):
     identity="metric is invariant along its symmetry vectors",
     formula="(Lie_xi g)_ab = D_a xi_b + D_b xi_a = 0",
     tolerance=1e-10, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes"), jet_order=1,
     description="Every vector the catalog claims as a symmetry annihilates "
                 "the metric under the Lie derivative.")
-def _chk_killing(ctx):
-    for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
-        fr = ctx.frame(st_name)
-        for v in spacetime(st_name).killing:
-            yield st_name, ctx.cfg.points, lie_derivative(fr.g, ctx.field(v, fr), fr), fr.g
+def _chk_killing(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for v in spacetime(st_name).killing:
+        yield ctx.cfg.points, lie_derivative(fr.g, ctx.field(v, fr), fr), fr.g
 
 
 @_register(
@@ -523,15 +530,14 @@ def _chk_killing(ctx):
     identity="claimed parallel vectors have vanishing covariant derivative",
     formula="D_a xi^b = 0",
     tolerance=1e-10, measure="abs", mode="below",
-    jet_order=1, keeps=("spacetimes", lambda st: bool(st.parallel)),
+    targets=TargetSpec("spacetimes", keep=lambda st: bool(st.parallel)), jet_order=1,
     description="Translation generators on flat charts are claimed to be "
                 "covariantly constant; the claim is re-derived numerically.")
-def _chk_parallel(ctx):
-    for st_name in ctx.spacetime_names(tuple(SPACETIMES)):
-        fr = ctx.frame(st_name)
-        for v in spacetime(st_name).parallel:
-            xi = ctx.field(v, fr)
-            yield st_name, ctx.cfg.points, covariant_derivative(xi, fr), xi
+def _chk_parallel(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for v in spacetime(st_name).parallel:
+        xi = ctx.field(v, fr)
+        yield ctx.cfg.points, covariant_derivative(xi, fr), xi
 
 
 @_register(
@@ -539,16 +545,14 @@ def _chk_parallel(ctx):
     identity="Lie derivative of the metric volume factor",
     formula="1/2 sqrt|g| g^ab (Lie_xi g)_ab = d_a(sqrt|g| xi^a)",
     tolerance=1e-9, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes", ("schwarzschild", "bump2")), jet_order=1,
     description="The trace of the metric flow reproduces the Lie derivative "
                 "of the density sqrt|g|, d_a(sqrt|g| xi^a), which reads the "
                 "first derivatives of sqrt|g|.")
-def _chk_volume(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
-        fr = ctx.frame(st_name)
-        for xi in ctx.random_xis(st_name, fr, 3):
-            res = volume_lie_residual(xi, fr)
-            yield st_name, ctx.cfg.points, res, fr.sqrt_g
+def _chk_volume(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for xi in ctx.random_xis(st_name, fr, 3):
+        yield ctx.cfg.points, volume_lie_residual(xi, fr), fr.sqrt_g
 
 
 # --------------------------------------------------------------------------
@@ -561,16 +565,15 @@ def _chk_volume(ctx):
     identity="second-derivative commutator equals the curvature action",
     formula="(D_a D_b - D_b D_a) T = R^d_{cab} til(T)^c_d",
     tolerance=1e-9, measure="abs", mode="below",
+    targets=TargetSpec("spacetimes", ("schwarzschild", "bump2")),
     description="For every tensor rank, the antisymmetrized double covariant "
                 "derivative matches the curvature contracted with the "
                 "index-replaced tensor.  This check fixes the curvature sign "
                 "and slot conventions.")
-def _chk_curv_comm(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
-        fr = ctx.frame(st_name)
-        for t in _random_tensors(ctx, st_name, fr, base_seed=60):
-            res = curvature_commutator_residual(t, fr)
-            yield st_name, ctx.cfg.points, res, fr.riemann
+def _chk_curv_comm(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for t in _random_tensors(ctx, st_name, fr, base_seed=60):
+        yield ctx.cfg.points, curvature_commutator_residual(t, fr), fr.riemann
 
 
 @_register(
@@ -578,16 +581,15 @@ def _chk_curv_comm(ctx):
     identity="index replacement past a covariant gradient",
     formula="til(D_e T)^a_b = D_e til(T)^a_b - delta^a_e D_b T",
     tolerance=1e-9, measure="abs", mode="below",
-    jet_order=1,
+    targets=TargetSpec("spacetimes", ("schwarzschild",)), jet_order=1,
     description="Replacing indices after differentiation differs from "
                 "differentiating the replaced tensor only by the gradient "
                 "slot's own replacement term.")
-def _chk_tilde_grad(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild",)):
-        fr = ctx.frame(st_name)
-        for t in _random_tensors(ctx, st_name, fr, base_seed=80):
-            res = tilde_gradient_commutator_residual(t, fr)
-            yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
+def _chk_tilde_grad(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for t in _random_tensors(ctx, st_name, fr, base_seed=80):
+        res = tilde_gradient_commutator_residual(t, fr)
+        yield ctx.cfg.points, res, covariant_derivative(t, fr)
 
 
 @_register(
@@ -596,16 +598,16 @@ def _chk_tilde_grad(ctx):
     formula="R^c_{bda} xi^d + D_a D_b xi^c  ==  "
             "1/2 g^cd (D_b (Lg)_da + D_a (Lg)_db - D_d (Lg)_ba)",
     tolerance=1e-9, measure="abs", mode="below",
+    targets=TargetSpec("spacetimes", ("schwarzschild", "bump2")),
     description="The connection-deformation tensor of a flow can be built "
                 "from second derivatives of xi plus curvature or from first "
                 "derivatives of the metric flow; both constructions agree.")
-def _chk_conn_dual(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
-        fr = ctx.frame(st_name)
-        for xi in ctx.random_xis(st_name, fr, 3):
-            a = lie_connection_tensor(xi, fr, form="direct")
-            b = lie_connection_tensor(xi, fr, form="metric")
-            yield st_name, ctx.cfg.points, a - b, a
+def _chk_conn_dual(ctx, st_name):
+    fr = ctx.frame(st_name)
+    for xi in ctx.random_xis(st_name, fr, 3):
+        a = lie_connection_tensor(xi, fr, form="direct")
+        b = lie_connection_tensor(xi, fr, form="metric")
+        yield ctx.cfg.points, a - b, a
 
 
 @_register(
@@ -613,17 +615,17 @@ def _chk_conn_dual(ctx):
     identity="commutator of flow and covariant gradient",
     formula="(Lie_xi D - D Lie_xi) T = C^c_{ba} til(T)^b_c",
     tolerance=1e-9, measure="abs", mode="below",
+    targets=TargetSpec("spacetimes", ("schwarzschild", "bump2")),
     description="The failure of the Lie derivative to commute with the "
                 "covariant gradient is exactly the connection-deformation "
                 "tensor acting through index replacement.")
-def _chk_lie_grad(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild", "bump2")):
-        fr = ctx.frame(st_name)
-        (xi,) = ctx.random_xis(st_name, fr, 1)
-        C = lie_connection_tensor(xi, fr, form="direct")
-        for t in _random_tensors(ctx, st_name, fr, base_seed=90):
-            got = lie_nabla_commutator(t, xi, fr)
-            yield st_name, ctx.cfg.points, got - tilde_contract(t, C), got
+def _chk_lie_grad(ctx, st_name):
+    fr = ctx.frame(st_name)
+    (xi,) = ctx.random_xis(st_name, fr, 1)
+    C = lie_connection_tensor(xi, fr, form="direct")
+    for t in _random_tensors(ctx, st_name, fr, base_seed=90):
+        got = lie_nabla_commutator(t, xi, fr)
+        yield ctx.cfg.points, got - tilde_contract(t, C), got
 
 
 @_register(
@@ -631,59 +633,21 @@ def _chk_lie_grad(ctx):
     identity="symmetry flows commute with the covariant gradient",
     formula="Lie_xi (D T) = D (Lie_xi T)   for Killing xi",
     tolerance=1e-9, measure="abs", mode="below",
+    targets=TargetSpec("spacetimes", ("schwarzschild", "minkowski4")),
     description="Along a metric symmetry the connection deformation vanishes, "
                 "so differentiation and flow commute on arbitrary tensors.")
-def _chk_killing_commute(ctx):
-    for st_name in ctx.spacetime_names(("schwarzschild", "minkowski4")):
-        fr = ctx.frame(st_name)
-        ts = _random_tensors(ctx, st_name, fr, ranks=((), ("u",), ("d", "d")),
-                             base_seed=110)
-        for v in spacetime(st_name).killing[:4]:
-            xi = ctx.field(v, fr)
-            for t in ts:
-                res = lie_nabla_commutator(t, xi, fr)
-                yield st_name, ctx.cfg.points, res, covariant_derivative(t, fr)
+def _chk_killing_commute(ctx, st_name):
+    fr = ctx.frame(st_name)
+    ts = _random_tensors(ctx, st_name, fr, ranks=((), ("u",), ("d", "d")), base_seed=110)
+    for v in spacetime(st_name).killing[:4]:
+        xi = ctx.field(v, fr)
+        for t in ts:
+            res = lie_nabla_commutator(t, xi, fr)
+            yield ctx.cfg.points, res, covariant_derivative(t, fr)
 
 
 # --------------------------------------------------------------------------
 # suite: kinematic-lagrangian
-# --------------------------------------------------------------------------
-
-
-@_register(
-    id="lagrangian-flow-chain-rule", suite="kinematic-lagrangian",
-    identity="scalar Lagrangians flow by the chain rule",
-    formula="dL/d(Dpsi) Lie(Dpsi) + dL/dpsi Lie(psi) + dL/dg Lie(g) = dL xi",
-    tolerance=1e-9, measure="abs", mode="below",
-    description="For a generally covariant scalar Lagrangian the Lie "
-                "derivative distributes over its arguments; holds for any "
-                "field configuration, on or off shell.")
-def _chk_chain(ctx):
-    for name, sc, tf in ctx.scenarios():
-        for xi in ctx.random_xis(sc.spacetime, tf.frame, 3):
-            res = kinematic_lie_residual(tf, xi)
-            yield name, ctx.cfg.points, res, tf.L
-
-
-@_register(
-    id="flow-chain-rule-negative-control", suite="kinematic-lagrangian",
-    identity="explicit coordinate dependence breaks the chain rule",
-    formula="residual of the flow chain rule for a non-covariant Lagrangian",
-    tolerance=1e-3, measure="abs", mode="exceeds",
-    description="A Lagrangian with bare coordinate dependence must fail the "
-                "chain-rule identity; this guards the main check against "
-                "silently measuring zero.")
-def _chk_chain_negative(ctx):
-    sc = scenario("scalar-wave-2d")
-    fr = ctx.frame(sc.spacetime)
-    tf = evaluate_theory(broken_scalar_theory(0.5), sc.field, fr)
-    for xi in ctx.random_xis(sc.spacetime, fr, 3):
-        res = kinematic_lie_residual(tf, xi)
-        yield "broken-scalar", ctx.cfg.points, res, tf.L
-
-
-# --------------------------------------------------------------------------
-# suite: emt-onshell
 # --------------------------------------------------------------------------
 
 
@@ -696,134 +660,169 @@ def _is_first_order(sc) -> bool:
     return sc.theory.name.startswith(("scalar", "maxwell"))
 
 
+# every catalog scenario; the on-shell ones, which a selection may widen
+# unless the check holds only on shell; the on-shell Maxwell ones
+_ANY_SCENARIO = TargetSpec("scenarios")
+_ON_SHELL = TargetSpec("scenarios", _claimed_on_shell)
+_ON_SHELL_ONLY = TargetSpec("scenarios", _claimed_on_shell, on_shell_only=True)
+_MAXWELL = TargetSpec("scenarios", _claimed_on_shell, keep=_is_maxwell)
+
+
+@_register(
+    id="lagrangian-flow-chain-rule", suite="kinematic-lagrangian",
+    identity="scalar Lagrangians flow by the chain rule",
+    formula="dL/d(Dpsi) Lie(Dpsi) + dL/dpsi Lie(psi) + dL/dg Lie(g) = dL xi",
+    tolerance=1e-9, measure="abs", mode="below", targets=_ANY_SCENARIO,
+    description="For a generally covariant scalar Lagrangian the Lie "
+                "derivative distributes over its arguments; holds for any "
+                "field configuration, on or off shell.")
+def _chk_chain(ctx, name):
+    tf = ctx.theory_frame(name)
+    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 3):
+        yield ctx.cfg.points, kinematic_lie_residual(tf, xi), tf.L
+
+
+@_register(
+    id="flow-chain-rule-negative-control", suite="kinematic-lagrangian",
+    identity="explicit coordinate dependence breaks the chain rule",
+    formula="residual of the flow chain rule for a non-covariant Lagrangian",
+    tolerance=1e-3, measure="abs", mode="exceeds",
+    targets=TargetSpec(None, ("broken-scalar",)),
+    description="A Lagrangian with bare coordinate dependence must fail the "
+                "chain-rule identity; this guards the main check against "
+                "silently measuring zero.")
+def _chk_chain_negative(ctx, _name):
+    # the target is a label: the broken theory is built here, not a catalog scenario
+    sc = scenario("scalar-wave-2d")
+    fr = ctx.frame(sc.spacetime)
+    tf = evaluate_theory(broken_scalar_theory(0.5), sc.field, fr)
+    for xi in ctx.random_xis(sc.spacetime, fr, 3):
+        yield ctx.cfg.points, kinematic_lie_residual(tf, xi), tf.L
+
+
+# --------------------------------------------------------------------------
+# suite: emt-onshell
+# --------------------------------------------------------------------------
+
+
 @_register(
     id="metric-emt-symmetry", suite="emt-onshell",
     identity="metric energy-momentum tensor is symmetric by construction",
     formula="T_M^ab = T_M^ba   (on or off shell)",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", targets=_ANY_SCENARIO,
     description="Symmetry of T_M needs no field equations: the derivative "
                 "bracket it subtracts is built symmetric in its free slots.")
-def _chk_tm_sym(ctx):
-    for name, _, tf in ctx.scenarios():
-        tm = tf.emt_metric
-        yield name, ctx.cfg.points, tm - transpose_slots(tm, (1, 0)), tm
+def _chk_tm_sym(ctx, name):
+    tm = ctx.theory_frame(name).emt_metric
+    yield ctx.cfg.points, tm - transpose_slots(tm, (1, 0)), tm
 
 
 @_register(
     id="superpotential-antisymmetry", suite="emt-onshell",
     identity="superpotential antisymmetry in its first two slots",
     formula="Theta^abc = -Theta^bac",
-    tolerance=1e-12, measure="abs", mode="below",
-    jet_order=1,
+    tolerance=1e-12, measure="abs", mode="below", targets=_ANY_SCENARIO, jet_order=1,
     description="The three-term superpotential is antisymmetric under "
                 "swapping its first slot pair, which is what makes its "
                 "double divergence vanish.")
-def _chk_theta_antisym(ctx):
-    for name, _, tf in ctx.scenarios():
-        th = tf.theta
-        res = th + transpose_slots(th, (1, 0, 2))
-        yield name, ctx.cfg.points, res, max(max_abs(th), 1.0)
+def _chk_theta_antisym(ctx, name):
+    th = ctx.theory_frame(name).theta
+    yield ctx.cfg.points, th + transpose_slots(th, (1, 0, 2)), max(max_abs(th), 1.0)
 
 
 @_register(
     id="improved-equals-metric", suite="emt-onshell",
     identity="improved and metric tensors coincide on shell",
     formula="T_B^ab = T_M^ab   when the field equations hold",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", targets=_ON_SHELL_ONLY,
     description="Adding the superpotential divergence to the canonical "
                 "tensor lands exactly on the metric tensor for solutions.")
-def _chk_tb_tm(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        yield name, ctx.cfg.points, tf.emt_belinfante - tf.emt_metric, tf.emt_metric
+def _chk_tb_tm(ctx, name):
+    tf = ctx.theory_frame(name)
+    yield ctx.cfg.points, tf.emt_belinfante - tf.emt_metric, tf.emt_metric
 
 
 @_register(
     id="master-identity", suite="emt-onshell",
     identity="current divergence pairs with the metric flow",
     formula="D_a(T_B^ab xi_b) = 1/2 T_M^ab (Lie_xi g)_ab   for any xi",
-    tolerance=1e-8, measure="abs", mode="below",
-    jet_order=3,
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY, jet_order=3,
     description="The central exchange identity: for an arbitrary vector "
                 "field, not only symmetries, the divergence of the improved "
                 "current equals the metric tensor paired with the metric "
                 "flow.  Checked with a family of seeded random vectors.")
-def _chk_master(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
-        for xi in ctx.random_xis(sc.spacetime, tf.frame):
-            lhs, rhs = master_identity_terms(tf, xi)
-            yield name, ctx.cfg.points, lhs - rhs, lhs
+def _chk_master(ctx, name):
+    tf = ctx.theory_frame(name)
+    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame):
+        lhs, rhs = master_identity_terms(tf, xi)
+        yield ctx.cfg.points, lhs - rhs, lhs
 
 
 @_register(
     id="current-gradient-pairing", suite="emt-onshell",
     identity="current divergence pairs with the vector gradient",
     formula="D_a(T_B^ab xi_b) = T_M^ab D_a xi_b   for any xi",
-    tolerance=1e-8, measure="abs", mode="below",
-    jet_order=3,
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY, jet_order=3,
     description="Equivalent form of the exchange identity with the full "
                 "(unsymmetrized) gradient of xi; works because T_M is "
                 "symmetric.")
-def _chk_110(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
-        for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
-            res = current_gradient_pairing_residual(tf, xi)
-            yield name, ctx.cfg.points, res, tf.emt_metric
+def _chk_110(ctx, name):
+    tf = ctx.theory_frame(name)
+    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 4):
+        yield ctx.cfg.points, current_gradient_pairing_residual(tf, xi), tf.emt_metric
 
 
 @_register(
     id="symmetry-current-conservation", suite="emt-onshell",
     identity="conserved current along each metric symmetry",
     formula="D_a(T_B^ab xi_b) = 0   for Killing xi",
-    tolerance=1e-8, measure="abs", mode="below",
-    jet_order=3,
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY, jet_order=3,
     description="The improved current built from any catalog symmetry vector "
                 "is divergence-free on shell.")
-def _chk_noether(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
-        for v in spacetime(sc.spacetime).killing:
-            res = divergence(noether_current(tf, ctx.field(v, tf.frame)), tf.frame)
-            yield name, ctx.cfg.points, res, tf.emt_belinfante
+def _chk_noether(ctx, name):
+    tf = ctx.theory_frame(name)
+    for v in spacetime(scenario(name).spacetime).killing:
+        res = divergence(noether_current(tf, ctx.field(v, tf.frame)), tf.frame)
+        yield ctx.cfg.points, res, tf.emt_belinfante
 
 
 @_register(
     id="improved-divergence", suite="emt-onshell",
     identity="improved tensor is divergence-free on shell",
     formula="D_a T_B^ab = 0",
-    tolerance=1e-8, measure="abs", mode="below",
-    jet_order=3,
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY, jet_order=3,
     description="Slot-wise conservation of the improved tensor for "
                 "solutions, on flat and curved backgrounds alike.")
-def _chk_tb_div(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        yield name, ctx.cfg.points, divergence(tf.emt_belinfante, tf.frame), tf.emt_belinfante
+def _chk_tb_div(ctx, name):
+    tf = ctx.theory_frame(name)
+    yield ctx.cfg.points, divergence(tf.emt_belinfante, tf.frame), tf.emt_belinfante
 
 
 @_register(
     id="metric-emt-divergence", suite="emt-onshell",
     identity="metric tensor is divergence-free on shell",
     formula="D_a T_M^ab = 0",
-    tolerance=1e-8, measure="abs", mode="below",
-    jet_order=3,
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY, jet_order=3,
     description="Conservation of the metric tensor for solutions; follows "
                 "from the exchange identity with arbitrary localized xi.")
-def _chk_tm_div(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        yield name, ctx.cfg.points, divergence(tf.emt_metric, tf.frame), tf.emt_metric
+def _chk_tm_div(ctx, name):
+    tf = ctx.theory_frame(name)
+    yield ctx.cfg.points, divergence(tf.emt_metric, tf.frame), tf.emt_metric
 
 
 @_register(
     id="canonical-curvature-obstruction", suite="emt-onshell",
     identity="canonical tensor divergence equals a curvature pairing",
     formula="D_a T_C^ab = dL/d(D_a psi) R^b_{adc} til(psi)^cd",
-    tolerance=1e-8, measure="abs", mode="below",
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY,
     description="On shell the canonical tensor is not conserved on curved "
                 "backgrounds; its divergence is an explicit curvature term. "
                 "Both sides are compared pointwise.")
-def _chk_can_div(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        lhs, rhs = canonical_divergence_terms(tf)
-        scale = max(max_abs(lhs), max_abs(rhs), max_abs(tf.emt_canonical))
-        yield name, ctx.cfg.points, lhs - rhs, scale
+def _chk_can_div(ctx, name):
+    tf = ctx.theory_frame(name)
+    lhs, rhs = canonical_divergence_terms(tf)
+    scale = max(max_abs(lhs), max_abs(rhs), max_abs(tf.emt_canonical))
+    yield ctx.cfg.points, lhs - rhs, scale
 
 
 @_register(
@@ -831,110 +830,108 @@ def _chk_can_div(ctx):
     identity="the curvature obstruction is actually nonzero",
     formula="max |D_a T_C^ab| over a curved vector-field scenario",
     tolerance=1e-6, measure="abs", mode="exceeds",
+    targets=TargetSpec(None, ("schwarzschild-coulomb",)),
     description="Guards the obstruction check against passing vacuously: on "
                 "the curved electromagnetic scenario the canonical tensor "
                 "must demonstrably fail to be conserved.")
-def _chk_can_div_magnitude(ctx):
-    name = "schwarzschild-coulomb"
+def _chk_can_div_magnitude(ctx, name):
     lhs, rhs = canonical_divergence_terms(ctx.theory_frame(name))
     v = np.min([max_abs(lhs), max_abs(rhs)])  # NaN-propagating
-    yield name, ctx.cfg.points, v, 1.0
+    yield ctx.cfg.points, v, 1.0
 
 
 @_register(
     id="superpotential-current-closure", suite="emt-onshell",
     identity="difference current is identically conserved",
     formula="D_a[(D_c Theta^cab) xi_b + Theta^cab D_c xi_b] = 0   for any xi",
-    tolerance=1e-8, measure="abs", mode="below",
-    jet_order=3,
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL, jet_order=3,
     description="The current formed from the superpotential alone is "
                 "divergence-free without field equations for its xi-part: "
                 "antisymmetry plus the symmetry of the Ricci tensor.")
-def _chk_diff_current(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True):
-        for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
-            res = divergence(difference_current(tf, xi), tf.frame)
-            yield name, ctx.cfg.points, res, tf.theta
+def _chk_diff_current(ctx, name):
+    tf = ctx.theory_frame(name)
+    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 4):
+        yield ctx.cfg.points, divergence(difference_current(tf, xi), tf.frame), tf.theta
 
 
 @_register(
     id="current-decomposition", suite="emt-onshell",
     identity="improved current splits into canonical plus superpotential parts",
     formula="T_B^ab xi_b = [T_C^ab xi_b + Theta^cab D_c xi_b] - difference current",
-    tolerance=1e-9, measure="abs", mode="below",
+    tolerance=1e-9, measure="abs", mode="below", targets=_ON_SHELL,
     description="Bookkeeping control, true by construction: T_B is defined "
                 "as T_C - D_c Theta^cab, so T_B xi - (T_C xi + Theta:D xi) + "
                 "(D.Theta xi + Theta:D xi) cancels term by term.  It guards "
                 "the three current builders against drifting apart and tests "
                 "no field equation.")
-def _chk_current_decomp(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True):
-        for xi in ctx.random_xis(sc.spacetime, tf.frame, 4):
-            a = noether_current(tf, xi)
-            b = alternative_current(tf, xi)
-            c = difference_current(tf, xi)
-            yield name, ctx.cfg.points, a - b + c, a
+def _chk_current_decomp(ctx, name):
+    tf = ctx.theory_frame(name)
+    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 4):
+        a = noether_current(tf, xi)
+        b = alternative_current(tf, xi)
+        c = difference_current(tf, xi)
+        yield ctx.cfg.points, a - b + c, a
 
 
 @_register(
     id="matter-flow-current", suite="emt-onshell",
     identity="conserved current from the matter flow along a symmetry",
     formula="D_a[dL/d(D_a psi) Lie_xi psi - L xi^a] = 0   for Killing xi",
-    tolerance=1e-8, measure="abs", mode="below",
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY,
     description="A first-derivative current built from the field flow along "
                 "a symmetry vector; conserved on shell.")
-def _chk_matter_current(ctx):
-    for name, sc, tf in ctx.scenarios(on_shell=True, require=True):
-        for v in spacetime(sc.spacetime).killing:
-            res = divergence(lie_matter_current(tf, ctx.field(v, tf.frame)), tf.frame)
-            yield name, ctx.cfg.points, res, tf.L
+def _chk_matter_current(ctx, name):
+    tf = ctx.theory_frame(name)
+    for v in spacetime(scenario(name).spacetime).killing:
+        res = divergence(lie_matter_current(tf, ctx.field(v, tf.frame)), tf.frame)
+        yield ctx.cfg.points, res, tf.L
 
 
 @_register(
     id="metric-derivative-identity", suite="emt-onshell",
     identity="metric derivative of L from field gradients on shell",
     formula="2 dL/dg_ab = D_c(dL/d(D_c psi) til(psi)^ab) - dL/d(D_a psi) D^b psi",
-    tolerance=1e-8, measure="abs", mode="below",
+    tolerance=1e-8, measure="abs", mode="below", targets=_ON_SHELL_ONLY,
     description="On shell, the metric derivative of the Lagrangian can be "
                 "rebuilt entirely from the field sector; the right side is "
                 "secretly symmetric in its free slots.")
-def _chk_ee(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, require=True):
-        lhs, rhs = metric_derivative_identity_terms(tf)
-        yield name, ctx.cfg.points, lhs - rhs, lhs
-        yield name, 0, rhs - transpose_slots(rhs, (1, 0)), lhs
+def _chk_ee(ctx, name):
+    lhs, rhs = metric_derivative_identity_terms(ctx.theory_frame(name))
+    yield ctx.cfg.points, lhs - rhs, lhs
+    yield 0, rhs - transpose_slots(rhs, (1, 0)), lhs
 
 
 @_register(
     id="first-order-emt-closed-form", suite="emt-onshell",
     identity="bracket-free closed form for scalar and one-form gauge theories",
     formula="T_M^ab = 2 dL/dg_ab + g^ab L   when the derivative bracket vanishes",
-    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_first_order),
+    tolerance=1e-9, measure="abs", mode="below",
+    targets=TargetSpec("scenarios", _claimed_on_shell, keep=_is_first_order),
     description="For the built-in scalar and electromagnetic Lagrangians the "
                 "superpotential bracket cancels identically, so T_M reduces "
                 "to the bare metric-derivative form.")
-def _chk_tm_closed(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, where=_is_first_order):
-        want = 2.0 * tf.dL_dg + tf._g_up_L
-        yield name, ctx.cfg.points, tf.emt_metric - want, tf.emt_metric
+def _chk_tm_closed(ctx, name):
+    tf = ctx.theory_frame(name)
+    want = 2.0 * tf.dL_dg + tf._g_up_L
+    yield ctx.cfg.points, tf.emt_metric - want, tf.emt_metric
 
 
 @_register(
     id="em-field-strength-form", suite="emt-onshell",
     identity="electromagnetic energy-momentum in field-strength form",
     formula="T_M^ab = F^ac F^b_c + g^ab L",
-    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_maxwell),
+    tolerance=1e-9, measure="abs", mode="below", targets=_MAXWELL,
     description="On electromagnetic scenarios the machine-built T_M matches "
                 "the textbook field-strength expression exactly.")
-def _chk_em_form(ctx):
-    for name, _, tf in ctx.scenarios(on_shell=True, where=_is_maxwell):
-        dA = tf.dpsi                        # [b, a] = D_a A_b
-        F = transpose_slots(dA, (1, 0)) - dA
-        ginv = tf.frame.ginv
-        Fup = einsum("ac,cb->ab", ginv, einsum("cb,bd->cd", F, ginv))
-        Fmix = einsum("ac,cb->ab", ginv, F)
-        want = einsum("ac,bc->ab", Fup, Fmix) + einsum("ab,->ab", ginv, tf.L)
-        yield name, ctx.cfg.points, tf.emt_metric - want, tf.emt_metric
+def _chk_em_form(ctx, name):
+    tf = ctx.theory_frame(name)
+    dA = tf.dpsi                        # [b, a] = D_a A_b
+    F = transpose_slots(dA, (1, 0)) - dA
+    ginv = tf.frame.ginv
+    Fup = einsum("ac,cb->ab", ginv, einsum("cb,bd->cd", F, ginv))
+    Fmix = einsum("ac,cb->ab", ginv, F)
+    want = einsum("ac,bc->ab", Fup, Fmix) + einsum("ab,->ab", ginv, tf.L)
+    yield ctx.cfg.points, tf.emt_metric - want, tf.emt_metric
 
 
 # --------------------------------------------------------------------------
@@ -942,48 +939,44 @@ def _chk_em_form(ctx):
 # --------------------------------------------------------------------------
 
 
-def _gauge_pairs(ctx):
-    """``(name, theory frame, (T_M, T_B, T_C) after the gauge shift)``."""
-    for name, _, tf in ctx.scenarios(on_shell=True, where=_is_maxwell):
-        yield name, tf, ctx.gauge_shifted_emts(name)
-
-
 @_register(
     id="gauge-invariance-metric-emt", suite="gauge",
     identity="metric tensor is gauge invariant",
     formula="T_M[A + d chi] = T_M[A]",
-    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_maxwell),
+    tolerance=1e-9, measure="abs", mode="below", targets=_MAXWELL,
     description="Shifting the potential by an exact gradient leaves the "
                 "metric energy-momentum tensor unchanged pointwise.")
-def _chk_gauge_tm(ctx):
-    for name, tf, (tm, _, _) in _gauge_pairs(ctx):
-        yield name, ctx.cfg.points, tm - tf.emt_metric, tf.emt_metric
+def _chk_gauge_tm(ctx, name):
+    tf = ctx.theory_frame(name)
+    tm, _, _ = ctx.gauge_shifted_emts(name)
+    yield ctx.cfg.points, tm - tf.emt_metric, tf.emt_metric
 
 
 @_register(
     id="gauge-invariance-improved-emt", suite="gauge",
     identity="improved tensor is gauge invariant",
     formula="T_B[A + d chi] = T_B[A]",
-    tolerance=1e-9, measure="abs", mode="below", keeps=("scenarios", _is_maxwell),
+    tolerance=1e-9, measure="abs", mode="below", targets=_MAXWELL,
     description="The superpotential correction removes the canonical "
                 "tensor's gauge dependence entirely.")
-def _chk_gauge_tb(ctx):
-    for name, tf, (_, tb, _) in _gauge_pairs(ctx):
-        res = tb - tf.emt_belinfante
-        yield name, ctx.cfg.points, res, tf.emt_belinfante
+def _chk_gauge_tb(ctx, name):
+    tf = ctx.theory_frame(name)
+    _, tb, _ = ctx.gauge_shifted_emts(name)
+    yield ctx.cfg.points, tb - tf.emt_belinfante, tf.emt_belinfante
 
 
 @_register(
     id="gauge-variance-canonical-emt", suite="gauge",
     identity="canonical tensor is not gauge invariant",
     formula="max |T_C[A + d chi] - T_C[A]|  is bounded away from zero",
-    tolerance=1e-4, measure="abs", mode="exceeds", keeps=("scenarios", _is_maxwell),
+    tolerance=1e-4, measure="abs", mode="exceeds", targets=_MAXWELL,
     description="Negative control: the canonical tensor must move under a "
                 "gauge shift, demonstrating the invariance checks are not "
                 "passing vacuously.")
-def _chk_gauge_tc(ctx):
-    for name, tf, (_, _, tc) in _gauge_pairs(ctx):
-        yield name, ctx.cfg.points, tc - tf.emt_canonical, 1.0
+def _chk_gauge_tc(ctx, name):
+    tf = ctx.theory_frame(name)
+    _, _, tc = ctx.gauge_shifted_emts(name)
+    yield ctx.cfg.points, tc - tf.emt_canonical, 1.0
 
 
 # --------------------------------------------------------------------------
@@ -997,30 +990,30 @@ def _variational_target(ctx, scen_name, grid, seed_offset=0):
     box = scenario_box(sc)
     h = bump_perturbation(box, ctx.cfg.seed + 9000 + seed_offset)
     lhs, rhs = variational_pair(sc.theory, sc.field, st.metric, h, box, grid)
-    return scen_name, int(np.prod(grid)), lhs - rhs, max(abs(lhs), abs(rhs))
+    return int(np.prod(grid)), lhs - rhs, max(abs(lhs), abs(rhs))
 
 
 @_register(
     id="variational-agreement-2d", suite="variational",
     identity="action derivative matches the tensor pairing, two dimensions",
     formula="d/d eps S[g + eps h] = 1/2 integral T_M^ab h_ab sqrt|g|",
-    tolerance=1e-6, measure="rel", mode="below",
+    tolerance=1e-6, measure="rel", mode="below", targets=TargetSpec(None, ("scalar-wave-2d",)),
     description="Direct differentiation of the quadrature-evaluated action "
                 "under a compact metric perturbation against the integrated "
                 "pairing with T_M, scalar field on a two-dimensional chart.")
-def _chk_var_2d(ctx):
-    yield _variational_target(ctx, "scalar-wave-2d", ctx.cfg.grid_2d)
+def _chk_var_2d(ctx, name):
+    yield _variational_target(ctx, name, ctx.cfg.grid_2d)
 
 
 @_register(
     id="variational-agreement-4d", suite="variational",
     identity="action derivative matches the tensor pairing, four dimensions",
     formula="d/d eps S[g + eps h] = 1/2 integral T_M^ab h_ab sqrt|g|",
-    tolerance=1e-3, measure="rel", mode="below",
+    tolerance=1e-3, measure="rel", mode="below", targets=TargetSpec(None, ("em-wave-4d",)),
     description="Same comparison for the electromagnetic field on a "
                 "four-dimensional grid; coarser quadrature, looser tolerance.")
-def _chk_var_4d(ctx):
-    yield _variational_target(ctx, "em-wave-4d", ctx.cfg.grid_4d, seed_offset=1)
+def _chk_var_4d(ctx, name):
+    yield _variational_target(ctx, name, ctx.cfg.grid_4d, seed_offset=1)
 
 
 @_register(
@@ -1028,11 +1021,12 @@ def _chk_var_4d(ctx):
     identity="tensor pairing with a live superpotential bracket",
     formula="d/d eps S = 1/2 integral T_M^ab h_ab sqrt|g|, bracket nonzero",
     tolerance=1e-6, measure="rel", mode="below",
+    targets=TargetSpec(None, ("gradient-vector-2d",)),
     description="The unconstrained-gradient vector theory has a nonvanishing "
                 "derivative bracket, so this comparison exercises the "
                 "divergence subtraction and integration by parts for real.")
-def _chk_var_super(ctx):
-    yield _variational_target(ctx, "gradient-vector-2d", ctx.cfg.grid_2d, seed_offset=2)
+def _chk_var_super(ctx, name):
+    yield _variational_target(ctx, name, ctx.cfg.grid_2d, seed_offset=2)
 
 
 # --------------------------------------------------------------------------
@@ -1114,37 +1108,42 @@ def _validate(cfg: RunConfig) -> list:
     return checks
 
 
-def _left_empty(cfg: RunConfig, checks) -> tuple:
-    """The ids of the checks whose ``keeps`` test passes none of the
-    spacetimes or scenarios ``cfg`` names, and a one-line message naming
-    them with the selection."""
-    ids, parts = set(), []
-    for key, entry in (("spacetimes", spacetime), ("scenarios", scenario)):
+def _refuse_targets(cfg: RunConfig, checks):
+    """Raise, from the checks' target declarations under ``cfg`` alone, the
+    on-shell guard (OffShellError) for a check that holds only on shell
+    given a scenario claimed off shell, else a ValueError naming every
+    check that the selected spacetimes or scenarios leave no target."""
+    for check in checks:
+        if check.targets.on_shell_only:
+            for name in check.targets.names(cfg):
+                if not SCENARIOS[name].on_shell:
+                    raise OffShellError(f"scenario '{name}' is claimed off shell, "
+                                        f"and the check holds only on shell")
+    parts = []
+    for key in ("spacetimes", "scenarios"):
         names = getattr(cfg, key)
-        empty = [c.id for c in checks if names and c.keeps and c.keeps[0] == key
-                 and not any(c.keeps[1](entry(n)) for n in names)]
+        empty = [c.id for c in checks if names and c.targets.narrows == key
+                 and not c.targets.names(cfg)]
         if empty:
-            ids.update(empty)
             parts.append(f"selected {key} {', '.join(names)} leave no target "
                          f"for {', '.join(empty)}")
-    return ids, "; ".join(parts)
+    if parts:
+        raise ValueError("; ".join(parts))
 
 
 def run_checks(cfg: RunConfig, emit=None) -> list:
     """Run the configured checks, each reading the run's one context at its
-    declared jet order, returning a list of CheckOutcome.  A config that
-    :func:`_validate` rejects raises ValueError before any check runs.  A
-    selection of spacetimes or scenarios that leaves a check no target
-    raises ValueError, naming every such check, when the run reaches the
-    first of them (so a claim or on-shell error of an earlier check keeps
-    its exit code); a check that measures nothing on its own defaults fails."""
+    declared jet order, returning a list of CheckOutcome.  Before any check
+    runs, a config that :func:`_validate` rejects raises ValueError, and
+    then :func:`_refuse_targets` raises its on-shell guard or its
+    empty-selection error.  A catalog claim that fails raises when the
+    frame it is read on is built; a check that measures nothing on its own
+    defaults fails."""
     checks = _validate(cfg)
-    empty, message = _left_empty(cfg, checks)
+    _refuse_targets(cfg, checks)
     ctx = RunContext(cfg, max((c.jet_order for c in checks), default=0))
     outcomes = []
     for check in checks:
-        if check.id in empty:
-            raise ValueError(message)
         t0 = time.perf_counter()
         targets = list(check.fn(ctx.at(check.jet_order)))
         elapsed = time.perf_counter() - t0

@@ -33,7 +33,7 @@ from emtkit.geometry import (
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
-from emtkit.jets import Jet, jet_einsum, jet_stack, lift
+from emtkit.jets import Jet, jet_einsum, jet_stack, jet_truncate, lift
 from emtkit.tensors import TensorValue, contract, max_abs, tilde_contract, value_array
 
 SCHW = SPACETIMES["schwarzschild"]
@@ -116,6 +116,10 @@ def test_sqrt_g_tables_match_sympy(st, metric, sign):
     for m in range(3):
         np.testing.assert_allclose(frame.sqrt_g.data[m], want[m], rtol=1e-12,
                                    err_msg=f"order {m}")
+    # at order 0 the log series has no term and the jet is sqrt|det g0|
+    root = geometry.jet_sqrt_abs_det(jet_truncate(frame.g.components, 0))
+    assert root.order == 0
+    np.testing.assert_allclose(root.data[0], want[0], rtol=1e-12, err_msg="order 0")
 
 
 def ricci(frame):

@@ -7,9 +7,10 @@ order and form no reference cycle.  The run's caches: one monomial basis
 per box and frame, each seeded random field and each catalog vector
 evaluated once per frame, one gauge-shifted theory per scenario, read-only
 cached tables, and check rows that do not depend on which checks ran
-before.  Checks whose targets are fixed whatever the selection.  The
-on-shell gate: each scenario's claim verified once, on the run's own
-frames."""
+before.  Checks whose targets are fixed whatever the selection, and every
+check reporting exactly the targets its declaration names.  Selections
+refused from the config alone, before any frame is built.  The on-shell
+gate: each scenario's claim verified once, on the run's own frames."""
 
 import dataclasses
 import gc
@@ -87,7 +88,7 @@ def test_worst_keeps_non_finite_pair_in_either_position(bad):
     good = [(3e-3, 1.0), (1e-20, 1e-20)]
     for position in range(len(good) + 1):
         pairs = good[:position] + [bad] + good[position:]
-        (target,) = _fold(("t", 1, r, s) for r, s in pairs)
+        target = _fold("t", ((1, r, s) for r, s in pairs))
         assert not (math.isfinite(target.value_abs) and math.isfinite(target.value_rel))
         assert not target.value_abs < 3e-3
         assert not CheckOutcome(CHECKS["tilde-identity-map"], [target], 0.0).passed(1.0)
@@ -99,7 +100,7 @@ def test_fold_of_finite_yields_is_the_ratio_of_their_maxima():
     a roundoff scale blows up (1e-8 / 1e-12)."""
     pairs = [(np.array([1e-3, -2e-4]), 10.0), (-1e-4, np.array([[100.0], [-3.0]])),
              (1e-8, 1e-12)]
-    (target,) = _fold(("t", 1, r, s) for r, s in pairs)
+    target = _fold("t", ((1, r, s) for r, s in pairs))
     assert (target.value_abs, target.value_rel) == (1e-3, 1e-3 / 100.0)
     oc = CheckOutcome(CHECKS["tilde-identity-map"],
                       [target, Target("u", 1, 1e-2, 1e-6)], 0.0)
@@ -133,29 +134,44 @@ def test_a_check_that_measures_no_point_fails(monkeypatch):
     assert not CheckOutcome(check, [Target("a", 0, 0.0, 0.0)], 0.0).passed(1.0)
 
 
-@pytest.mark.parametrize("cfg,message,ran", [
+@pytest.mark.parametrize("cfg,message", [
     (RunConfig(suites=("gauge",), scenarios=("scalar-wave-2d",), points=2),
      "selected scenarios scalar-wave-2d leave no target for gauge-invariance-metric-emt, "
-     "gauge-invariance-improved-emt, gauge-variance-canonical-emt", []),
+     "gauge-invariance-improved-emt, gauge-variance-canonical-emt"),
     (RunConfig(suites=("emt-onshell",), scenarios=("schwarzschild-scalar", "scalar-wave-4d"),
                points=2),
      "selected scenarios schwarzschild-scalar, scalar-wave-4d leave no target for "
-     "em-field-strength-form",
-     [c.id for c in suites.checks_for(["emt-onshell"])][:-1]),
+     "em-field-strength-form"),
     (RunConfig(suites=("gauge", "lie-calculus"), scenarios=("scalar-wave-4d",),
                spacetimes=("schwarzschild", "bump2"), points=2),
      "selected spacetimes schwarzschild, bump2 leave no target for parallel-claims; "
      "selected scenarios scalar-wave-4d leave no target for gauge-invariance-metric-emt, "
-     "gauge-invariance-improved-emt, gauge-variance-canonical-emt",
-     ["lie-dual-forms", "killing-metric-flow"]),
+     "gauge-invariance-improved-emt, gauge-variance-canonical-emt"),
 ], ids=["gauge", "em-form", "both"])
-def test_a_selection_that_leaves_a_check_no_target_is_rejected(cfg, message, ran):
-    # the run stops before the first check the selection leaves empty
+def test_a_selection_that_leaves_a_check_no_target_is_rejected(monkeypatch, cfg, message):
+    # decided from the config alone: no frame is built and no check runs
+    monkeypatch.setattr(suites, "geometry_at", _no_frame)
     seen = []
     with pytest.raises(ValueError) as exc:
         run_checks(cfg, emit=lambda outcome, tol: seen.append(outcome.check.id))
     assert str(exc.value) == message
-    assert seen == ran
+    assert seen == []
+
+
+@pytest.mark.parametrize("spacetimes", [None, ("bump2",)], ids=["alone", "with-empty-selection"])
+def test_an_off_shell_scenario_is_refused_before_any_check(monkeypatch, spacetimes):
+    # the on-shell guard comes before the empty-selection error, and before
+    # any frame is built or claim verified
+    monkeypatch.setattr(suites, "geometry_at", _no_frame)
+    cfg = RunConfig(suites=("lie-calculus", "emt-onshell"), spacetimes=spacetimes,
+                    scenarios=("scalar-blob-2d",), points=2)
+    with pytest.raises(suites.OffShellError, match="^scenario 'scalar-blob-2d' is claimed "
+                                                   "off shell, and the check holds only on shell$"):
+        run_checks(cfg, emit=lambda outcome, tol: pytest.fail("a check ran"))
+
+
+def _no_frame(*args, **kwargs):
+    raise AssertionError("a frame was built")
 
 
 def test_a_selection_some_of_whose_entries_a_check_keeps_runs():
@@ -180,23 +196,38 @@ def test_checks_with_a_fixed_target_keep_it_whatever_the_selection():
         ["scalar-wave-2d"], ["em-wave-4d"], ["gradient-vector-2d"]]
 
 
+@pytest.mark.parametrize("selection", [{}, {"scenarios": ("schwarzschild-coulomb",
+                                                         "scalar-wave-2d")},
+                                       {"spacetimes": ("bump2", "minkowski2")}],
+                         ids=["default", "scenarios", "spacetimes"])
+def test_each_check_reports_the_targets_its_declaration_names(selection):
+    cfg = RunConfig(points=2, xi_count=1, grid_2d=(16, 16), grid_4d=(8, 8, 8, 8),
+                    **selection)
+    outcomes = run_checks(cfg)
+    assert [oc.check.id for oc in outcomes] == list(CHECKS)
+    for oc in outcomes:
+        spec = oc.check.targets
+        declared = spec.names(cfg)
+        assert declared and [t.name for t in oc.targets] == declared, oc.check.id
+        # a declared target is one the body measures
+        assert all(t.points > 0 for t in oc.targets), oc.check.id
+        if spec.narrows in selection:
+            assert set(declared) <= set(selection[spec.narrows]), oc.check.id
+
+
 def _residuals(seed, count):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(3, 4)) * 10.0 ** -k for k in range(count)]
 
 
 def test_fold_merges_consecutive_yields_of_one_target():
-    r = _residuals(1, 4)
-    yields = [("a", 2, r[0], 1.0), ("a", 3, r[1], r[0]), ("b", 1, r[2], 2.0),
-              ("a", 4, r[3], 1.0)]
-    got = _fold(iter(yields))
-    assert [(t.name, t.points) for t in got] == [("a", 5), ("b", 1), ("a", 4)]
+    r = _residuals(1, 2)
+    got = _fold("a", iter([(2, r[0], 1.0), (3, r[1], r[0])]))
+    assert (got.name, got.points) == ("a", 5)
     top = max_abs(r[0])
     assert top > 1.0 > max_abs(r[1])
-    # the first target's scales are 1 and |r[0]|, so its ratio is |r[0]| / |r[0]|
-    assert (got[0].value_abs, got[0].value_rel) == (top, 1.0)
-    assert (got[1].value_abs, got[1].value_rel) == (max_abs(r[2]), max_abs(r[2]) / 2.0)
-    assert (got[2].value_abs, got[2].value_rel) == (max_abs(r[3]), max_abs(r[3]))
+    # the scales are 1 and |r[0]|, so the ratio is |r[0]| / |r[0]|
+    assert (got.value_abs, got.value_rel) == (top, 1.0)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
@@ -204,13 +235,15 @@ def test_fold_keeps_a_nan_residual_anywhere_in_a_target(position):
     r = _residuals(2, 3)
     r[position] = r[position].copy()
     r[position][1, 2] = np.nan
-    (target,) = _fold(("t", 4, res, 1.0) for res in r)
+    target = _fold("t", ((4, res, 1.0) for res in r))
     assert target.points == 12
     assert not (math.isfinite(target.value_abs) and math.isfinite(target.value_rel))
 
 
-def test_fold_of_a_body_that_yields_nothing_has_no_target():
-    assert _fold(iter(())) == []
+def test_fold_of_a_body_that_yields_nothing_measures_no_point():
+    target = _fold("t", iter(()))
+    assert repr(target) == repr(Target("t", 0, 0.0, 0.0))
+    assert not CheckOutcome(CHECKS["tilde-identity-map"], [target], 0.0).passed(1.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 3.5e-7, "array", "nan", "jet", "empty"])
@@ -219,7 +252,7 @@ def test_fold_of_a_single_yield_is_its_stats_bit_for_bit(scale):
     scale = {"array": res[::-1], "nan": float("nan"),
              "jet": Jet(2, 1, 2, [res[::-1], np.ones((3, 4, 2))]),
              "empty": np.empty(0)}.get(scale, scale)
-    (target,) = _fold([("only", 7, res, scale)])
+    target = _fold("only", [(7, res, scale)])
     r = max_abs(res)
     want = Target("only", 7, r, r / max(max_abs(scale), 1e-300))
     assert repr(target) == repr(want)
@@ -508,7 +541,7 @@ def test_claim_is_verified_on_every_run_point_before_its_first_check(monkeypatch
     lines = []
     with pytest.raises(CatalogClaimError, match="scalar-wave-2d' claims on-shell"):
         run_checks(RunConfig(suites=("kinematic-lagrangian", "emt-onshell"),
-                             scenarios=("scalar-wave-2d",), points=16, seed=7,
+                             scenarios=("scalar-wave-2d", "em-wave-4d"), points=16, seed=7,
                              xi_count=1),
                    emit=lambda outcome, tol: lines.append(outcome.check.id))
     assert lines == []
