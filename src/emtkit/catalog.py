@@ -89,11 +89,16 @@ class Spacetime:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A field on a spacetime, claimed on or off shell, sampled in ``box``:
+    a box inside the spacetime's that excludes the field's singular loci,
+    or None for the spacetime's own box."""
+
     name: str
     spacetime: str
     theory: LagrangianTheory
     field: TensorField
     on_shell: bool
+    box: tuple | None = None
 
 
 # --------------------------------------------------------------------------
@@ -143,47 +148,34 @@ def bump2_conformal_factor(coords):
     return BUMP_AMP * jexp(-(x * x + y * y) / (BUMP_WIDTH ** 2))
 
 
+def _affine_vector(name, n, shift, linear):
+    """The vector field xi^a = c^a + M^a_b x^b, from the nonzero entries of
+    c (``shift``, {a: c^a}) and of M (``linear``, {(a, b): +1 or -1}).  Each
+    component starts from z = x^0 * 0.0: z + c^a for a shift, and x^b + z
+    or -x^b + z for an entry of M."""
+
+    def fn(coords):
+        z = coords[0] * 0.0
+        comps = [z + shift[a] if a in shift else z for a in range(n)]
+        for (a, b), sign in linear.items():
+            comps[a] = (coords[b] if sign > 0 else -coords[b]) + comps[a]
+        return jet_stack(comps)
+
+    return TensorField(("u",), fn, name)
+
+
 def _minkowski(n):
     """Flat space with its translations (claimed parallel too), spatial
-    rotations and boosts."""
-    vecs = []
-    for i in range(n):
-        def shift(coords, i=i):
-            z = coords[0] * 0.0
-            return jet_stack([z + 1.0 if k == i else z for k in range(n)])
-        vecs.append(TensorField(("u",), shift, f"translation-{i}"))
-    # rotations among spatial axes: x^i d_j - x^j d_i
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            def rot(coords, i=i, j=j):
-                z = coords[0] * 0.0
-                comps = [z] * n
-                comps[j] = coords[i] + z
-                comps[i] = -coords[j] + z
-                return jet_stack(comps)
-            vecs.append(TensorField(("u",), rot, f"rotation-{i}{j}"))
-    # boosts: t d_i + x^i d_t
-    for i in range(1, n):
-        def boost(coords, i=i):
-            z = coords[0] * 0.0
-            comps = [z] * n
-            comps[0] = coords[i] + z
-            comps[i] = coords[0] + z
-            return jet_stack(comps)
-        vecs.append(TensorField(("u",), boost, f"boost-{i}"))
+    rotations x^i d_j - x^j d_i and boosts t d_i + x^i d_t."""
+    vecs = [_affine_vector(f"translation-{i}", n, {i: 1.0}, {}) for i in range(n)]
+    vecs += [_affine_vector(f"rotation-{i}{j}", n, {}, {(j, i): 1, (i, j): -1})
+             for i in range(1, n) for j in range(i + 1, n)]
+    vecs += [_affine_vector(f"boost-{i}", n, {}, {(0, i): 1, (i, 0): 1}) for i in range(1, n)]
     return Spacetime(MetricField(f"minkowski{n}", n, _flat_fn(n)), box=((-2.0, 2.0),) * n,
                      killing=tuple(vecs), parallel=tuple(vecs[:n]))
 
 
-def _schwarzschild_killing():
-    def timelike(coords):
-        z = coords[0] * 0.0
-        return jet_stack([z + 1.0, z, z, z])
-
-    def axial(coords):
-        z = coords[0] * 0.0
-        return jet_stack([z, z, z, z + 1.0])
-
+def _schwarzschild_rotations():
     def rot_a(coords):
         t, r, th, ph = coords
         z = t * 0.0
@@ -194,34 +186,24 @@ def _schwarzschild_killing():
         z = t * 0.0
         return jet_stack([z, z, jcos(ph), -jsin(ph) * jcos(th) / jsin(th)])
 
-    return tuple(
-        TensorField(("u",), fn, nm)
-        for fn, nm in [(timelike, "static-time"), (axial, "axial"),
-                       (rot_a, "rotation-a"), (rot_b, "rotation-b")]
-    )
+    return (TensorField(("u",), rot_a, "rotation-a"), TensorField(("u",), rot_b, "rotation-b"))
 
 
-def _bump2_killing():
-    def rot(coords):
-        x, y = coords
-        return jet_stack([-y + x * 0.0, x + y * 0.0])
-    return (TensorField(("u",), rot, "rotation"),)
-
-
-SPACETIMES = {
-    "minkowski2": _minkowski(2),
-    "minkowski4": _minkowski(4),
-    "schwarzschild": Spacetime(
+SPACETIMES = {st.name: st for st in (
+    _minkowski(2),
+    _minkowski(4),
+    Spacetime(
         MetricField("schwarzschild", 4, _schwarzschild_fn(1.0)),
         box=((-1.0, 1.0), (4.0, 12.0), (0.4, math.pi - 0.4), (0.0, 2.0 * math.pi)),
-        killing=_schwarzschild_killing(),
+        killing=(_affine_vector("static-time", 4, {0: 1.0}, {}),
+                 _affine_vector("axial", 4, {3: 1.0}, {})) + _schwarzschild_rotations(),
     ),
-    "bump2": Spacetime(
+    Spacetime(
         MetricField("bump2", 2, _bump2_fn),
         box=((-3.0, 3.0), (-3.0, 3.0)),
-        killing=_bump2_killing(),
+        killing=(_affine_vector("rotation", 2, {}, {(0, 1): -1, (1, 0): 1}),),
     ),
-}
+)}
 
 
 def spacetime(name: str) -> Spacetime:
@@ -344,41 +326,28 @@ def _em_superposition():
     return TensorField(("d",), fn, name="two-waves")
 
 
-SCENARIOS = {
-    "scalar-wave-2d": Scenario(
-        "scalar-wave-2d", "minkowski2", scalar_theory(_M2),
-        _plane_scalar(2, _SCALAR2_K), on_shell=True),
-    "scalar-wave-4d": Scenario(
-        "scalar-wave-4d", "minkowski4", scalar_theory(_M4),
-        _plane_scalar(4, _SCALAR4_K), on_shell=True),
-    "em-wave-4d": Scenario(
-        "em-wave-4d", "minkowski4", maxwell_theory(),
-        _plane_oneform(4, _EM_K1, _EM_E1), on_shell=True),
-    "em-two-waves-4d": Scenario(
-        "em-two-waves-4d", "minkowski4", maxwell_theory(),
-        _em_superposition(), on_shell=True),
-    "coulomb-4d": Scenario(
-        "coulomb-4d", "minkowski4", maxwell_theory(),
-        _coulomb_oneform(), on_shell=True),
-    "schwarzschild-scalar": Scenario(
-        "schwarzschild-scalar", "schwarzschild", scalar_theory(0.0),
-        _schwarzschild_scalar(), on_shell=True),
-    "schwarzschild-coulomb": Scenario(
-        "schwarzschild-coulomb", "schwarzschild", maxwell_theory(),
-        _schwarzschild_coulomb(), on_shell=True),
-    "scalar-blob-2d": Scenario(
-        "scalar-blob-2d", "minkowski2", scalar_theory(0.6),
-        _gaussian_scalar(), on_shell=False),
-    "gradient-vector-2d": Scenario(
-        "gradient-vector-2d", "minkowski2", _gradient_vector_theory(),
-        _gradient_vector_field(), on_shell=False),
-}
-
-_SCENARIO_BOXES = {
-    # scenarios whose field needs a restricted sampling box inside the
-    # spacetime's own box (singular loci excluded)
-    "coulomb-4d": ((-1.0, 1.0), (1.0, 3.0), (1.0, 3.0), (1.0, 3.0)),
-}
+SCENARIOS = {sc.name: sc for sc in (
+    Scenario("scalar-wave-2d", "minkowski2", scalar_theory(_M2),
+             _plane_scalar(2, _SCALAR2_K), on_shell=True),
+    Scenario("scalar-wave-4d", "minkowski4", scalar_theory(_M4),
+             _plane_scalar(4, _SCALAR4_K), on_shell=True),
+    Scenario("em-wave-4d", "minkowski4", maxwell_theory(),
+             _plane_oneform(4, _EM_K1, _EM_E1), on_shell=True),
+    Scenario("em-two-waves-4d", "minkowski4", maxwell_theory(),
+             _em_superposition(), on_shell=True),
+    # the Coulomb potential is singular at the spatial origin, which this box excludes
+    Scenario("coulomb-4d", "minkowski4", maxwell_theory(),
+             _coulomb_oneform(), on_shell=True,
+             box=((-1.0, 1.0), (1.0, 3.0), (1.0, 3.0), (1.0, 3.0))),
+    Scenario("schwarzschild-scalar", "schwarzschild", scalar_theory(0.0),
+             _schwarzschild_scalar(), on_shell=True),
+    Scenario("schwarzschild-coulomb", "schwarzschild", maxwell_theory(),
+             _schwarzschild_coulomb(), on_shell=True),
+    Scenario("scalar-blob-2d", "minkowski2", scalar_theory(0.6),
+             _gaussian_scalar(), on_shell=False),
+    Scenario("gradient-vector-2d", "minkowski2", _gradient_vector_theory(),
+             _gradient_vector_field(), on_shell=False),
+)}
 
 
 def scenario(name: str) -> Scenario:
@@ -390,7 +359,7 @@ def scenario(name: str) -> Scenario:
 
 
 def scenario_box(sc: Scenario):
-    return _SCENARIO_BOXES.get(sc.name, spacetime(sc.spacetime).box)
+    return spacetime(sc.spacetime).box if sc.box is None else sc.box
 
 
 # --------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def cmd_verify(args):
         if not ok:
             for t in outcome.targets:
                 print(f"       {t.name}: max_abs={t.value_abs:.3e} "
-                      f"max_rel={t.value_rel:.3e}")
+                      f"max_rel={t.value_rel:.3e} ({t.points} pts)")
 
     try:
         outcomes = run_checks(cfg, emit=emit)

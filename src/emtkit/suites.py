@@ -213,9 +213,9 @@ class CheckOutcome:
 
     def passed(self, tolerance):
         """A non-finite residual fails in either mode, and so does a check
-        that measured no point."""
-        if self.points == 0 or not (math.isfinite(self.max_abs)
-                                    and math.isfinite(self.max_rel)):
+        with a target that measured no point, or with no target."""
+        if (min((t.points for t in self.targets), default=0) == 0
+                or not (math.isfinite(self.max_abs) and math.isfinite(self.max_rel))):
             return False
         if self.check.mode == "below":
             return self.value <= tolerance
@@ -252,7 +252,7 @@ class RunContext:
       frame), the monomials every seeded random field on that box sums.
     - ``_fields``: one evaluation of each field per frame.  A seeded random
       field (the xis of ``random_xis`` and the tensors of
-      ``_random_tensors``) is keyed by (variance, box, seed, frame) and
+      ``random_tensors``) is keyed by (variance, box, seed, frame) and
       evaluated as one coefficient sum over its basis; a catalog field (a
       Killing vector) is keyed by (field, frame).
 
@@ -321,13 +321,18 @@ class RunContext:
             self._fields[key] = _frozen(TensorValue(variance, fr.n, comps))
         return self._fields[key]
 
-    def random_xis(self, st_name, fr, count=None) -> list:
+    def random_xis(self, fr, count=None) -> list:
         """The first ``count`` (default ``xi_count``) seeded random vector
-        fields of a spacetime, evaluated on ``fr``."""
-        box = spacetime(st_name).box
+        fields on the box of the spacetime of frame ``fr``, evaluated on it."""
         count = self.cfg.xi_count if count is None else count
-        return [self.random_field(("u",), box, self.cfg.seed + 1000 + k, fr)
-                for k in range(count)]
+        return self.random_tensors(fr, (("u",),) * count, base_seed=1000)
+
+    def random_tensors(self, fr, ranks=_TENSOR_RANKS, base_seed=0) -> list:
+        """Seeded random tensors of the given ranks on the box of the
+        spacetime of frame ``fr``, evaluated on it."""
+        box = spacetime(fr.metric.name).box
+        return [self.random_field(var, box, self.cfg.seed + base_seed + k, fr)
+                for k, var in enumerate(ranks)]
 
     def gauge_shifted_emts(self, scen_name) -> tuple:
         """``(T_M, T_B, T_C)`` of a Maxwell scenario with its potential
@@ -391,13 +396,6 @@ def _fold(name, yields) -> Target:
 # --------------------------------------------------------------------------
 
 
-def _random_tensors(ctx, st_name, fr, ranks=_TENSOR_RANKS, base_seed=0):
-    """Seeded random tensors of the given ranks, evaluated on ``fr``."""
-    box = spacetime(st_name).box
-    return [ctx.random_field(var, box, ctx.cfg.seed + base_seed + k, fr)
-            for k, var in enumerate(ranks)]
-
-
 @_register(
     id="tilde-identity-map", suite="tilde-algebra",
     identity="index-replacement of the identity map vanishes",
@@ -457,7 +455,7 @@ def _chk_tilde_eps(ctx, st_name):
                 "up-slots minus down-slots times the original tensor.")
 def _chk_tilde_trace(ctx, st_name):
     fr = ctx.frame(st_name)
-    for t in _random_tensors(ctx, st_name, fr):
+    for t in ctx.random_tensors(fr):
         tr = contract(tilde(t), t.rank, t.rank + 1)
         p = t.variance.count("u")
         q = t.rank - p
@@ -474,7 +472,7 @@ def _chk_tilde_trace(ctx, st_name):
                 "outer products, once the new slots are moved to the end.")
 def _chk_tilde_leibniz(ctx, st_name):
     fr = ctx.frame(st_name)
-    ts = _random_tensors(ctx, st_name, fr, ranks=(("u",), ("d",), ("u", "d")))
+    ts = ctx.random_tensors(fr, ranks=(("u",), ("d",), ("u", "d")))
     for t in ts:
         for s in ts:
             lhs = tilde(tensor_product(t, s))
@@ -505,8 +503,8 @@ def _chk_tilde_leibniz(ctx, st_name):
                 "with covariant derivatives: the connection terms cancel.")
 def _chk_lie_dual(ctx, st_name):
     fr = ctx.frame(st_name)
-    (xi,) = ctx.random_xis(st_name, fr, 1)
-    for t in _random_tensors(ctx, st_name, fr, base_seed=40):
+    (xi,) = ctx.random_xis(fr, 1)
+    for t in ctx.random_tensors(fr, base_seed=40):
         a = lie_derivative(t, xi, None)
         yield ctx.cfg.points, a - lie_derivative(t, xi, fr), a
 
@@ -551,7 +549,7 @@ def _chk_parallel(ctx, st_name):
                 "first derivatives of sqrt|g|.")
 def _chk_volume(ctx, st_name):
     fr = ctx.frame(st_name)
-    for xi in ctx.random_xis(st_name, fr, 3):
+    for xi in ctx.random_xis(fr, 3):
         yield ctx.cfg.points, volume_lie_residual(xi, fr), fr.sqrt_g
 
 
@@ -572,7 +570,7 @@ def _chk_volume(ctx, st_name):
                 "and slot conventions.")
 def _chk_curv_comm(ctx, st_name):
     fr = ctx.frame(st_name)
-    for t in _random_tensors(ctx, st_name, fr, base_seed=60):
+    for t in ctx.random_tensors(fr, base_seed=60):
         yield ctx.cfg.points, curvature_commutator_residual(t, fr), fr.riemann
 
 
@@ -587,7 +585,7 @@ def _chk_curv_comm(ctx, st_name):
                 "slot's own replacement term.")
 def _chk_tilde_grad(ctx, st_name):
     fr = ctx.frame(st_name)
-    for t in _random_tensors(ctx, st_name, fr, base_seed=80):
+    for t in ctx.random_tensors(fr, base_seed=80):
         res = tilde_gradient_commutator_residual(t, fr)
         yield ctx.cfg.points, res, covariant_derivative(t, fr)
 
@@ -604,7 +602,7 @@ def _chk_tilde_grad(ctx, st_name):
                 "derivatives of the metric flow; both constructions agree.")
 def _chk_conn_dual(ctx, st_name):
     fr = ctx.frame(st_name)
-    for xi in ctx.random_xis(st_name, fr, 3):
+    for xi in ctx.random_xis(fr, 3):
         a = lie_connection_tensor(xi, fr, form="direct")
         b = lie_connection_tensor(xi, fr, form="metric")
         yield ctx.cfg.points, a - b, a
@@ -621,9 +619,9 @@ def _chk_conn_dual(ctx, st_name):
                 "tensor acting through index replacement.")
 def _chk_lie_grad(ctx, st_name):
     fr = ctx.frame(st_name)
-    (xi,) = ctx.random_xis(st_name, fr, 1)
+    (xi,) = ctx.random_xis(fr, 1)
     C = lie_connection_tensor(xi, fr, form="direct")
-    for t in _random_tensors(ctx, st_name, fr, base_seed=90):
+    for t in ctx.random_tensors(fr, base_seed=90):
         got = lie_nabla_commutator(t, xi, fr)
         yield ctx.cfg.points, got - tilde_contract(t, C), got
 
@@ -638,7 +636,7 @@ def _chk_lie_grad(ctx, st_name):
                 "so differentiation and flow commute on arbitrary tensors.")
 def _chk_killing_commute(ctx, st_name):
     fr = ctx.frame(st_name)
-    ts = _random_tensors(ctx, st_name, fr, ranks=((), ("u",), ("d", "d")), base_seed=110)
+    ts = ctx.random_tensors(fr, ranks=((), ("u",), ("d", "d")), base_seed=110)
     for v in spacetime(st_name).killing[:4]:
         xi = ctx.field(v, fr)
         for t in ts:
@@ -678,7 +676,7 @@ _MAXWELL = TargetSpec("scenarios", _claimed_on_shell, keep=_is_maxwell)
                 "field configuration, on or off shell.")
 def _chk_chain(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 3):
+    for xi in ctx.random_xis(tf.frame, 3):
         yield ctx.cfg.points, kinematic_lie_residual(tf, xi), tf.L
 
 
@@ -696,7 +694,7 @@ def _chk_chain_negative(ctx, _name):
     sc = scenario("scalar-wave-2d")
     fr = ctx.frame(sc.spacetime)
     tf = evaluate_theory(broken_scalar_theory(0.5), sc.field, fr)
-    for xi in ctx.random_xis(sc.spacetime, fr, 3):
+    for xi in ctx.random_xis(fr, 3):
         yield ctx.cfg.points, kinematic_lie_residual(tf, xi), tf.L
 
 
@@ -753,7 +751,7 @@ def _chk_tb_tm(ctx, name):
                 "flow.  Checked with a family of seeded random vectors.")
 def _chk_master(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame):
+    for xi in ctx.random_xis(tf.frame):
         lhs, rhs = master_identity_terms(tf, xi)
         yield ctx.cfg.points, lhs - rhs, lhs
 
@@ -768,7 +766,7 @@ def _chk_master(ctx, name):
                 "symmetric.")
 def _chk_110(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 4):
+    for xi in ctx.random_xis(tf.frame, 4):
         yield ctx.cfg.points, current_gradient_pairing_residual(tf, xi), tf.emt_metric
 
 
@@ -850,7 +848,7 @@ def _chk_can_div_magnitude(ctx, name):
                 "antisymmetry plus the symmetry of the Ricci tensor.")
 def _chk_diff_current(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 4):
+    for xi in ctx.random_xis(tf.frame, 4):
         yield ctx.cfg.points, divergence(difference_current(tf, xi), tf.frame), tf.theta
 
 
@@ -866,7 +864,7 @@ def _chk_diff_current(ctx, name):
                 "no field equation.")
 def _chk_current_decomp(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(scenario(name).spacetime, tf.frame, 4):
+    for xi in ctx.random_xis(tf.frame, 4):
         a = noether_current(tf, xi)
         b = alternative_current(tf, xi)
         c = difference_current(tf, xi)

@@ -186,10 +186,10 @@ def test_run_fields_equal_standalone_evaluations(space, order):
     ctx = RunContext(RunConfig(points=5, seed=4, xi_count=2), order)
     fr = ctx.frame(space)
     box = SPACETIMES[space].box
-    got = [ctx.random_field(var, box, 30 + k, fr) for k, var in enumerate(_TENSOR_RANKS)]
+    got = ctx.random_tensors(fr, base_seed=26)   # seeds 4 + 26 + k
     want = [evaluate(random_tensor_field(var, box, 30 + k), fr)
             for k, var in enumerate(_TENSOR_RANKS)]
-    got += ctx.random_xis(space, fr)
+    got += ctx.random_xis(fr)
     want += [evaluate(random_tensor_field(("u",), box, 1004 + k), fr) for k in range(2)]
     assert fr.order == order
     for g, w in zip(got, want, strict=True):

@@ -1,13 +1,16 @@
-"""Golden reports: the benchmark configs give pinned report bytes, and the
-selection errors give pinned exit codes and output.
+"""Golden reports: the benchmark configs and the pointwise suites give
+pinned report bytes, and the selection errors give pinned exit codes and
+output.
 
 Each benchmark config (``perfbench/configs``) is run in-process exactly as
 ``emtkit verify --config <config> --seed S --quiet --report R`` runs it, at
-seeds 7 and 11, and the sha256 of its report is compared with the value
-pinned for this numpy version and BLAS build.  On a numpy or BLAS not in
-the table the test still runs: it runs each config twice, requires the
-two reports to be identical, and prints their hash so that it can be
-pinned.
+seeds 7 and 11, and so are the six pointwise suites, every suite but
+``variational``, at seed 7.  Those build order-3 frames, so the checks
+that declare a lower order read truncated views, a path neither benchmark
+config takes.  The sha256 of each report is compared with the value pinned
+for this numpy version and BLAS build.  On a numpy or BLAS not in the table
+the test still runs: it runs each configuration twice, requires the two
+reports to be identical, and prints their hash so that it can be pinned.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from emtkit.cli import EXIT_OFFSHELL, EXIT_USAGE, main
+from emtkit.suites import SUITE_ORDER
 
 CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
@@ -34,6 +38,8 @@ GOLDEN = {
             "f0f8a7a4282e4040182d509862a72f2b81a51aa618c81b9764b9d2a59c67fd36",
         ("variational-4d", 11):
             "3ef18a06682026fb178fbf483697ca4ce34a1cca6e4389802b0c2869c346726e",
+        ("pointwise-suites", 7):
+            "69093b9058148ceae3e8c6c72bccf9c41edb359c3a43e9ef4a532219ef8798e8",
     },
 }
 
@@ -43,17 +49,25 @@ def _platform():
     return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
 
 
+_POINTWISE = [arg for suite in SUITE_ORDER if suite != "variational"
+              for arg in ("--suite", suite)]
+
+
+def _args(workload):
+    if workload == "pointwise-suites":
+        return _POINTWISE
+    return ["--config", str(CONFIGS / f"{workload}.json")]
+
+
 def _report_sha256(tmp_path, workload, seed):
     report = tmp_path / f"{workload}-{seed}.json"
-    code = main(["verify", "--config", str(CONFIGS / f"{workload}.json"),
-                 "--seed", str(seed), "--quiet", "--report", str(report)])
+    code = main(["verify", *_args(workload), "--seed", str(seed), "--quiet",
+                 "--report", str(report)])
     assert code == 0
     return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", [7, 11])
-@pytest.mark.parametrize("workload", ["geometry-16pt", "fields-16pt", "variational-4d"])
-def test_a_benchmark_report_has_its_pinned_bytes(tmp_path, workload, seed):
+def _check_pinned(tmp_path, workload, seed):
     got = _report_sha256(tmp_path, workload, seed)
     pinned = GOLDEN.get(_platform())
     if pinned is None:
@@ -62,6 +76,16 @@ def test_a_benchmark_report_has_its_pinned_bytes(tmp_path, workload, seed):
         assert again == got
     else:
         assert got == pinned[workload, seed]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("workload", ["geometry-16pt", "fields-16pt", "variational-4d"])
+def test_a_benchmark_report_has_its_pinned_bytes(tmp_path, workload, seed):
+    _check_pinned(tmp_path, workload, seed)
+
+
+def test_the_pointwise_suites_report_has_its_pinned_bytes(tmp_path):
+    _check_pinned(tmp_path, "pointwise-suites", 7)
 
 
 _OFF_SHELL = ("on-shell gate: scenario 'scalar-blob-2d' is claimed off shell, "

@@ -1,14 +1,14 @@
-"""Residual aggregation: the fold of check-body yields into Targets, and a
-NaN or inf residual failing its check whatever the target order, in both
-"below" and "exceeds" modes; a check that measured no point fails.  Each
-check run at its declared jet order, reading the run's one build per frame
-and per theory through truncated views that equal fresh builds at that
-order and form no reference cycle.  The run's caches: one monomial basis
-per box and frame, each seeded random field and each catalog vector
-evaluated once per frame, one gauge-shifted theory per scenario, read-only
-cached tables, and check rows that do not depend on which checks ran
-before.  Checks whose targets are fixed whatever the selection, and every
-check reporting exactly the targets its declaration names.  Selections
+"""Residual aggregation: the fold of check-body yields into Targets, and a NaN
+or inf residual failing its check whatever the target order, in both
+"below" and "exceeds" modes; a check with a target that measured no point
+fails.  Each check run at its declared jet order, reading the run's one
+build per frame and per theory through truncated views that equal fresh
+builds at that order and form no reference cycle.  The run's caches: one
+monomial basis per box and frame, each seeded random field and each catalog
+vector evaluated once per frame, one gauge-shifted theory per scenario,
+read-only cached tables, and check rows that do not depend on which checks
+ran before.  Checks whose targets are fixed whatever the selection, and
+every check reporting exactly the targets its declaration names.  Selections
 refused from the config alone, before any frame is built.  The on-shell
 gate: each scenario's claim verified once, on the run's own frames."""
 
@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from emtkit import catalog, fieldtheory, suites
+from emtkit import catalog, cli, fieldtheory, suites
 from emtkit.catalog import SCENARIOS, CatalogClaimError, sample_points, scenario_box
 from emtkit.fieldtheory import evaluate_theory
 from emtkit.geometry import geometry_at
@@ -132,6 +132,24 @@ def test_a_check_that_measures_no_point_fails(monkeypatch):
         ("gauge-variance-canonical-emt", True, True)]
     check = CHECKS["tilde-identity-map"]
     assert not CheckOutcome(check, [Target("a", 0, 0.0, 0.0)], 0.0).passed(1.0)
+
+
+def test_a_target_that_measures_no_point_fails_its_check(monkeypatch, capsys):
+    # bump2 claims no symmetry here, so the body yields nothing for it,
+    # while minkowski2 measures its three vectors
+    bump2 = catalog.SPACETIMES["bump2"]
+    monkeypatch.setitem(catalog.SPACETIMES, "bump2", dataclasses.replace(bump2, killing=()))
+    check = CHECKS["killing-metric-flow"]
+    cfg = RunConfig(suites=("lie-calculus",), spacetimes=("minkowski2", "bump2"), points=2)
+    oc = next(oc for oc in run_checks(cfg) if oc.check is check)
+    assert [(t.name, t.points) for t in oc.targets] == [("minkowski2", 2 * 3), ("bump2", 0)]
+    assert oc.value <= check.tolerance and not oc.passed(check.tolerance)
+    assert cli.main(["verify", "--suite", "lie-calculus", "--spacetime", "minkowski2",
+                     "--spacetime", "bump2", "--points", "2"]) == cli.EXIT_FAIL
+    out = capsys.readouterr().out.splitlines()
+    k = next(k for k, line in enumerate(out) if line.startswith(f"[FAIL] {check.id} "))
+    assert [line.split(":")[0].strip() for line in out[k + 1:k + 3]] == ["minkowski2", "bump2"]
+    assert out[k + 2].endswith("(0 pts)")
 
 
 @pytest.mark.parametrize("cfg,message", [
@@ -457,8 +475,8 @@ def test_gauge_shifted_theories_are_built_at_the_order_their_checks_read(monkeyp
 def test_cached_field_tables_are_read_only():
     ctx = RunContext(RunConfig(points=2, xi_count=1), 2)
     fr = ctx.frame("minkowski4")
-    (xi,) = ctx.random_xis("minkowski4", fr)
-    assert ctx.random_xis("minkowski4", fr) == [xi]
+    (xi,) = ctx.random_xis(fr)
+    assert ctx.random_xis(fr) == [xi]
     for table in xi.components.data:
         with pytest.raises(ValueError):
             table += 1.0
