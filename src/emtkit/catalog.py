@@ -438,19 +438,28 @@ def monomial_basis(box, coords) -> MonomialBasis:
     return MonomialBasis(tables, zero)
 
 
-def coefficient_sum(coef, basis: MonomialBasis) -> Jet:
+def coefficient_sum(coef, basis: MonomialBasis, vdim: int | None = None) -> Jet:
     """The jet of components c_0 + sum_k c_k m_k over ``basis``, with
-    ``coef`` shaped (component shape) + (chains,).
+    ``coef`` shaped stack + (component shape) + (chains,), the component
+    shape being its last ``vdim`` axes before the chains (default: every
+    axis).  The stack axes lead the batch of the result, one field per
+    stack entry.
 
     Every jet order is summed at once in the flat layout of the basis, term
     by term in chain order.  Each table of the result is then copied out
     C-contiguous, the layout of a table summed on its own (np.einsum picks
     its inner loops by operand strides), and ``basis.zero`` is added to it
-    last.
+    last.  Every entry takes the same operations with or without a stack,
+    so each field of a stack has the bits it has summed alone.
     """
     zero = basis.zero
-    shape, batch = coef.shape[:-1], zero.batch_shape
-    lead = (slice(None),) * len(batch) + (None,) * len(shape)
+    vdim = coef.ndim - 1 if vdim is None else vdim
+    stack, shape = coef.shape[:coef.ndim - 1 - vdim], coef.shape[coef.ndim - 1 - vdim:-1]
+    batch = zero.batch_shape
+    # the coefficients over stack + (1,)*batch + shape, the basis over
+    # (1,)*stack + batch + (1,)*shape
+    coef = coef.reshape(stack + (1,) * len(batch) + coef.shape[len(stack):])
+    lead = (None,) * len(stack) + (slice(None),) * len(batch) + (None,) * len(shape)
     acc = coef[..., 1, None] * basis.tables[0][lead]
     # the constant chain () carries no jet: c_0 joins the value entry only
     acc[..., 0] += coef[..., 0]
@@ -462,7 +471,7 @@ def coefficient_sum(coef, basis: MonomialBasis) -> Jet:
     for m, z in enumerate(zero.data):
         size = zero.nvars ** m
         table = np.ascontiguousarray(acc[..., start:start + size])
-        table = table.reshape(batch + shape + (zero.nvars,) * m)
+        table = table.reshape(stack + batch + shape + (zero.nvars,) * m)
         table += z[lead]
         data.append(table)
         start += size

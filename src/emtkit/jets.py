@@ -62,6 +62,7 @@ __all__ = [
     "constant_jet",
     "zeros_jet",
     "jet_stack",
+    "stack_members",
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -249,12 +250,14 @@ def _free_letters(used, k):
     return pool[:k]
 
 
-# Leading batch points from which a plain-matmul contraction goes through
-# one batched ``@`` instead of np.einsum.  Timed on the contractions of the
-# 4-D variational quadrature, ``@`` wins in sum from 16 points on, and from
-# 128 points on it loses only where it would at any batch (matrix-vector
-# shapes, and operands that need a transposing copy).  The 16-point suites
-# stay on np.einsum, bit for bit.
+# Sample points from which a plain-matmul contraction goes through one
+# batched ``@`` instead of np.einsum, counted on the last batch axis of x,
+# the axis of the sample points: a stack of fields on a leading batch axis
+# takes the path that each of its members takes on its own.  Timed on the
+# contractions of the 4-D variational quadrature, ``@`` wins in sum from 16
+# points on, and from 128 points on it loses only where it would at any
+# batch (matrix-vector shapes, and operands that need a transposing copy).
+# The 16-point suites stay on np.einsum, bit for bit.
 _MATMUL_MIN_POINTS = 128
 
 
@@ -290,32 +293,40 @@ def _contraction(sx: str, sy: str, so: str):
 def _contract(step, points: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One two-operand contraction from its ``_contraction`` plan.
 
-    With at least ``_MATMUL_MIN_POINTS`` leading batch points, a plain
-    matmul with equal batch shapes becomes one ``@`` on transposed and
-    reshaped operands; the result is a writable view of that product, in
-    output order.  Everything else goes to np.einsum.
+    With at least ``_MATMUL_MIN_POINTS`` sample points, a plain matmul
+    becomes one ``@`` on transposed and reshaped operands; the result is a
+    writable view of that product, in output order.  The leading axes the
+    two operands share must have equal shapes; leading axes that only one
+    operand has (a stack of fields against a frame quantity) stay apart as
+    broadcast axes of ``@``, which forms each of their slices as the ``@``
+    of that slice alone.  Everything else goes to np.einsum.
     """
     subs, layout = step
     if layout is None or points < _MATMUL_MIN_POINTS:
         return np.einsum(subs, a, b)
     xperm, yperm, nb, nx, operm = layout
-    lead = a.ndim - len(xperm)
-    if lead < 0 or b.ndim - len(yperm) != lead:
+    la, lb = a.ndim - len(xperm), b.ndim - len(yperm)
+    if la < 0 or lb < 0:
         return np.einsum(subs, a, b)
-    keep = tuple(range(lead))
-    # at: lead, batch, x-only, contracted; bt: lead, batch, contracted, y-only
-    at = a.transpose(keep + tuple(lead + p for p in xperm))
-    bt = b.transpose(keep + tuple(lead + p for p in yperm))
+    lead, extra = min(la, lb), abs(la - lb)
+    # at: x's own leading axes, the shared ones, batch, x-only, contracted;
+    # bt: y's own leading axes, the shared ones, batch, contracted, y-only
+    at = a.transpose(tuple(range(la)) + tuple(la + p for p in xperm))
+    bt = b.transpose(tuple(range(lb)) + tuple(lb + p for p in yperm))
+    ea, eb = at.shape[:la - lead], bt.shape[:lb - lead]
     nb += lead
     cut = nb + nx
-    bshape, xshape, csize = at.shape[:nb], at.shape[nb:cut], at.shape[cut:]
-    if bt.shape[:nb + len(csize)] != bshape + csize:
+    x_axes, y_axes = at.shape[la - lead:], bt.shape[lb - lead:]
+    bshape, xshape, csize = x_axes[:nb], x_axes[nb:cut], x_axes[cut:]
+    if y_axes[:nb + len(csize)] != bshape + csize:
         return np.einsum(subs, a, b)
-    yshape = bt.shape[nb + len(csize):]
+    yshape = y_axes[nb + len(csize):]
     n, k = math.prod(bshape), math.prod(csize)
-    prod = at.reshape(n, math.prod(xshape), k) @ bt.reshape(n, k, math.prod(yshape))
-    return prod.reshape(bshape + xshape + yshape).transpose(
-        keep + tuple(lead + p for p in operm))
+    prod = (at.reshape(ea + (n, math.prod(xshape), k))
+            @ bt.reshape(eb + (n, k, math.prod(yshape))))
+    keep = tuple(range(extra + lead))
+    return prod.reshape(ea + eb + bshape + xshape + yshape).transpose(
+        keep + tuple(extra + lead + p for p in operm))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -353,9 +364,14 @@ def jet_einsum(subs: str, x, y):
     ndarray, treated as a derivative-free constant.  A Leibniz split that
     reads a structural zero is skipped, and an output order all of whose
     splits are skipped is itself a structural zero.  Every other split
-    goes through ``_contract``: from ``_MATMUL_MIN_POINTS`` batch points on,
-    a plain matmul runs as one batched ``@``, which sums in another order
-    than np.einsum and so agrees with it to roundoff, not bit for bit.
+    goes through ``_contract``: from ``_MATMUL_MIN_POINTS`` sample points
+    on, counted on the last batch axis of x, a plain matmul runs as one
+    batched ``@``, which sums in another order than np.einsum and so agrees
+    with it to roundoff, not bit for bit.  A stack of operands on a leading
+    batch axis takes, per member, the path and the bits of that member's
+    own product, except that a full contraction whose operands sum in
+    opposite slot orders (``"ab,ba->"``) may sum in another order under
+    np.einsum.
     """
     xj, yj = isinstance(x, Jet), isinstance(y, Jet)
     if xj and yj:
@@ -369,7 +385,7 @@ def jet_einsum(subs: str, x, y):
     ys = y.data if yj else (np.asarray(y, _FLOAT),)
     nx, vdim, plan = _leibniz_plan(subs, order, xj, yj)
     zx, zy = [_is_zero(t) for t in xs], [_is_zero(t) for t in ys]
-    points = math.prod(xs[0].shape[:xs[0].ndim - nx])
+    points = xs[0].shape[xs[0].ndim - nx - 1] if xs[0].ndim > nx else 1
     data = []
     for m, splits in enumerate(plan):
         acc = None
@@ -611,3 +627,14 @@ def jet_stack(nested) -> Jet:
                            axis=len(batch))
         data.append(stacked.reshape(batch + vshape + (nvars,) * m))
     return Jet(nvars, order, len(vshape), data)
+
+
+def stack_members(jets) -> Jet:
+    """Jets of one order, vdim and shape stacked on a new leading batch
+    axis, one member per jet, each a C-contiguous slice.  An order at which
+    every member is a structural zero stays one, so that a product with the
+    stack skips the Leibniz splits each member skips on its own."""
+    first = jets[0]
+    data = [_zero_table((len(jets),) + t.shape) if all(_is_zero(j.data[m]) for j in jets)
+            else np.stack([j.data[m] for j in jets]) for m, t in enumerate(first.data)]
+    return Jet(first.nvars, first.order, first.vdim, data)

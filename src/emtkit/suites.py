@@ -7,7 +7,8 @@ declaration (a :class:`TargetSpec`) names what it measures: spacetimes or
 field scenarios that a selection narrows, or fixed names.  A body measures
 one target: ``body(ctx, name)`` is a generator of ``(points, residual,
 scale)`` tuples, one per measurement; residual and scale are tensors, jets,
-arrays or numbers.  ``_register`` wraps the body into ``Check.fn``, which
+arrays or numbers.  A family of vector fields stacked on a leading batch
+axis is one measurement, whose points count every member.  ``_register`` wraps the body into ``Check.fn``, which
 folds each target's yields into its one :class:`Target`: their points are
 summed, ``value_abs`` is the largest |residual| and ``value_rel`` is that
 divided by the largest |scale|, the normwise relative error of the target.
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .jets import constant_jet, jet_einsum
+from .jets import Jet, _is_zero, constant_jet, jet_einsum, stack_members
 from .tensors import (
     TensorValue,
     _slot_letters,
@@ -102,6 +103,14 @@ SUITE_ORDER = (
 )
 
 _TENSOR_RANKS = ((), ("u",), ("d",), ("u", "d"), ("d", "d"))
+
+# The most sample points (members times points) of one evaluated stack of
+# vector fields; a larger family runs as consecutive stacks.  One 16-point
+# stack of all 16 xis of ``master-identity`` makes 2 MB order-3 tables of
+# rank-2 tensors, a fresh allocation per operation: there, stacks of 4 take
+# the same time with about 2,400 page faults where one stack of 16 takes
+# over 6,000 (one xi at a time: 2,100).
+_STACK_POINTS = 64
 
 
 class OffShellError(RuntimeError):
@@ -251,10 +260,16 @@ class RunContext:
     - ``_bases``: one :class:`~emtkit.catalog.MonomialBasis` per (box,
       frame), the monomials every seeded random field on that box sums.
     - ``_fields``: one evaluation of each field per frame.  A seeded random
-      field (the xis of ``random_xis`` and the tensors of
-      ``random_tensors``) is keyed by (variance, box, seed, frame) and
-      evaluated as one coefficient sum over its basis; a catalog field (a
-      Killing vector) is keyed by (field, frame).
+      tensor of ``random_tensors`` is keyed by (variance, box, seed, frame)
+      and evaluated as one coefficient sum over its basis.  The xis of
+      ``random_xis`` are one stacked family per (frame, count): one
+      coefficient sum over the stacked coefficients of all of them.  A
+      catalog field (a Killing vector) is keyed by (field, frame), and the
+      stacks of ``vector_stacks`` by (fields, frame); a stack holds the
+      vectors that share one pattern of structurally zero tables, so a
+      zero of the whole stack stays structural.  The stacks a check
+      evaluates (``xi_stacks`` and ``vector_stacks``) hold at most
+      ``_STACK_POINTS`` sample points each.
 
     Every frame a check evaluates on is a frame of ``_frames`` or one of its
     memoised views, alive for the whole run, so frame identity names one
@@ -308,24 +323,67 @@ class RunContext:
             self._fields[key] = _frozen(evaluate(fld, fr))
         return self._fields[key]
 
+    def _stack_size(self) -> int:
+        """Members per evaluated stack: ``_STACK_POINTS`` sample points'
+        worth, and at least one."""
+        return max(1, _STACK_POINTS // self.cfg.points)
+
+    def vector_stacks(self, vectors, fr) -> list:
+        """The catalog vector fields ``vectors`` evaluated on frame ``fr``,
+        each on first use only, as stacks on a leading batch axis: per
+        pattern of structurally zero tables, in order of first appearance,
+        consecutive stacks of ``_stack_size()`` members."""
+        key = (tuple(vectors), fr)
+        if key not in self._fields:
+            groups = {}
+            for v in vectors:
+                comps = self.field(v, fr).components
+                groups.setdefault(tuple(map(_is_zero, comps.data)), []).append(comps)
+            size = self._stack_size()
+            self._fields[key] = [
+                _frozen(TensorValue(("u",), fr.n, stack_members(g[k:k + size])))
+                for g in groups.values() for k in range(0, len(g), size)]
+        return self._fields[key]
+
+    def _basis(self, box, fr):
+        if (box, fr) not in self._bases:
+            self._bases[box, fr] = monomial_basis(box, fr.coords[: fr.n])
+        return self._bases[box, fr]
+
     def random_field(self, variance, box, seed, fr) -> TensorValue:
         """The seeded random field of ``variance`` on ``box``, evaluated on
         frame ``fr`` as one coefficient sum over the frame's monomial basis,
         on first use only."""
         key = (variance, box, seed, fr)
         if key not in self._fields:
-            if (box, fr) not in self._bases:
-                self._bases[box, fr] = monomial_basis(box, fr.coords[: fr.n])
             comps = coefficient_sum(random_coefficients(variance, box, seed),
-                                    self._bases[box, fr])
+                                    self._basis(box, fr))
             self._fields[key] = _frozen(TensorValue(variance, fr.n, comps))
         return self._fields[key]
 
-    def random_xis(self, fr, count=None) -> list:
+    def random_xis(self, fr, count=None) -> TensorValue:
         """The first ``count`` (default ``xi_count``) seeded random vector
-        fields on the box of the spacetime of frame ``fr``, evaluated on it."""
+        fields on the box of the spacetime of frame ``fr``, evaluated on it
+        as one stack: member k, slice k of the leading batch axis, is the
+        field of seed ``seed + 1000 + k``.  On first use only, per count."""
         count = self.cfg.xi_count if count is None else count
-        return self.random_tensors(fr, (("u",),) * count, base_seed=1000)
+        key = ("xis", count, fr)
+        if key not in self._fields:
+            box = spacetime(fr.metric.name).box
+            coef = np.stack([random_coefficients(("u",), box, self.cfg.seed + 1000 + k)
+                             for k in range(count)])
+            comps = coefficient_sum(coef, self._basis(box, fr), vdim=1)
+            self._fields[key] = _frozen(TensorValue(("u",), fr.n, comps))
+        return self._fields[key]
+
+    def xi_stacks(self, fr, count=None) -> list:
+        """``random_xis(fr, count)`` as consecutive stacks of
+        ``_stack_size()`` members, leading slices of its tables."""
+        xis = self.random_xis(fr, count)
+        c, size = xis.components, self._stack_size()
+        return [TensorValue(xis.variance, xis.n,
+                            Jet(c.nvars, c.order, c.vdim, [t[k:k + size] for t in c.data]))
+                for k in range(0, c.data[0].shape[0], size)]
 
     def random_tensors(self, fr, ranks=_TENSOR_RANKS, base_seed=0) -> list:
         """Seeded random tensors of the given ranks on the box of the
@@ -356,6 +414,20 @@ def _frozen(t: TensorValue) -> TensorValue:
     for table in t.components.data:
         table.flags.writeable = False
     return t
+
+
+def _members(stack: TensorValue) -> list:
+    """The tensors of a stack, the slices of its leading batch axis."""
+    c = stack.components
+    return [TensorValue(stack.variance, stack.n,
+                        Jet(c.nvars, c.order, c.vdim, [t[k] for t in c.data]))
+            for k in range(c.data[0].shape[0])]
+
+
+def _points(ctx, stack: TensorValue) -> int:
+    """The sample points of a stack of tensors: the run's points times its
+    members."""
+    return ctx.cfg.points * stack.components.data[0].shape[0]
 
 
 CHECKS: dict[str, Check] = {}
@@ -503,7 +575,7 @@ def _chk_tilde_leibniz(ctx, st_name):
                 "with covariant derivatives: the connection terms cancel.")
 def _chk_lie_dual(ctx, st_name):
     fr = ctx.frame(st_name)
-    (xi,) = ctx.random_xis(fr, 1)
+    xi = ctx.random_xis(fr, 1)
     for t in ctx.random_tensors(fr, base_seed=40):
         a = lie_derivative(t, xi, None)
         yield ctx.cfg.points, a - lie_derivative(t, xi, fr), a
@@ -519,8 +591,8 @@ def _chk_lie_dual(ctx, st_name):
                 "the metric under the Lie derivative.")
 def _chk_killing(ctx, st_name):
     fr = ctx.frame(st_name)
-    for v in spacetime(st_name).killing:
-        yield ctx.cfg.points, lie_derivative(fr.g, ctx.field(v, fr), fr), fr.g
+    for xi in ctx.vector_stacks(spacetime(st_name).killing, fr):
+        yield _points(ctx, xi), lie_derivative(fr.g, xi, fr), fr.g
 
 
 @_register(
@@ -533,9 +605,8 @@ def _chk_killing(ctx, st_name):
                 "covariantly constant; the claim is re-derived numerically.")
 def _chk_parallel(ctx, st_name):
     fr = ctx.frame(st_name)
-    for v in spacetime(st_name).parallel:
-        xi = ctx.field(v, fr)
-        yield ctx.cfg.points, covariant_derivative(xi, fr), xi
+    for xi in ctx.vector_stacks(spacetime(st_name).parallel, fr):
+        yield _points(ctx, xi), covariant_derivative(xi, fr), xi
 
 
 @_register(
@@ -549,8 +620,8 @@ def _chk_parallel(ctx, st_name):
                 "first derivatives of sqrt|g|.")
 def _chk_volume(ctx, st_name):
     fr = ctx.frame(st_name)
-    for xi in ctx.random_xis(fr, 3):
-        yield ctx.cfg.points, volume_lie_residual(xi, fr), fr.sqrt_g
+    for xis in ctx.xi_stacks(fr, 3):
+        yield _points(ctx, xis), volume_lie_residual(xis, fr), fr.sqrt_g
 
 
 # --------------------------------------------------------------------------
@@ -602,10 +673,10 @@ def _chk_tilde_grad(ctx, st_name):
                 "derivatives of the metric flow; both constructions agree.")
 def _chk_conn_dual(ctx, st_name):
     fr = ctx.frame(st_name)
-    for xi in ctx.random_xis(fr, 3):
-        a = lie_connection_tensor(xi, fr, form="direct")
-        b = lie_connection_tensor(xi, fr, form="metric")
-        yield ctx.cfg.points, a - b, a
+    for xis in ctx.xi_stacks(fr, 3):
+        a = lie_connection_tensor(xis, fr, form="direct")
+        b = lie_connection_tensor(xis, fr, form="metric")
+        yield _points(ctx, xis), a - b, a
 
 
 @_register(
@@ -619,7 +690,7 @@ def _chk_conn_dual(ctx, st_name):
                 "tensor acting through index replacement.")
 def _chk_lie_grad(ctx, st_name):
     fr = ctx.frame(st_name)
-    (xi,) = ctx.random_xis(fr, 1)
+    xi = ctx.random_xis(fr, 1)
     C = lie_connection_tensor(xi, fr, form="direct")
     for t in ctx.random_tensors(fr, base_seed=90):
         got = lie_nabla_commutator(t, xi, fr)
@@ -637,11 +708,10 @@ def _chk_lie_grad(ctx, st_name):
 def _chk_killing_commute(ctx, st_name):
     fr = ctx.frame(st_name)
     ts = ctx.random_tensors(fr, ranks=((), ("u",), ("d", "d")), base_seed=110)
-    for v in spacetime(st_name).killing[:4]:
-        xi = ctx.field(v, fr)
+    for xi in ctx.vector_stacks(spacetime(st_name).killing[:4], fr):
         for t in ts:
             res = lie_nabla_commutator(t, xi, fr)
-            yield ctx.cfg.points, res, covariant_derivative(t, fr)
+            yield _points(ctx, xi), res, covariant_derivative(t, fr)
 
 
 # --------------------------------------------------------------------------
@@ -676,8 +746,8 @@ _MAXWELL = TargetSpec("scenarios", _claimed_on_shell, keep=_is_maxwell)
                 "field configuration, on or off shell.")
 def _chk_chain(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(tf.frame, 3):
-        yield ctx.cfg.points, kinematic_lie_residual(tf, xi), tf.L
+    for xis in ctx.xi_stacks(tf.frame, 3):
+        yield _points(ctx, xis), kinematic_lie_residual(tf, xis), tf.L
 
 
 @_register(
@@ -694,8 +764,8 @@ def _chk_chain_negative(ctx, _name):
     sc = scenario("scalar-wave-2d")
     fr = ctx.frame(sc.spacetime)
     tf = evaluate_theory(broken_scalar_theory(0.5), sc.field, fr)
-    for xi in ctx.random_xis(fr, 3):
-        yield ctx.cfg.points, kinematic_lie_residual(tf, xi), tf.L
+    for xis in ctx.xi_stacks(fr, 3):
+        yield _points(ctx, xis), kinematic_lie_residual(tf, xis), tf.L
 
 
 # --------------------------------------------------------------------------
@@ -751,9 +821,9 @@ def _chk_tb_tm(ctx, name):
                 "flow.  Checked with a family of seeded random vectors.")
 def _chk_master(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(tf.frame):
-        lhs, rhs = master_identity_terms(tf, xi)
-        yield ctx.cfg.points, lhs - rhs, lhs
+    for xis in ctx.xi_stacks(tf.frame):
+        lhs, rhs = master_identity_terms(tf, xis)
+        yield _points(ctx, xis), lhs - rhs, lhs
 
 
 @_register(
@@ -766,7 +836,9 @@ def _chk_master(ctx, name):
                 "symmetric.")
 def _chk_110(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(tf.frame, 4):
+    # one xi at a time: the stack's final pairing "ab,ba->" sums in another
+    # order under np.einsum than each member's
+    for xi in _members(ctx.random_xis(tf.frame, 4)):
         yield ctx.cfg.points, current_gradient_pairing_residual(tf, xi), tf.emt_metric
 
 
@@ -779,9 +851,9 @@ def _chk_110(ctx, name):
                 "is divergence-free on shell.")
 def _chk_noether(ctx, name):
     tf = ctx.theory_frame(name)
-    for v in spacetime(scenario(name).spacetime).killing:
-        res = divergence(noether_current(tf, ctx.field(v, tf.frame)), tf.frame)
-        yield ctx.cfg.points, res, tf.emt_belinfante
+    for xi in ctx.vector_stacks(spacetime(scenario(name).spacetime).killing, tf.frame):
+        res = divergence(noether_current(tf, xi), tf.frame)
+        yield _points(ctx, xi), res, tf.emt_belinfante
 
 
 @_register(
@@ -848,8 +920,8 @@ def _chk_can_div_magnitude(ctx, name):
                 "antisymmetry plus the symmetry of the Ricci tensor.")
 def _chk_diff_current(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(tf.frame, 4):
-        yield ctx.cfg.points, divergence(difference_current(tf, xi), tf.frame), tf.theta
+    for xis in ctx.xi_stacks(tf.frame, 4):
+        yield _points(ctx, xis), divergence(difference_current(tf, xis), tf.frame), tf.theta
 
 
 @_register(
@@ -864,11 +936,11 @@ def _chk_diff_current(ctx, name):
                 "no field equation.")
 def _chk_current_decomp(ctx, name):
     tf = ctx.theory_frame(name)
-    for xi in ctx.random_xis(tf.frame, 4):
-        a = noether_current(tf, xi)
-        b = alternative_current(tf, xi)
-        c = difference_current(tf, xi)
-        yield ctx.cfg.points, a - b + c, a
+    for xis in ctx.xi_stacks(tf.frame, 4):
+        a = noether_current(tf, xis)
+        b = alternative_current(tf, xis)
+        c = difference_current(tf, xis)
+        yield _points(ctx, xis), a - b + c, a
 
 
 @_register(
@@ -880,9 +952,9 @@ def _chk_current_decomp(ctx, name):
                 "a symmetry vector; conserved on shell.")
 def _chk_matter_current(ctx, name):
     tf = ctx.theory_frame(name)
-    for v in spacetime(scenario(name).spacetime).killing:
-        res = divergence(lie_matter_current(tf, ctx.field(v, tf.frame)), tf.frame)
-        yield ctx.cfg.points, res, tf.L
+    for xi in ctx.vector_stacks(spacetime(scenario(name).spacetime).killing, tf.frame):
+        res = divergence(lie_matter_current(tf, xi), tf.frame)
+        yield _points(ctx, xi), res, tf.L
 
 
 @_register(

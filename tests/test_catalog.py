@@ -27,7 +27,7 @@ from emtkit.fieldtheory import evaluate_theory, scalar_theory
 from emtkit.geometry import TensorField, evaluate, geometry_at
 from emtkit import jets
 from emtkit.jets import Jet, jet_stack
-from emtkit.suites import _TENSOR_RANKS, RunConfig, RunContext
+from emtkit.suites import _TENSOR_RANKS, RunConfig, RunContext, _members
 from emtkit.tensors import TensorValue, value_array
 
 
@@ -181,20 +181,24 @@ def test_random_fields_match_per_component_reference(space, order, batch, aux,
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("space", sorted(SPACETIMES))
 def test_run_fields_equal_standalone_evaluations(space, order):
-    # a run sums each seeded field over the frame's shared basis; the
-    # standalone field builds a basis of its own: the same bits
-    ctx = RunContext(RunConfig(points=5, seed=4, xi_count=2), order)
+    # a run sums each seeded field over the frame's shared basis, and its
+    # xis as one stack; the standalone field builds a basis of its own and
+    # sums alone: the same bits, member by member
+    ctx = RunContext(RunConfig(points=5, seed=4, xi_count=3), order)
     fr = ctx.frame(space)
     box = SPACETIMES[space].box
     got = ctx.random_tensors(fr, base_seed=26)   # seeds 4 + 26 + k
     want = [evaluate(random_tensor_field(var, box, 30 + k), fr)
             for k, var in enumerate(_TENSOR_RANKS)]
-    got += ctx.random_xis(fr)
-    want += [evaluate(random_tensor_field(("u",), box, 1004 + k), fr) for k in range(2)]
+    xis = ctx.random_xis(fr)
+    assert xis.variance == ("u",) and xis.components.batch_shape == (3, 5)
+    got += _members(xis)
+    want += [evaluate(random_tensor_field(("u",), box, 1004 + k), fr) for k in range(3)]
     assert fr.order == order
     for g, w in zip(got, want, strict=True):
         assert g.variance == w.variance
         _assert_same_bits(g.components, w.components)
+        assert all(t.flags.c_contiguous for t in g.components.data)
 
 
 @pytest.mark.parametrize("space", ["minkowski2", "minkowski4"])
@@ -202,7 +206,8 @@ def test_a_sum_of_negative_zeros_ends_as_positive_zero(space):
     # every coefficient of component 1 is -0.0, and on these points every
     # monomial and each of its derivatives is >= 0, so each entry of that
     # component sums only -0.0 terms; the final + coords[0] * 0.0 of the
-    # per-component reference makes every one of them +0.0
+    # per-component reference makes every one of them +0.0, in a field
+    # summed alone and in member 1 of a stack of two
     st = SPACETIMES[space]
     n = len(st.box)
     frame = geometry_at(st.metric, np.random.default_rng(3).uniform(0.2, 0.9, (6, n)), 3)
@@ -210,8 +215,10 @@ def test_a_sum_of_negative_zeros_ends_as_positive_zero(space):
     assert np.all(basis.tables >= 0.0)
     coef = random_coefficients(("d",), st.box, seed=17)
     coef[1] = -0.0
-    got = coefficient_sum(coef, basis)
-    for t in got.data:
+    stack = coefficient_sum(np.stack([random_coefficients(("d",), st.box, seed=18), coef]),
+                            basis, vdim=1)
+    assert stack.batch_shape == (2, 6)
+    for t in (*coefficient_sum(coef, basis).data, *(t[1] for t in stack.data)):
         assert np.all(t[:, 1] == 0.0) and not np.signbit(t[:, 1]).any()
 
 

@@ -7,7 +7,10 @@ Each benchmark config (``perfbench/configs``) is run in-process exactly as
 seeds 7 and 11, and so are the six pointwise suites, every suite but
 ``variational``, at seed 7.  Those build order-3 frames, so the checks
 that declare a lower order read truncated views, a path neither benchmark
-config takes.  The sha256 of each report is compared with the value pinned
+config takes.  Every one of those runs at 16 points, where each
+contraction of ``jet_einsum`` goes to np.einsum; ``lie-calculus``,
+``commutator`` and ``emt-onshell`` at 128 points and 4 xis, seed 7, run
+its plain-matmul contractions as batched ``@`` too.  The sha256 of each report is compared with the value pinned
 for this numpy version and BLAS build.  On a numpy or BLAS not in the table
 the test still runs: it runs each configuration twice, requires the two
 reports to be identical, and prints their hash so that it can be pinned.
@@ -40,6 +43,8 @@ GOLDEN = {
             "3ef18a06682026fb178fbf483697ca4ce34a1cca6e4389802b0c2869c346726e",
         ("pointwise-suites", 7):
             "69093b9058148ceae3e8c6c72bccf9c41edb359c3a43e9ef4a532219ef8798e8",
+        ("matmul-128pt", 7):
+            "789bfb97f2eb48966dc60f16008946146f530c71eaeb0f4752344205305673d3",
     },
 }
 
@@ -53,15 +58,24 @@ _POINTWISE = [arg for suite in SUITE_ORDER if suite != "variational"
               for arg in ("--suite", suite)]
 
 
-def _args(workload):
+# the suites in SUITE_ORDER, since the report echoes them as listed
+_MATMUL_CONFIG = ('{"suites": ["lie-calculus", "commutator", "emt-onshell"], '
+                  '"points": 128, "xi_count": 4}')
+
+
+def _args(workload, tmp_path):
     if workload == "pointwise-suites":
         return _POINTWISE
+    if workload == "matmul-128pt":
+        config = tmp_path / "matmul-128pt.json"
+        config.write_text(_MATMUL_CONFIG)
+        return ["--config", str(config)]
     return ["--config", str(CONFIGS / f"{workload}.json")]
 
 
 def _report_sha256(tmp_path, workload, seed):
     report = tmp_path / f"{workload}-{seed}.json"
-    code = main(["verify", *_args(workload), "--seed", str(seed), "--quiet",
+    code = main(["verify", *_args(workload, tmp_path), "--seed", str(seed), "--quiet",
                  "--report", str(report)])
     assert code == 0
     return hashlib.sha256(report.read_bytes()).hexdigest()
@@ -86,6 +100,10 @@ def test_a_benchmark_report_has_its_pinned_bytes(tmp_path, workload, seed):
 
 def test_the_pointwise_suites_report_has_its_pinned_bytes(tmp_path):
     _check_pinned(tmp_path, "pointwise-suites", 7)
+
+
+def test_a_report_through_the_matmul_path_has_its_pinned_bytes(tmp_path):
+    _check_pinned(tmp_path, "matmul-128pt", 7)
 
 
 _OFF_SHELL = ("on-shell gate: scenario 'scalar-blob-2d' is claimed off shell, "

@@ -35,6 +35,7 @@ from emtkit.jets import (
     jsqrt,
     lift,
     partial_in_var,
+    stack_members,
     zeros_jet,
 )
 
@@ -524,6 +525,69 @@ def test_large_batch_jet_product_makes_no_einsum_call(monkeypatch):
                        _route_operand(rng, "jet", (16,), "cdf", 2))
     assert len(calls) == 1 + 2 + 3
     assert big.batch_shape == (1024,) and small.batch_shape == (16,)
+
+
+# plain-matmul subscripts: matrix products, one with a batch letter, the
+# quadrature's largest jet product and a matrix-vector product
+STACK_SUBSCRIPTS = ["ab,bc->ac", "abc,ac->ab", "abde,cdf->abcfe", "ab,b->a"]
+STACK_MEMBERS = 8
+
+
+@pytest.mark.parametrize("points", [16, 200])
+@pytest.mark.parametrize("stacked", ["x", "y", "both"])
+@pytest.mark.parametrize("subs", STACK_SUBSCRIPTS)
+def test_a_stack_contracts_to_the_bits_of_each_member(monkeypatch, subs, stacked, points):
+    # members on a leading batch axis against a quantity of the sample
+    # points alone, or against a second stack: each slice of the product
+    # has the bits of that member's product, through np.einsum at 16 points
+    # (though the stack holds 8 x 16 = 128) and through ``@`` at 200; x's
+    # order-2 table is a structural zero of every member, and of the stack
+    rng = np.random.default_rng(points)
+    (sx, sy) = subs.split("->")[0].split(",")
+
+    def members(letters, count, zero):
+        out = []
+        for _ in range(count):
+            j = _route_operand(rng, "jet", (points,), letters, 2)
+            out.append(Jet(j.nvars, 2, j.vdim, [*j.data[:2], jets._zero_table(j.data[2].shape)])
+                       if zero else j)
+        return out
+
+    xs = members(sx, STACK_MEMBERS if stacked != "y" else 1, True)
+    ys = members(sy, STACK_MEMBERS if stacked != "x" else 1, False)
+    x = stack_members(xs) if stacked != "y" else xs[0]
+    y = stack_members(ys) if stacked != "x" else ys[0]
+    assert (stacked == "y") or jets._is_zero(x.data[2])
+    calls = []
+    real = np.einsum
+
+    def counting(subs_, *ops, **kw):
+        calls.append(subs_)
+        return real(subs_, *ops, **kw)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    got = jet_einsum(subs, x, y)
+    # x's live orders 0 and 1 against y's 0, 1 and 2: five splits
+    assert len(calls) == (5 if points < jets._MATMUL_MIN_POINTS else 0)
+    assert got.batch_shape == (STACK_MEMBERS, points)
+    for k in range(STACK_MEMBERS):
+        want = jet_einsum(subs, xs[k] if stacked != "y" else x, ys[k] if stacked != "x" else y)
+        for g, w in zip(got.data, want.data, strict=True):
+            assert g[k].tobytes() == w.tobytes()
+
+
+def test_stacked_members_are_contiguous_slices_and_keep_shared_zeros():
+    t, u = lift(np.random.default_rng(2).uniform(size=(5, 2)), 2, 3)
+    a, b = jet_stack([t, u + 1.0]), jet_stack([u * t, t * 2.0])   # affine, then quadratic
+    stack = stack_members([a, b])
+    assert stack.batch_shape == (2, 5) and stack.vdim == 1
+    for k, member in enumerate((a, b)):
+        for s_, m in zip(stack.data, member.data):
+            assert np.array_equal(s_[k], m)
+            assert jets._is_zero(s_[k]) or s_[k].flags.c_contiguous
+    # order 3 is a structural zero of both members; order 2 only of a
+    assert jets._is_zero(stack.data[3]) and stack.data[3].shape == (2, 5, 2, 2, 2, 2)
+    assert jets._is_zero(a.data[2]) and not jets._is_zero(stack.data[2])
 
 
 _THREADS_SCRIPT = """

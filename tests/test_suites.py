@@ -5,7 +5,8 @@ fails.  Each check run at its declared jet order, reading the run's one
 build per frame and per theory through truncated views that equal fresh
 builds at that order and form no reference cycle.  The run's caches: one
 monomial basis per box and frame, each seeded random field and each catalog
-vector evaluated once per frame, one gauge-shifted theory per scenario,
+vector evaluated once per frame, vector families evaluated in stacks of at
+most 64 sample points, one gauge-shifted theory per scenario,
 read-only cached tables, and check rows that do not depend on which checks
 ran before.  Checks whose targets are fixed whatever the selection, and
 every check reporting exactly the targets its declaration names.  Selections
@@ -407,26 +408,38 @@ def _count_calls(monkeypatch, name, key):
 
 def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
     # each coefficient sum is counted under the (variance, seed, frame) of
-    # the random_field call that makes it; a sum outside one has no key
+    # the random_field call or the (count, frame) of the random_xis call
+    # that makes it; a sum outside one has no key
     counts, asked = Counter(), []
-    random_field, coefficient_sum = RunContext.random_field, suites.coefficient_sum
+    random_field, random_xis = RunContext.random_field, RunContext.random_xis
+    coefficient_sum = suites.coefficient_sum
 
-    def field(self, variance, box, seed, fr):
-        asked.append((variance, seed, id(fr)))
+    def calling(key, method, *args):
+        asked.append(key)
         try:
-            return random_field(self, variance, box, seed, fr)
+            return method(*args)
         finally:
             asked.pop()
 
-    def summed(coef, basis):
+    def field(self, variance, box, seed, fr):
+        return calling((variance, seed, id(fr)), random_field, self, variance, box, seed, fr)
+
+    def xis(self, fr, count=None):
+        return calling(("xis", count or self.cfg.xi_count, id(fr)), random_xis, self, fr, count)
+
+    def summed(coef, basis, **kwargs):
         counts[asked[-1]] += 1
-        return coefficient_sum(coef, basis)
+        return coefficient_sum(coef, basis, **kwargs)
 
     monkeypatch.setattr(RunContext, "random_field", field)
+    monkeypatch.setattr(RunContext, "random_xis", xis)
     monkeypatch.setattr(suites, "coefficient_sum", summed)
-    run_checks(RunConfig(suites=("kinematic-lagrangian", "emt-onshell"),
+    run_checks(RunConfig(suites=("lie-calculus", "kinematic-lagrangian", "emt-onshell"),
                          points=2, xi_count=4))
-    assert counts and set(counts.values()) == {1}
+    assert set(counts.values()) == {1}
+    # the xi families of one, three and four members are one sum each per frame
+    assert {key[1] for key in counts if key[0] == "xis"} == {1, 3, 4}
+    assert any(key[0] != "xis" for key in counts)
 
 
 def test_a_run_builds_one_monomial_basis_per_box_and_frame(monkeypatch):
@@ -473,11 +486,12 @@ def test_gauge_shifted_theories_are_built_at_the_order_their_checks_read(monkeyp
 
 
 def test_cached_field_tables_are_read_only():
-    ctx = RunContext(RunConfig(points=2, xi_count=1), 2)
+    ctx = RunContext(RunConfig(points=2, xi_count=2), 2)
     fr = ctx.frame("minkowski4")
-    (xi,) = ctx.random_xis(fr)
-    assert ctx.random_xis(fr) == [xi]
-    for table in xi.components.data:
+    xis = ctx.random_xis(fr)
+    assert ctx.random_xis(fr) is xis and ctx.random_xis(fr, 2) is xis
+    assert xis.components.batch_shape == (2, 2)
+    for table in xis.components.data:
         with pytest.raises(ValueError):
             table += 1.0
     for t in ctx.gauge_shifted_emts("em-wave-4d"):
@@ -492,6 +506,47 @@ def test_cached_field_tables_are_read_only():
     assert ctx.field(rot, bump) is ctx.field(rot, bump)
     with pytest.raises(ValueError):
         ctx.field(rot, bump).components.data[1] += 1.0
+    # Minkowski's ten vectors are affine: one stack, whose order-2 table is
+    # the structural zero of every member
+    killing = catalog.spacetime("minkowski4").killing
+    (stack,) = ctx.vector_stacks(killing, fr)
+    assert ctx.vector_stacks(killing, fr)[0] is stack
+    assert stack.components.batch_shape == (len(killing), 2)
+    live, zero = stack.components.data[1:]
+    assert not any(zero.strides) and not zero.flags.writeable and zero.shape == (10, 2, 4, 4, 4)
+    for table in stack.components.data[:2]:
+        with pytest.raises(ValueError):
+            table += 1.0
+    # Schwarzschild's two affine vectors and its two rotations, dense at
+    # every order, are two stacks
+    sch = ctx.frame("schwarzschild")
+    stacks = ctx.vector_stacks(catalog.spacetime("schwarzschild").killing, sch)
+    assert [s.components.batch_shape[0] for s in stacks] == [2, 2]
+    assert not any(stacks[0].components.data[2].strides)
+    assert all(any(t.strides) for t in stacks[1].components.data)
+
+
+@pytest.mark.parametrize("points, size", [(16, 4), (100, 1)])
+def test_checks_evaluate_families_in_stacks_of_at_most_64_points(points, size):
+    ctx = RunContext(RunConfig(points=points, xi_count=10), 2)
+    fr = ctx.frame("minkowski4")
+    xis = ctx.random_xis(fr)
+    stacks = ctx.xi_stacks(fr)
+    counts = [min(size, 10 - k) for k in range(0, 10, size)]
+    assert [s.components.batch_shape for s in stacks] == [(c, points) for c in counts]
+    start = 0
+    for s in stacks:
+        for t, whole in zip(s.components.data, xis.components.data):
+            assert t.flags.c_contiguous and not t.flags.writeable
+            assert np.shares_memory(t, whole)
+            assert t.tobytes() == whole[start:start + t.shape[0]].tobytes()
+        start += s.components.batch_shape[0]
+    assert start == 10
+    # Minkowski's ten affine Killing vectors: one zero pattern, cut into
+    # stacks of ``size``, each keeping the structural zero of order 2
+    stacks = ctx.vector_stacks(catalog.spacetime("minkowski4").killing, fr)
+    assert [s.components.batch_shape[0] for s in stacks] == counts
+    assert all(not any(s.components.data[2].strides) for s in stacks)
 
 
 def test_check_rows_do_not_depend_on_which_checks_ran_before():
