@@ -73,6 +73,7 @@ from .geometry import (
     geometry_at,
     lie_derivative,
     partial_tensor,
+    _at_order,
     _drop_orders,
     _truncated_view,
 )
@@ -446,30 +447,40 @@ def evaluate_theory(theory: LagrangianTheory, field: TensorField, frame: Frame) 
 
 
 def master_identity_terms(tf: TheoryFrame, xi: TensorValue):
-    """(D_a(T_B^ab xi_b), 1/2 T_M^ab (Lie_xi g)_ab) as scalars."""
+    """(D_a(T_B^ab xi_b), 1/2 T_M^ab (Lie_xi g)_ab) as scalars, both at the
+    left side's order k, one below T_B's: xi is read at order k + 1 and T_M
+    at k."""
     lhs = divergence(noether_current(tf, xi), tf.frame)
-    h = lie_derivative(tf.frame.g, xi, tf.frame)
-    return lhs, 0.5 * einsum("ab,ab->", tf.emt_metric, h)
+    k = lhs.components.order
+    h = lie_derivative(tf.frame.g, _at_order(xi, k + 1), tf.frame)
+    return lhs, 0.5 * einsum("ab,ab->", _at_order(tf.emt_metric, k), h)
 
 
 def current_gradient_pairing_residual(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
-    """D_a(T_B^ab xi_b) - T_M^ab D_a xi_b."""
+    """D_a(T_B^ab xi_b) - T_M^ab D_a xi_b, both terms at the left side's
+    order k, one below T_B's: xi is read at order k + 1 and T_M at k."""
     lhs = divergence(noether_current(tf, xi), tf.frame)
-    xil = einsum("ab,b->a", tf.frame.g, xi)
+    k = lhs.components.order
+    xil = einsum("ab,b->a", tf.frame.g, _at_order(xi, k + 1))
     dxil = covariant_derivative(xil, tf.frame)   # [b, a] = D_a xi_b
-    return lhs - einsum("ab,ba->", tf.emt_metric, dxil)
+    return lhs - einsum("ab,ba->", _at_order(tf.emt_metric, k), dxil)
 
 
 def noether_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
-    """j^a = T_B^ab xi_b."""
-    return einsum("ab,b->a", tf.emt_belinfante, einsum("ab,b->a", tf.frame.g, xi))
+    """j^a = T_B^ab xi_b, at T_B's order: xi is read at that order."""
+    T = tf.emt_belinfante
+    xi = _at_order(xi, T.components.order)
+    return einsum("ab,b->a", T, einsum("ab,b->a", tf.frame.g, xi))
 
 
 def _theta_current(tf: TheoryFrame, T: TensorValue, xi: TensorValue) -> TensorValue:
-    """T^ab xi_b + Theta^cab D_c xi_b."""
-    xil = einsum("ab,b->a", tf.frame.g, xi)
+    """T^ab xi_b + Theta^cab D_c xi_b at order k, the lowest of T's,
+    Theta's and D xi's: xi is read at order k + 1, and T and Theta at k."""
+    k = min(T.components.order, tf.theta.components.order, xi.components.order - 1)
+    xil = einsum("ab,b->a", tf.frame.g, _at_order(xi, k + 1))
     dxil = covariant_derivative(xil, tf.frame)   # [b, c] = D_c xi_b
-    return einsum("ab,b->a", T, xil) + einsum("cab,bc->a", tf.theta, dxil)
+    return (einsum("ab,b->a", _at_order(T, k), xil)
+            + einsum("cab,bc->a", _at_order(tf.theta, k), dxil))
 
 
 def alternative_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
@@ -484,8 +495,11 @@ def difference_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
 
 
 def lie_matter_current(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
-    """j^a = dL/d(grad_a psi) Lie_xi psi - L xi^a."""
+    """j^a = dL/d(grad_a psi) Lie_xi psi - L xi^a; xi is read at order
+    max(G + 1, L), G being dL/d(grad psi)'s order: Lie_xi psi at G's order
+    reads xi one order above, and L xi reads it at L's."""
     G = tf.dL_ddpsi
+    xi = _at_order(xi, max(G.components.order + 1, tf.L.order))
     lpsi = lie_derivative(tf.psi, xi, tf.frame)
     S = _slot_letters(G.rank - 1)
     return einsum(f"{S}a,{S}->a", G, lpsi) - einsum("a,->a", xi, tf.L)
@@ -509,7 +523,12 @@ def metric_derivative_identity_terms(tf: TheoryFrame):
 
 def kinematic_lie_residual(tf: TheoryFrame, xi: TensorValue) -> TensorValue:
     """Chain-rule expansion of Lie_xi L minus grad_a L xi^a; identically zero
-    for any generally covariant Lagrangian, on or off shell."""
+    for any generally covariant Lagrangian, on or off shell.  Computed at
+    order top, the lowest of dL/d(grad psi), dL/dpsi, dL/dg and grad L:
+    xi is read at order top + 1."""
+    top = min(tf.dL_ddpsi.components.order, tf.dL_dpsi.components.order,
+              tf.dL_dg.components.order, tf.L.order - 1)
+    xi = _at_order(xi, top + 1)
     S = _slot_letters(tf.dL_ddpsi.rank)
     acc = einsum(f"{S},{S}->", tf.dL_ddpsi, lie_derivative(tf.dpsi, xi, tf.frame))
     S = S[:-1]                                   # the slots of psi

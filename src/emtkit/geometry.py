@@ -212,6 +212,14 @@ def _drop_orders(x, k: int):
     return jet_truncate(x, x.order - k)
 
 
+def _at_order(x, k: int):
+    """``x``, a Jet or a TensorValue, at jet order ``k``: its orders above
+    ``k`` dropped by :func:`_drop_orders`.  A JetOrderError if it carries
+    fewer, so that a factor cut too low fails instead of lowering the order
+    of a result."""
+    return _drop_orders(x, (x.components if isinstance(x, TensorValue) else x).order - k)
+
+
 def _truncated_view(obj, k: int, jets: tuple, same: dict):
     """``obj`` (a Frame or a TheoryFrame) with its top ``k`` jet orders dropped.
 
@@ -282,21 +290,22 @@ def lie_derivative(t: TensorValue, xi: TensorValue, frame: Frame | None = None) 
     """Lie derivative along xi through the index-replacement map.
 
     With a frame, uses covariant derivatives; without, coordinate partials.
-    The two agree identically for the Levi-Civita connection.
+    The two agree identically for the Levi-Civita connection.  The result
+    carries order ``min(t, xi) - 1``; t and xi are cut to one order above
+    it before they are differentiated, and D g, the frame's, to it.
     """
     if xi.variance != ("u",):
         raise ValueError("xi must be a contravariant vector")
+    top = min(t.components.order, xi.components.order) - 1
+    metric = frame is not None and t is frame.g
+    t, xi = _at_order(t, top + 1), _at_order(xi, top + 1)
     if frame is None:
         dt, dxi = partial_tensor(t), partial_tensor(xi)
     else:
-        dt = frame.dg if t is frame.g else covariant_derivative(t, frame)
+        dt = _at_order(frame.dg, top) if metric else covariant_derivative(t, frame)
         dxi = covariant_derivative(xi, frame)
-    # the result carries one order less than the lower of t and xi, and
-    # its order-m tables read no higher order of any operand
-    top = min(t.components.order, xi.components.order) - 1
-    t, xi, dt, dxi = (_drop_orders(v, v.components.order - top) for v in (t, xi, dt, dxi))
     S = _slot_letters(t.rank)
-    return einsum(f"{S}a,a->{S}", dt, xi) - tilde_contract(t, dxi)
+    return einsum(f"{S}a,a->{S}", dt, xi) - tilde_contract(_drop_orders(t, 1), dxi)
 
 
 def curvature_commutator_residual(t: TensorValue, frame: Frame) -> TensorValue:

@@ -262,12 +262,13 @@ class RunContext:
     - ``_fields``: one evaluation of each field per frame.  A seeded random
       tensor of ``random_tensors`` is keyed by (variance, box, seed, frame)
       and evaluated as one coefficient sum over its basis.  The xis of
-      ``random_xis`` are one stacked family per (frame, count): one
-      coefficient sum over the stacked coefficients of all of them.  A
-      catalog field (a Killing vector) is keyed by (field, frame), and the
-      stacks of ``vector_stacks`` by (fields, frame); a stack holds the
-      vectors that share one pattern of structurally zero tables, so a
-      zero of the whole stack stays structural.  The stacks a check
+      ``random_xis`` are one stacked family per frame: one coefficient sum
+      over the stacked coefficients of all of them, of which each count a
+      check asks for is a leading slice.  A catalog field (a Killing
+      vector) is keyed by (field, frame), and the stacks of
+      ``vector_stacks`` by (fields, frame); a stack holds the vectors that
+      share one pattern of structurally zero tables, so a zero of the
+      whole stack stays structural.  The stacks a check
       evaluates (``xi_stacks`` and ``vector_stacks``) hold at most
       ``_STACK_POINTS`` sample points each.
 
@@ -365,25 +366,27 @@ class RunContext:
         """The first ``count`` (default ``xi_count``) seeded random vector
         fields on the box of the spacetime of frame ``fr``, evaluated on it
         as one stack: member k, slice k of the leading batch axis, is the
-        field of seed ``seed + 1000 + k``.  On first use only, per count."""
+        field of seed ``seed + 1000 + k``.  One family per frame, summed on
+        first use with at least one stack's worth of members (at most
+        ``xi_count``), so that the smaller counts the checks ask for are
+        leading slices of it; a larger count is summed anew and replaces it."""
         count = self.cfg.xi_count if count is None else count
-        key = ("xis", count, fr)
-        if key not in self._fields:
+        key = ("xis", fr)
+        xis = self._fields.get(key)
+        if xis is None or _size(xis) < count:
             box = spacetime(fr.metric.name).box
+            members = max(count, min(self._stack_size(), self.cfg.xi_count))
             coef = np.stack([random_coefficients(("u",), box, self.cfg.seed + 1000 + k)
-                             for k in range(count)])
+                             for k in range(members)])
             comps = coefficient_sum(coef, self._basis(box, fr), vdim=1)
-            self._fields[key] = _frozen(TensorValue(("u",), fr.n, comps))
-        return self._fields[key]
+            xis = self._fields[key] = _frozen(TensorValue(("u",), fr.n, comps))
+        return xis if count == _size(xis) else _slice(xis, 0, count)
 
     def xi_stacks(self, fr, count=None) -> list:
         """``random_xis(fr, count)`` as consecutive stacks of
         ``_stack_size()`` members, leading slices of its tables."""
-        xis = self.random_xis(fr, count)
-        c, size = xis.components, self._stack_size()
-        return [TensorValue(xis.variance, xis.n,
-                            Jet(c.nvars, c.order, c.vdim, [t[k:k + size] for t in c.data]))
-                for k in range(0, c.data[0].shape[0], size)]
+        xis, size = self.random_xis(fr, count), self._stack_size()
+        return [_slice(xis, k, k + size) for k in range(0, _size(xis), size)]
 
     def random_tensors(self, fr, ranks=_TENSOR_RANKS, base_seed=0) -> list:
         """Seeded random tensors of the given ranks on the box of the
@@ -416,18 +419,37 @@ def _frozen(t: TensorValue) -> TensorValue:
     return t
 
 
+def _size(stack: TensorValue) -> int:
+    """The members of a stack of tensors, the length of its leading batch axis."""
+    return stack.components.data[0].shape[0]
+
+
+def _slice(stack: TensorValue, start: int, stop: int) -> TensorValue:
+    """Members ``start`` to ``stop`` of a stack, views of its tables."""
+    c = stack.components
+    return TensorValue(stack.variance, stack.n,
+                       Jet(c.nvars, c.order, c.vdim, [t[start:stop] for t in c.data]))
+
+
 def _members(stack: TensorValue) -> list:
     """The tensors of a stack, the slices of its leading batch axis."""
     c = stack.components
     return [TensorValue(stack.variance, stack.n,
                         Jet(c.nvars, c.order, c.vdim, [t[k] for t in c.data]))
-            for k in range(c.data[0].shape[0])]
+            for k in range(_size(stack))]
+
+
+def _view(ctx, scen_name, t: TensorValue, above: int = 0):
+    """The frame of scenario ``scen_name`` at the jet order of ``t`` plus
+    ``above``: the order at which a check's vector family is read.  The run's
+    own view, so that each order of a frame is one object."""
+    return ctx.at(t.components.order + above).theory_frame(scen_name).frame
 
 
 def _points(ctx, stack: TensorValue) -> int:
     """The sample points of a stack of tensors: the run's points times its
     members."""
-    return ctx.cfg.points * stack.components.data[0].shape[0]
+    return ctx.cfg.points * _size(stack)
 
 
 CHECKS: dict[str, Check] = {}
@@ -821,7 +843,8 @@ def _chk_tb_tm(ctx, name):
                 "flow.  Checked with a family of seeded random vectors.")
 def _chk_master(ctx, name):
     tf = ctx.theory_frame(name)
-    for xis in ctx.xi_stacks(tf.frame):
+    # both sides read xi at T_B's order
+    for xis in ctx.xi_stacks(_view(ctx, name, tf.emt_belinfante)):
         lhs, rhs = master_identity_terms(tf, xis)
         yield _points(ctx, xis), lhs - rhs, lhs
 
@@ -837,8 +860,9 @@ def _chk_master(ctx, name):
 def _chk_110(ctx, name):
     tf = ctx.theory_frame(name)
     # one xi at a time: the stack's final pairing "ab,ba->" sums in another
-    # order under np.einsum than each member's
-    for xi in _members(ctx.random_xis(tf.frame, 4)):
+    # order under np.einsum than each member's; both terms read xi at T_B's
+    # order
+    for xi in _members(ctx.random_xis(_view(ctx, name, tf.emt_belinfante), 4)):
         yield ctx.cfg.points, current_gradient_pairing_residual(tf, xi), tf.emt_metric
 
 
@@ -920,7 +944,8 @@ def _chk_can_div_magnitude(ctx, name):
                 "antisymmetry plus the symmetry of the Ricci tensor.")
 def _chk_diff_current(ctx, name):
     tf = ctx.theory_frame(name)
-    for xis in ctx.xi_stacks(tf.frame, 4):
+    # the current is at D Theta's order and reads xi one order above
+    for xis in ctx.xi_stacks(_view(ctx, name, tf.div_theta, 1), 4):
         yield _points(ctx, xis), divergence(difference_current(tf, xis), tf.frame), tf.theta
 
 
@@ -936,7 +961,9 @@ def _chk_diff_current(ctx, name):
                 "no field equation.")
 def _chk_current_decomp(ctx, name):
     tf = ctx.theory_frame(name)
-    for xis in ctx.xi_stacks(tf.frame, 4):
+    # a - b + c is at D Theta's order, which is T_B's, and b and c read xi
+    # one order above it
+    for xis in ctx.xi_stacks(_view(ctx, name, tf.div_theta, 1), 4):
         a = noether_current(tf, xis)
         b = alternative_current(tf, xis)
         c = difference_current(tf, xis)

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from emtkit import fieldtheory, jets
+from emtkit import fieldtheory, geometry, jets, tensors
 from emtkit.catalog import (
     SCENARIOS,
     CatalogClaimError,
@@ -50,8 +50,11 @@ from emtkit.geometry import (
     geometry_at,
     jet_matrix_inverse,
 )
-from emtkit.jets import Jet, jet_einsum, partial_in_var
-from emtkit.tensors import TensorValue, contract, max_abs, value_array
+from emtkit.jets import Jet, JetOrderError, jet_einsum, partial_in_var
+from emtkit.suites import RunConfig, RunContext
+from emtkit.tensors import TensorValue, _slot_letters, contract, einsum, max_abs, value_array
+
+from test_geometry import _uncut_lie, assert_same_bytes
 
 MINK4 = SPACETIMES["minkowski4"]
 MINK2 = SPACETIMES["minkowski2"]
@@ -322,6 +325,150 @@ def test_kinematic_residual_and_negative_control():
 
     tf_bad = evaluate_theory(broken_scalar_theory(0.3), fld, frame)
     assert max_abs(kinematic_lie_residual(tf_bad, xi)) > 1e-3
+
+
+# --------------------------------------------------------------------------
+# the vector-family residuals, each at the jet order it is read
+# --------------------------------------------------------------------------
+
+
+def _uncut_noether(tf, xi):
+    return einsum("ab,b->a", tf.emt_belinfante, einsum("ab,b->a", tf.frame.g, xi))
+
+
+def _uncut_theta_current(tf, T, xi):
+    xil = einsum("ab,b->a", tf.frame.g, xi)
+    return (einsum("ab,b->a", T, xil)
+            + einsum("cab,bc->a", tf.theta, covariant_derivative(xil, tf.frame)))
+
+
+def _uncut_pairing(tf, xi):
+    dxil = covariant_derivative(einsum("ab,b->a", tf.frame.g, xi), tf.frame)
+    return (divergence(_uncut_noether(tf, xi), tf.frame)
+            - einsum("ab,ba->", tf.emt_metric, dxil))
+
+
+def _uncut_matter(tf, xi):
+    G = tf.dL_ddpsi
+    S = _slot_letters(G.rank - 1)
+    return (einsum(f"{S}a,{S}->a", G, _uncut_lie(tf.psi, xi, tf.frame))
+            - einsum("a,->a", xi, tf.L))
+
+
+def _uncut_kinematic(tf, xi):
+    S = _slot_letters(tf.dL_ddpsi.rank)
+    acc = einsum(f"{S},{S}->", tf.dL_ddpsi, _uncut_lie(tf.dpsi, xi, tf.frame))
+    acc = acc + einsum(f"{S[:-1]},{S[:-1]}->", tf.dL_dpsi, _uncut_lie(tf.psi, xi, tf.frame))
+    acc = acc + einsum("ab,ab->", tf.dL_dg, _uncut_lie(tf.frame.g, xi, tf.frame))
+    dL = TensorValue(("d",), tf.n, jets.differentiate(tf.L, keep=tf.n))
+    return acc - einsum("a,a->", dL, xi)
+
+
+def _order(t):
+    return t.components.order
+
+
+def _cut(t, k):
+    return geometry._drop_orders(t, _order(t) - k)
+
+
+# each helper, the uncut formula it must equal, and the order it computes at
+_HELPERS = {
+    "noether-current": (noether_current, _uncut_noether,
+                        lambda tf: _order(tf.emt_belinfante)),
+    "master-lhs": (lambda tf, xi: master_identity_terms(tf, xi)[0],
+                   lambda tf, xi: divergence(_uncut_noether(tf, xi), tf.frame),
+                   lambda tf: _order(tf.emt_belinfante) - 1),
+    "master-rhs": (lambda tf, xi: master_identity_terms(tf, xi)[1],
+                   lambda tf, xi: 0.5 * einsum("ab,ab->", tf.emt_metric,
+                                               _uncut_lie(tf.frame.g, xi, tf.frame)),
+                   lambda tf: _order(tf.emt_belinfante) - 1),
+    "current-gradient-pairing": (current_gradient_pairing_residual, _uncut_pairing,
+                                 lambda tf: _order(tf.emt_belinfante) - 1),
+    "alternative-current": (alternative_current,
+                            lambda tf, xi: _uncut_theta_current(tf, tf.emt_canonical, xi),
+                            lambda tf: min(_order(tf.emt_canonical), _order(tf.theta))),
+    "difference-current": (difference_current,
+                           lambda tf, xi: _uncut_theta_current(tf, tf.div_theta, xi),
+                           lambda tf: min(_order(tf.div_theta), _order(tf.theta))),
+    "matter-current": (lie_matter_current, _uncut_matter,
+                       lambda tf: min(_order(tf.dL_ddpsi), tf.L.order)),
+    "kinematic-lie": (kinematic_lie_residual, _uncut_kinematic,
+                      lambda tf: min(_order(tf.dL_ddpsi), _order(tf.dL_dpsi),
+                                     _order(tf.dL_dg), tf.L.order - 1)),
+}
+
+
+@pytest.mark.parametrize("points", [16, 128])
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("scen_name", list(SCENARIOS))
+def test_each_vector_family_helper_keeps_the_bytes_of_its_uncut_formula(scen_name, order,
+                                                                        points):
+    # the helpers cut xi and its partners to the order their result keeps;
+    # the uncut formula, run on the family at its full order and truncated
+    # afterwards, has the same bytes, sign bits included; a residual whose
+    # order would be negative raises
+    ctx = RunContext(RunConfig(points=points, seed=7), order)
+    tf = ctx.theory_frame(scen_name)
+    killing = spacetime(SCENARIOS[scen_name].spacetime).killing
+    formed = set()
+    for xi in [ctx.random_xis(tf.frame, 4), *ctx.vector_stacks(killing, tf.frame)]:
+        assert _order(xi) == order
+        for name, (helper, uncut, result_order) in _HELPERS.items():
+            if result_order(tf) < 0:
+                with pytest.raises(JetOrderError):
+                    helper(tf, xi)
+                continue
+            formed.add(name)
+            got = helper(tf, xi)
+            assert _order(got) == result_order(tf), name
+            assert_same_bytes(got, uncut(tf, xi))
+    assert len(formed) == (len(_HELPERS) if order == 3 else 5)
+
+
+@pytest.mark.parametrize("scen_name", ["schwarzschild-coulomb", "scalar-wave-2d"])
+def test_a_master_identity_call_forms_no_table_above_its_result_order_plus_one(
+        monkeypatch, scen_name):
+    # on an order-3 theory frame T_B and T_M carry order 1 and the identity
+    # order 0; every product of the call, g xi and Lie_xi g included, stays
+    # at order 1 or below
+    ctx = RunContext(RunConfig(points=16, seed=7), 3)
+    tf = ctx.theory_frame(scen_name)
+    xi = ctx.random_xis(tf.frame, 4)
+    tf.emt_belinfante, tf.emt_metric, tf.frame.dg    # formed once per theory frame
+    orders = []
+    real = jets.jet_einsum
+
+    def recording(subs, x, y):
+        out = real(subs, x, y)
+        orders.append(out.order if isinstance(out, Jet) else 0)
+        return out
+
+    for module in (tensors, geometry, fieldtheory):
+        monkeypatch.setattr(module, "jet_einsum", recording)
+    master_identity_terms(tf, xi)
+    assert orders and max(orders) == 1
+
+
+def test_a_family_one_order_below_what_a_residual_reads_raises():
+    # T_B is read at order 1 on an order-3 theory frame, so the master
+    # identity reads xi at order 1; the chain rule reads it at 2
+    ctx = RunContext(RunConfig(points=16, seed=7), 3)
+    for name in ("schwarzschild-coulomb", "scalar-blob-2d"):
+        tf = ctx.theory_frame(name)
+        xi = ctx.random_xis(tf.frame, 4)
+        with pytest.raises(JetOrderError):
+            master_identity_terms(tf, _cut(xi, _order(tf.emt_belinfante) - 1))
+        with pytest.raises(JetOrderError):
+            kinematic_lie_residual(tf, _cut(xi, tf.L.order - 1))
+        # at the order they read, both return their full-order bytes
+        for helper, at in ((master_identity_terms, _order(tf.emt_belinfante)),
+                           (kinematic_lie_residual, tf.L.order)):
+            got, want = helper(tf, _cut(xi, at)), helper(tf, xi)
+            for g, w in zip(got if isinstance(got, tuple) else (got,),
+                            want if isinstance(want, tuple) else (want,)):
+                assert_same_bytes(g, w)
+                assert _order(g) == _order(w)
 
 
 def test_canonical_divergence_obstruction():

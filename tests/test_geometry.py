@@ -33,8 +33,10 @@ from emtkit.geometry import (
     tilde_gradient_commutator_residual,
     volume_lie_residual,
 )
-from emtkit.jets import Jet, jet_einsum, jet_stack, jet_truncate, lift
-from emtkit.tensors import TensorValue, contract, max_abs, tilde_contract, value_array
+from emtkit.jets import Jet, JetOrderError, jet_einsum, jet_stack, jet_truncate, lift
+from emtkit.suites import RunConfig, RunContext
+from emtkit.tensors import (TensorValue, _slot_letters, contract, einsum, max_abs,
+                            tilde_contract, value_array)
 
 SCHW = SPACETIMES["schwarzschild"]
 MINK2 = SPACETIMES["minkowski2"]
@@ -298,6 +300,61 @@ def test_lie_derivative_of_the_metric_reuses_its_gradient_bit_for_bit():
     for g, w in zip(got.components.data, want.components.data):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+def _uncut_lie(t, xi, frame):
+    """Lie_xi t by its formula with no cut: every factor at its full order."""
+    if frame is None:
+        dt, dxi = geometry.partial_tensor(t), geometry.partial_tensor(xi)
+    else:
+        dt = frame.dg if t is frame.g else covariant_derivative(t, frame)
+        dxi = covariant_derivative(xi, frame)
+    S = _slot_letters(t.rank)
+    return einsum(f"{S}a,a->{S}", dt, xi) - tilde_contract(t, dxi)
+
+
+def assert_same_bytes(got, want):
+    """``got`` has the tables of ``want`` up to its own order, byte for
+    byte, sign bits included."""
+    got, want = (x.components if isinstance(x, TensorValue) else x for x in (got, want))
+    assert got.order <= want.order
+    for g, w in zip(got.data, want.data[: got.order + 1], strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_a_jet_or_tensor_at_an_order_it_lacks_raises():
+    fr = schw_frame()
+    for x in (fr.g, fr.g.components):
+        assert geometry._at_order(x, 3) is x
+        cut = geometry._at_order(x, 1)
+        cut = cut.components if isinstance(cut, TensorValue) else cut
+        assert cut.order == 1 and cut.data == fr.g.components.data[:2]
+        with pytest.raises(JetOrderError):
+            geometry._at_order(x, 4)
+
+
+@pytest.mark.parametrize("points", [16, 128])
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("st", sorted(SPACETIMES))
+def test_lie_derivative_keeps_the_bytes_of_the_uncut_formula(st, order, points):
+    # every factor of the Lie derivative is cut to the order its result
+    # reads; the uncut formula, truncated afterwards, has the same bytes
+    ctx = RunContext(RunConfig(points=points, seed=7), order)
+    fr = ctx.frame(st)
+    families = [ctx.random_xis(fr, 4), *ctx.vector_stacks(SPACETIMES[st].killing, fr)]
+    tensors = [fr.g, *ctx.random_tensors(fr, base_seed=40)]
+    for xi in families:
+        for t in tensors:
+            got = lie_derivative(t, xi, fr)
+            assert got.components.order == order - 1
+            assert_same_bytes(got, _uncut_lie(t, xi, fr))
+        assert_same_bytes(lie_derivative(tensors[-1], xi), _uncut_lie(tensors[-1], xi, None))
+    # a lower xi lowers the result, and an order-0 one has no derivative
+    low = geometry._drop_orders(families[0], order - 1)
+    assert_same_bytes(lie_derivative(fr.g, low, fr), _uncut_lie(fr.g, low, fr))
+    assert lie_derivative(fr.g, low, fr).components.order == 0
+    with pytest.raises(JetOrderError):
+        lie_derivative(fr.g, geometry._drop_orders(low, 1), fr)
 
 
 def test_metric_gradient_is_computed_once_per_frame(monkeypatch):

@@ -13,7 +13,14 @@ These pins read the tables themselves, sign bits included, through a
   a metric each Christoffel component sums at most one nonzero term of
   each kind, so a reassociated sum rounds the same; the perturbed metric
   has no zero entry and tells the two apart;
-- T_M, T_B and T_C of ``schwarzschild-coulomb``.
+- T_M, T_B and T_C of ``schwarzschild-coulomb``;
+- the value tables of the vector-family residuals on
+  ``schwarzschild-coulomb``, ``em-two-waves-4d`` and ``scalar-wave-2d``:
+  both sides of the master identity, the current-gradient pairing (member
+  by member, as its check runs it), the kinematic Lie residual and the
+  divergence of the difference current over the run's stack of 4 random
+  xis, and the divergence of the matter current over the scenario's
+  Killing stacks.  A check reads only their maxima.
 
 The sha256 of each object's tables is compared with the value pinned for
 this numpy version and BLAS build.  On a numpy or BLAS not in the table the
@@ -27,9 +34,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from emtkit.catalog import SPACETIMES, bump_perturbation, sample_points
-from emtkit.geometry import MetricField, geometry_at
-from emtkit.suites import RunConfig, RunContext
+from emtkit.catalog import SPACETIMES, bump_perturbation, sample_points, scenario, spacetime
+from emtkit.fieldtheory import (current_gradient_pairing_residual, difference_current,
+                                kinematic_lie_residual, lie_matter_current,
+                                master_identity_terms)
+from emtkit.geometry import MetricField, divergence, geometry_at
+from emtkit.suites import RunConfig, RunContext, _members
 from emtkit.tensors import TensorValue
 
 from test_golden_reports import _platform
@@ -108,16 +118,56 @@ GOLDEN = {
             "9ccef74506a1a0c03878de0fb9f71b64299534cb3743de06dc825bf092e1f79e",
         ("theory", "schwarzschild-coulomb", "emt_canonical"):
             "492fe2f4f715159708af2a364c84b029868bf0d5c4efe08fbef11be45b6203dc",
+        ("residual", "schwarzschild-coulomb", "master-lhs"):
+            "a9f6a880c11cd62930a493a0b25d9c5add8ce42b32671b2f50a9e18f3dcffd18",
+        ("residual", "schwarzschild-coulomb", "master-rhs"):
+            "04844c929153f8e50d51ae270e03c30b92bb09107d99723ab0289ef8bcb1c804",
+        ("residual", "schwarzschild-coulomb", "current-gradient-pairing"):
+            "d3c8edc03c6fbaa248287ed1dd80cbfc5bef71333da42d94a7020e2b8691f9b9",
+        ("residual", "schwarzschild-coulomb", "kinematic-lie"):
+            "5d7ba971a466fe690fcfeda8ae2af98f3e5c48b987be08982126dac663a9fccf",
+        ("residual", "schwarzschild-coulomb", "difference-current-divergence"):
+            "3e1b779ed7acbdfef7e881b91273d7054ea4cc3bd8c9a78a3237beadd60ec2f8",
+        ("residual", "schwarzschild-coulomb", "matter-current-divergence"):
+            "6171701367f57e38265e134428b2c05fba8e1e24de96cc797f21eca5999a9079",
+        ("residual", "em-two-waves-4d", "master-lhs"):
+            "62aaab8954e9ffca780a6aec81f55dc2f410f9ced29697e653502afcec248895",
+        ("residual", "em-two-waves-4d", "master-rhs"):
+            "117942adde4064c2bddaa917bc01f803a2ad8043935dc5add06808c378d4dbf1",
+        ("residual", "em-two-waves-4d", "current-gradient-pairing"):
+            "4887c4fb136253c141c90e449cb5cea00a76d8205a9e2fb8a1715d54e725fd76",
+        ("residual", "em-two-waves-4d", "kinematic-lie"):
+            "e770ad1ff8b8a638219f2a5f68bf90e3d31b8799a7bfacdf64331d7deb5f8936",
+        ("residual", "em-two-waves-4d", "difference-current-divergence"):
+            "27bdbb836c7900829ed60270506d5139768a39ddef5e16f151e745a758887c00",
+        ("residual", "em-two-waves-4d", "matter-current-divergence"):
+            "1de3e35705cc3e97df02a556566d93c648dff747ac7e7660b0b40d130ecdc62f",
+        ("residual", "scalar-wave-2d", "master-lhs"):
+            "73da94bba0c8325748c68c2b2e055cf407881b67f21aff5da3a49630b33d6867",
+        ("residual", "scalar-wave-2d", "master-rhs"):
+            "71f984a6b583276117600a995499ca5dd523bed09e2bb8e272cae9a42bd72592",
+        ("residual", "scalar-wave-2d", "current-gradient-pairing"):
+            "23984b6504d47df275c45a677263b3cdc560011012074f06cf997786c756447b",
+        ("residual", "scalar-wave-2d", "kinematic-lie"):
+            "3fe2d2d1d76640cdeb713d537e6e05a1afdd329b4ebc01052d227acd3c6c7991",
+        ("residual", "scalar-wave-2d", "difference-current-divergence"):
+            "ad6da72822b5db301c080d1cc33719ae0aa96cea0600f1e306bb43cd66eaea07",
+        ("residual", "scalar-wave-2d", "matter-current-divergence"):
+            "b1e2f95c95ff3084041af25384494e6fa41624fbf03741b570f763526f708306",
     },
 }
 
 _GEOMETRY = ("g", "ginv", "sqrt_g", "gamma", "riemann")
 _EMTS = ("emt_metric", "emt_belinfante", "emt_canonical")
+_RESIDUALS = ("master-lhs", "master-rhs", "current-gradient-pairing", "kinematic-lie",
+              "difference-current-divergence", "matter-current-divergence")
 
 KEYS = ([("vector", st, v.name) for st, entry in SPACETIMES.items() for v in entry.killing]
         + [("frame", st, q) for st in ("schwarzschild", "bump2", "schwarzschild+bump")
            for q in _GEOMETRY]
-        + [("theory", "schwarzschild-coulomb", q) for q in _EMTS])
+        + [("theory", "schwarzschild-coulomb", q) for q in _EMTS]
+        + [("residual", sc, q) for sc in ("schwarzschild-coulomb", "em-two-waves-4d",
+                                          "scalar-wave-2d") for q in _RESIDUALS])
 
 
 def _table_sha256(value):
@@ -127,6 +177,34 @@ def _table_sha256(value):
         digest.update(repr(table.shape).encode())
         digest.update(np.ascontiguousarray(table).tobytes())
     return digest.hexdigest()
+
+
+def _values_sha256(values):
+    """sha256 of the value tables of ``values``, a list of tensors."""
+    digest = hashlib.sha256()
+    for value in values:
+        table = value.components.data[0]
+        digest.update(repr(table.shape).encode())
+        digest.update(np.ascontiguousarray(table).tobytes())
+    return digest.hexdigest()
+
+
+def _residuals(ctx, name):
+    """The value tables of each vector-family residual of scenario ``name``."""
+    tf = ctx.theory_frame(name)
+    xis = ctx.random_xis(tf.frame, 4)
+    killing = ctx.vector_stacks(spacetime(scenario(name).spacetime).killing, tf.frame)
+    lhs, rhs = master_identity_terms(tf, xis)
+    return {
+        "master-lhs": [lhs],
+        "master-rhs": [rhs],
+        "current-gradient-pairing": [current_gradient_pairing_residual(tf, xi)
+                                     for xi in _members(xis)],
+        "kinematic-lie": [kinematic_lie_residual(tf, xis)],
+        "difference-current-divergence": [divergence(difference_current(tf, xis), tf.frame)],
+        "matter-current-divergence": [divergence(lie_matter_current(tf, xi), tf.frame)
+                                      for xi in killing],
+    }
 
 
 def _perturbed_frame(cfg):
@@ -142,6 +220,9 @@ def _hashes():
     frames = {"schwarzschild+bump": _perturbed_frame(ctx.cfg)}
     out = {}
     for kind, name, part in KEYS:
+        if kind == "residual":
+            out[kind, name, part] = _values_sha256(_residuals(ctx, name)[part])
+            continue
         if kind == "vector":
             fr = ctx.frame(name)
             (v,) = [v for v in SPACETIMES[name].killing if v.name == part]

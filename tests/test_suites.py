@@ -408,9 +408,9 @@ def _count_calls(monkeypatch, name, key):
 
 def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
     # each coefficient sum is counted under the (variance, seed, frame) of
-    # the random_field call or the (count, frame) of the random_xis call
-    # that makes it; a sum outside one has no key
-    counts, asked = Counter(), []
+    # the random_field call or the frame of the random_xis call that makes
+    # it; a sum outside one has no key
+    counts, asked, xi_counts = Counter(), [], {}
     random_field, random_xis = RunContext.random_field, RunContext.random_xis
     coefficient_sum = suites.coefficient_sum
 
@@ -425,7 +425,8 @@ def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
         return calling((variance, seed, id(fr)), random_field, self, variance, box, seed, fr)
 
     def xis(self, fr, count=None):
-        return calling(("xis", count or self.cfg.xi_count, id(fr)), random_xis, self, fr, count)
+        xi_counts.setdefault(id(fr), set()).add(count or self.cfg.xi_count)
+        return calling(("xis", id(fr)), random_xis, self, fr, count)
 
     def summed(coef, basis, **kwargs):
         counts[asked[-1]] += 1
@@ -437,9 +438,29 @@ def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
     run_checks(RunConfig(suites=("lie-calculus", "kinematic-lagrangian", "emt-onshell"),
                          points=2, xi_count=4))
     assert set(counts.values()) == {1}
-    # the xi families of one, three and four members are one sum each per frame
-    assert {key[1] for key in counts if key[0] == "xis"} == {1, 3, 4}
+    # one xi sum per frame view, whatever counts its checks ask for: the
+    # families of one, three and four members are leading slices of it
+    assert {key[1] for key in counts if key[0] == "xis"} == set(xi_counts)
+    assert set().union(*xi_counts.values()) == {1, 3, 4}
+    assert any(len(c) > 1 for c in xi_counts.values())
     assert any(key[0] != "xis" for key in counts)
+
+
+@pytest.mark.parametrize("points", [2, 16])
+def test_a_smaller_xi_family_is_a_slice_with_its_own_bits(points):
+    # asked in either order on one frame, each count has the bits of a
+    # family of that count summed in a context of its own
+    st = "schwarzschild"
+    for counts in ((16, 3, 1, 4), (1, 3, 4, 16, 2)):
+        ctx = RunContext(RunConfig(points=points, seed=5), 3)
+        fr = ctx.frame(st)
+        for count in counts:
+            got = ctx.random_xis(fr, count).components
+            alone = RunContext(RunConfig(points=points, seed=5, xi_count=count), 3)
+            want = alone.random_xis(alone.frame(st), count).components
+            assert got.batch_shape == want.batch_shape == (count, points)
+            for g, w in zip(got.data, want.data, strict=True):
+                assert g.tobytes() == w.tobytes() and g.flags.c_contiguous
 
 
 def test_a_run_builds_one_monomial_basis_per_box_and_frame(monkeypatch):
