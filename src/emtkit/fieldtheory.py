@@ -327,7 +327,7 @@ class TheoryFrame:
     def truncate(self, order: int) -> TheoryFrame:
         """This theory frame at jet ``order``, on ``frame.truncate(order)``;
         see :func:`~emtkit.geometry._truncated_view`."""
-        return _truncated_view(self, self.frame.order - order,
+        return _truncated_view(self, self.frame.order, order,
                                ("psi", "dpsi", "L", "dL_dpsi", "dL_ddpsi", "dL_dg"),
                                {"theory": self.theory, "frame": self.frame.truncate(order)})
 

@@ -29,6 +29,7 @@ checks it; only the g^-1 and sqrt|g| series contract bare component jets.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -37,6 +38,7 @@ import numpy as np
 
 from .jets import (
     Jet,
+    JetOrderError,
     _derivative_part,
     constant_jet,
     differentiate,
@@ -180,7 +182,7 @@ class Frame:
     def truncate(self, order: int) -> Frame:
         """This frame at jet ``order``; see :func:`_truncated_view`."""
         return _truncated_view(
-            self, self.order - order, ("coords", "g", "sqrt_g", "ginv", "gamma"),
+            self, self.order, order, ("coords", "g", "sqrt_g", "ginv", "gamma"),
             {"metric": self.metric, "n": self.n, "order": order})
 
     @cached_property
@@ -220,23 +222,32 @@ def _at_order(x, k: int):
     return _drop_orders(x, (x.components if isinstance(x, TensorValue) else x).order - k)
 
 
-def _truncated_view(obj, k: int, jets: tuple, same: dict):
-    """``obj`` (a Frame or a TheoryFrame) with its top ``k`` jet orders dropped.
+def _truncated_view(obj, top: int, order: int, jets: tuple, same: dict):
+    """``obj`` (a Frame or a TheoryFrame) of jet order ``top`` at ``order``.
 
     A new instance whose attributes ``jets`` are those of ``obj`` through
     :func:`_drop_orders` and whose other attributes are ``same``.  Order-m
     coefficients of truncated Taylor arithmetic never read higher ones, so
     its tables equal those of a fresh build at the lower order, and each
     cached property is computed on the view when first used.  The view is
-    memoised on ``obj``; with ``k == 0`` it is ``obj`` itself and never a
-    memo entry, which would make every frame a reference cycle."""
-    if k == 0:
+    memoised on ``obj``, and a view cut from a view is the view of the
+    object the first was cut from, so that each order of an object is one
+    view.  A view names that object by a weak reference, and ``obj`` at its
+    own order is itself, never a memo entry: no frame is a reference cycle.
+    An order above ``top`` raises JetOrderError."""
+    if not 0 <= order <= top:
+        raise JetOrderError(f"cannot truncate jet order {top} to {order}")
+    base = vars(obj).get("_base", lambda: None)()
+    if base is not None:
+        return base.truncate(order)
+    if order == top:
         return obj
-    views = obj.__dict__.setdefault("_views", {})
-    if k not in views:
-        views[k] = object.__new__(type(obj))
-        vars(views[k]).update(same, **{a: _drop_orders(getattr(obj, a), k) for a in jets})
-    return views[k]
+    views = vars(obj).setdefault("_views", {})
+    if order not in views:
+        views[order] = object.__new__(type(obj))
+        vars(views[order]).update(same, _base=weakref.ref(obj),
+                                  **{a: _drop_orders(getattr(obj, a), top - order) for a in jets})
+    return views[order]
 
 
 def geometry_at(metric: MetricField, points: np.ndarray, order: int, *,

@@ -54,7 +54,6 @@ __all__ = [
     "jcos",
     "jsqrt",
     "jreciprocal",
-    "jpow",
     "jet_truncate",
     "differentiate",
     "partial_in_var",
@@ -149,9 +148,6 @@ class Jet:
 
     def __rtruediv__(self, other):
         return _mul(jreciprocal(self), other)
-
-    def __pow__(self, p):
-        return jpow(self, p)
 
 
 def _is_const(x) -> bool:
@@ -250,14 +246,12 @@ def _free_letters(used, k):
     return pool[:k]
 
 
-# Sample points from which a plain-matmul contraction goes through one
-# batched ``@`` instead of np.einsum, counted on the last batch axis of x,
-# the axis of the sample points: a stack of fields on a leading batch axis
-# takes the path that each of its members takes on its own.  Timed on the
-# contractions of the 4-D variational quadrature, ``@`` wins in sum from 16
-# points on, and from 128 points on it loses only where it would at any
-# batch (matrix-vector shapes, and operands that need a transposing copy).
-# The 16-point suites stay on np.einsum, bit for bit.
+# Leading batch points from which a plain-matmul contraction goes through
+# one batched ``@`` instead of np.einsum.  Timed on the contractions of the
+# 4-D variational quadrature, ``@`` wins in sum from 16 points on, and from
+# 128 points on it loses only where it would at any batch (matrix-vector
+# shapes, and operands that need a transposing copy).  The 16-point suites
+# stay on np.einsum, bit for bit.
 _MATMUL_MIN_POINTS = 128
 
 
@@ -293,40 +287,32 @@ def _contraction(sx: str, sy: str, so: str):
 def _contract(step, points: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One two-operand contraction from its ``_contraction`` plan.
 
-    With at least ``_MATMUL_MIN_POINTS`` sample points, a plain matmul
-    becomes one ``@`` on transposed and reshaped operands; the result is a
-    writable view of that product, in output order.  The leading axes the
-    two operands share must have equal shapes; leading axes that only one
-    operand has (a stack of fields against a frame quantity) stay apart as
-    broadcast axes of ``@``, which forms each of their slices as the ``@``
-    of that slice alone.  Everything else goes to np.einsum.
+    With at least ``_MATMUL_MIN_POINTS`` leading batch points, a plain
+    matmul with equal batch shapes becomes one ``@`` on transposed and
+    reshaped operands; the result is a writable view of that product, in
+    output order.  Everything else goes to np.einsum.
     """
     subs, layout = step
     if layout is None or points < _MATMUL_MIN_POINTS:
         return np.einsum(subs, a, b)
     xperm, yperm, nb, nx, operm = layout
-    la, lb = a.ndim - len(xperm), b.ndim - len(yperm)
-    if la < 0 or lb < 0:
+    lead = a.ndim - len(xperm)
+    if lead < 0 or b.ndim - len(yperm) != lead:
         return np.einsum(subs, a, b)
-    lead, extra = min(la, lb), abs(la - lb)
-    # at: x's own leading axes, the shared ones, batch, x-only, contracted;
-    # bt: y's own leading axes, the shared ones, batch, contracted, y-only
-    at = a.transpose(tuple(range(la)) + tuple(la + p for p in xperm))
-    bt = b.transpose(tuple(range(lb)) + tuple(lb + p for p in yperm))
-    ea, eb = at.shape[:la - lead], bt.shape[:lb - lead]
+    keep = tuple(range(lead))
+    # at: lead, batch, x-only, contracted; bt: lead, batch, contracted, y-only
+    at = a.transpose(keep + tuple(lead + p for p in xperm))
+    bt = b.transpose(keep + tuple(lead + p for p in yperm))
     nb += lead
     cut = nb + nx
-    x_axes, y_axes = at.shape[la - lead:], bt.shape[lb - lead:]
-    bshape, xshape, csize = x_axes[:nb], x_axes[nb:cut], x_axes[cut:]
-    if y_axes[:nb + len(csize)] != bshape + csize:
+    bshape, xshape, csize = at.shape[:nb], at.shape[nb:cut], at.shape[cut:]
+    if bt.shape[:nb + len(csize)] != bshape + csize:
         return np.einsum(subs, a, b)
-    yshape = y_axes[nb + len(csize):]
+    yshape = bt.shape[nb + len(csize):]
     n, k = math.prod(bshape), math.prod(csize)
-    prod = (at.reshape(ea + (n, math.prod(xshape), k))
-            @ bt.reshape(eb + (n, k, math.prod(yshape))))
-    keep = tuple(range(extra + lead))
-    return prod.reshape(ea + eb + bshape + xshape + yshape).transpose(
-        keep + tuple(extra + lead + p for p in operm))
+    prod = at.reshape(n, math.prod(xshape), k) @ bt.reshape(n, k, math.prod(yshape))
+    return prod.reshape(bshape + xshape + yshape).transpose(
+        keep + tuple(lead + p for p in operm))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -364,14 +350,9 @@ def jet_einsum(subs: str, x, y):
     ndarray, treated as a derivative-free constant.  A Leibniz split that
     reads a structural zero is skipped, and an output order all of whose
     splits are skipped is itself a structural zero.  Every other split
-    goes through ``_contract``: from ``_MATMUL_MIN_POINTS`` sample points
-    on, counted on the last batch axis of x, a plain matmul runs as one
-    batched ``@``, which sums in another order than np.einsum and so agrees
-    with it to roundoff, not bit for bit.  A stack of operands on a leading
-    batch axis takes, per member, the path and the bits of that member's
-    own product, except that a full contraction whose operands sum in
-    opposite slot orders (``"ab,ba->"``) may sum in another order under
-    np.einsum.
+    goes through ``_contract``: from ``_MATMUL_MIN_POINTS`` batch points on,
+    a plain matmul runs as one batched ``@``, which sums in another order
+    than np.einsum and so agrees with it to roundoff, not bit for bit.
     """
     xj, yj = isinstance(x, Jet), isinstance(y, Jet)
     if xj and yj:
@@ -385,7 +366,7 @@ def jet_einsum(subs: str, x, y):
     ys = y.data if yj else (np.asarray(y, _FLOAT),)
     nx, vdim, plan = _leibniz_plan(subs, order, xj, yj)
     zx, zy = [_is_zero(t) for t in xs], [_is_zero(t) for t in ys]
-    points = xs[0].shape[xs[0].ndim - nx - 1] if xs[0].ndim > nx else 1
+    points = math.prod(xs[0].shape[:xs[0].ndim - nx])
     data = []
     for m, splits in enumerate(plan):
         acc = None
@@ -490,27 +471,6 @@ def _jpow_float(f: Jet, p: float) -> Jet:
 
 def jsqrt(f: Jet) -> Jet:
     return _jpow_float(f, 0.5)
-
-
-def jpow(f: Jet, p) -> Jet:
-    """Integer powers by repeated multiplication (any sign of the base),
-    fractional powers through the derivative ladder (positive base only)."""
-    if isinstance(p, (int, np.integer)):
-        if p < 0:
-            return jpow(jreciprocal(f), -p)
-        acc = None
-        base = f
-        k = int(p)
-        if k == 0:
-            return constant_jet(np.ones(f.batch_shape + f.vshape), f.nvars, f.order, vdim=f.vdim)
-        while k:
-            if k & 1:
-                acc = base if acc is None else _mul(acc, base)
-            k >>= 1
-            if k:
-                base = _mul(base, base)
-        return acc
-    return _jpow_float(f, float(p))
 
 
 def jet_truncate(f: Jet, order: int) -> Jet:

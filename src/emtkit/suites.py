@@ -109,7 +109,10 @@ _TENSOR_RANKS = ((), ("u",), ("d",), ("u", "d"), ("d", "d"))
 # stack of all 16 xis of ``master-identity`` makes 2 MB order-3 tables of
 # rank-2 tensors, a fresh allocation per operation: there, stacks of 4 take
 # the same time with about 2,400 page faults where one stack of 16 takes
-# over 6,000 (one xi at a time: 2,100).
+# over 6,000 (one xi at a time: 2,100).  A stack of two or more members
+# thus holds at most 64 points, fewer than ``jets._MATMUL_MIN_POINTS``
+# (128), so every stack contracts through np.einsum; a stack of one is its
+# member, with no stack axis.
 _STACK_POINTS = 64
 
 
@@ -260,17 +263,19 @@ class RunContext:
     - ``_bases``: one :class:`~emtkit.catalog.MonomialBasis` per (box,
       frame), the monomials every seeded random field on that box sums.
     - ``_fields``: one evaluation of each field per frame.  A seeded random
-      tensor of ``random_tensors`` is keyed by (variance, box, seed, frame)
-      and evaluated as one coefficient sum over its basis.  The xis of
-      ``random_xis`` are one stacked family per frame: one coefficient sum
-      over the stacked coefficients of all of them, of which each count a
-      check asks for is a leading slice.  A catalog field (a Killing
-      vector) is keyed by (field, frame), and the stacks of
+      field of ``random_field`` is keyed by (variance, seeds, frame) and
+      evaluated as one coefficient sum over its basis: one seed is one
+      field, a tuple of seeds one stack of fields.  ``random_tensors`` and
+      the stacks of ``xi_stacks`` are such fields.  A catalog field (a
+      Killing vector) is keyed by (field, frame), and the stacks of
       ``vector_stacks`` by (fields, frame); a stack holds the vectors that
       share one pattern of structurally zero tables, so a zero of the
-      whole stack stays structural.  The stacks a check
-      evaluates (``xi_stacks`` and ``vector_stacks``) hold at most
-      ``_STACK_POINTS`` sample points each.
+      whole stack stays structural.
+
+    The context alone lays out vector families: a stack carries its
+    members on a leading batch axis and holds at most ``_STACK_POINTS``
+    sample points, so the jet kernel needs no rule for stacks, and a stack
+    of one member is that member, with no stack axis.
 
     Every frame a check evaluates on is a frame of ``_frames`` or one of its
     memoised views, alive for the whole run, so frame identity names one
@@ -333,17 +338,20 @@ class RunContext:
         """The catalog vector fields ``vectors`` evaluated on frame ``fr``,
         each on first use only, as stacks on a leading batch axis: per
         pattern of structurally zero tables, in order of first appearance,
-        consecutive stacks of ``_stack_size()`` members."""
+        consecutive stacks of ``_stack_size()`` members; a stack of one is
+        that vector's field."""
         key = (tuple(vectors), fr)
         if key not in self._fields:
             groups = {}
             for v in vectors:
-                comps = self.field(v, fr).components
-                groups.setdefault(tuple(map(_is_zero, comps.data)), []).append(comps)
+                f = self.field(v, fr)
+                groups.setdefault(tuple(map(_is_zero, f.components.data)), []).append(f)
             size = self._stack_size()
+            chunks = [g[k:k + size] for g in groups.values() for k in range(0, len(g), size)]
             self._fields[key] = [
-                _frozen(TensorValue(("u",), fr.n, stack_members(g[k:k + size])))
-                for g in groups.values() for k in range(0, len(g), size)]
+                c[0] if len(c) == 1 else
+                _frozen(TensorValue(("u",), fr.n, stack_members([f.components for f in c])))
+                for c in chunks]
         return self._fields[key]
 
     def _basis(self, box, fr):
@@ -351,48 +359,37 @@ class RunContext:
             self._bases[box, fr] = monomial_basis(box, fr.coords[: fr.n])
         return self._bases[box, fr]
 
-    def random_field(self, variance, box, seed, fr) -> TensorValue:
-        """The seeded random field of ``variance`` on ``box``, evaluated on
-        frame ``fr`` as one coefficient sum over the frame's monomial basis,
-        on first use only."""
-        key = (variance, box, seed, fr)
+    def random_field(self, variance, seeds, fr) -> TensorValue:
+        """The seeded random field of ``variance`` on the box of the
+        spacetime of frame ``fr``, evaluated on it as one coefficient sum
+        over the frame's monomial basis, on first use only.  ``seeds`` is
+        one seed, or a tuple of seeds whose fields are summed as one stack
+        on a leading batch axis."""
+        key = (variance, seeds, fr)
         if key not in self._fields:
-            comps = coefficient_sum(random_coefficients(variance, box, seed),
-                                    self._basis(box, fr))
+            box = spacetime(fr.metric.name).box
+            coef = (np.stack([random_coefficients(variance, box, s) for s in seeds])
+                    if isinstance(seeds, tuple) else random_coefficients(variance, box, seeds))
+            comps = coefficient_sum(coef, self._basis(box, fr), vdim=len(variance))
             self._fields[key] = _frozen(TensorValue(variance, fr.n, comps))
         return self._fields[key]
 
-    def random_xis(self, fr, count=None) -> TensorValue:
-        """The first ``count`` (default ``xi_count``) seeded random vector
-        fields on the box of the spacetime of frame ``fr``, evaluated on it
-        as one stack: member k, slice k of the leading batch axis, is the
-        field of seed ``seed + 1000 + k``.  One family per frame, summed on
-        first use with at least one stack's worth of members (at most
-        ``xi_count``), so that the smaller counts the checks ask for are
-        leading slices of it; a larger count is summed anew and replaces it."""
-        count = self.cfg.xi_count if count is None else count
-        key = ("xis", fr)
-        xis = self._fields.get(key)
-        if xis is None or _size(xis) < count:
-            box = spacetime(fr.metric.name).box
-            members = max(count, min(self._stack_size(), self.cfg.xi_count))
-            coef = np.stack([random_coefficients(("u",), box, self.cfg.seed + 1000 + k)
-                             for k in range(members)])
-            comps = coefficient_sum(coef, self._basis(box, fr), vdim=1)
-            xis = self._fields[key] = _frozen(TensorValue(("u",), fr.n, comps))
-        return xis if count == _size(xis) else _slice(xis, 0, count)
-
     def xi_stacks(self, fr, count=None) -> list:
-        """``random_xis(fr, count)`` as consecutive stacks of
-        ``_stack_size()`` members, leading slices of its tables."""
-        xis, size = self.random_xis(fr, count), self._stack_size()
-        return [_slice(xis, k, k + size) for k in range(0, _size(xis), size)]
+        """The first ``count`` (default ``xi_count``) seeded random vector
+        fields on frame ``fr``, the field of seed ``seed + 1000 + k`` being
+        member k, as consecutive stacks of ``_stack_size()`` members.  Each
+        stack is a leading slice of a full one, so every count shares its
+        sums, and a stack of one is that member."""
+        count = self.cfg.xi_count if count is None else count
+        size, first = self._stack_size(), self.cfg.seed + 1000
+        return [_head(self.random_field(("u",), tuple(range(first + k, first + k + size)), fr),
+                      min(size, count - k))
+                for k in range(0, count, size)]
 
     def random_tensors(self, fr, ranks=_TENSOR_RANKS, base_seed=0) -> list:
         """Seeded random tensors of the given ranks on the box of the
         spacetime of frame ``fr``, evaluated on it."""
-        box = spacetime(fr.metric.name).box
-        return [self.random_field(var, box, self.cfg.seed + base_seed + k, fr)
+        return [self.random_field(var, self.cfg.seed + base_seed + k, fr)
                 for k, var in enumerate(ranks)]
 
     def gauge_shifted_emts(self, scen_name) -> tuple:
@@ -419,37 +416,39 @@ def _frozen(t: TensorValue) -> TensorValue:
     return t
 
 
-def _size(stack: TensorValue) -> int:
-    """The members of a stack of tensors, the length of its leading batch axis."""
-    return stack.components.data[0].shape[0]
-
-
-def _slice(stack: TensorValue, start: int, stop: int) -> TensorValue:
-    """Members ``start`` to ``stop`` of a stack, views of its tables."""
+def _head(stack: TensorValue, count: int) -> TensorValue:
+    """The first ``count`` members of a stack: the stack itself if it has
+    two or more and no others, else views of its tables, one member
+    without the stack axis."""
     c = stack.components
+    if 1 < count == c.batch_shape[0]:
+        return stack
+    cut = 0 if count == 1 else slice(count)
     return TensorValue(stack.variance, stack.n,
-                       Jet(c.nvars, c.order, c.vdim, [t[start:stop] for t in c.data]))
+                       Jet(c.nvars, c.order, c.vdim, [t[cut] for t in c.data]))
 
 
 def _members(stack: TensorValue) -> list:
-    """The tensors of a stack, the slices of its leading batch axis."""
+    """The tensors of a stack, the slices of its leading batch axis; a
+    member is itself."""
     c = stack.components
+    if len(c.batch_shape) == 1:
+        return [stack]
     return [TensorValue(stack.variance, stack.n,
                         Jet(c.nvars, c.order, c.vdim, [t[k] for t in c.data]))
-            for k in range(_size(stack))]
+            for k in range(c.batch_shape[0])]
 
 
-def _view(ctx, scen_name, t: TensorValue, above: int = 0):
-    """The frame of scenario ``scen_name`` at the jet order of ``t`` plus
-    ``above``: the order at which a check's vector family is read.  The run's
-    own view, so that each order of a frame is one object."""
-    return ctx.at(t.components.order + above).theory_frame(scen_name).frame
+def _view(tf, t: TensorValue, above: int = 0):
+    """The frame of theory frame ``tf`` at the jet order of ``t`` plus
+    ``above``: the order at which a check's vector family is read."""
+    return tf.frame.truncate(t.components.order + above)
 
 
-def _points(ctx, stack: TensorValue) -> int:
-    """The sample points of a stack of tensors: the run's points times its
-    members."""
-    return ctx.cfg.points * _size(stack)
+def _points(stack: TensorValue) -> int:
+    """The sample points of a tensor or a stack of them: the product of its
+    batch axes."""
+    return math.prod(stack.components.batch_shape)
 
 
 CHECKS: dict[str, Check] = {}
@@ -597,7 +596,7 @@ def _chk_tilde_leibniz(ctx, st_name):
                 "with covariant derivatives: the connection terms cancel.")
 def _chk_lie_dual(ctx, st_name):
     fr = ctx.frame(st_name)
-    xi = ctx.random_xis(fr, 1)
+    (xi,) = ctx.xi_stacks(fr, 1)
     for t in ctx.random_tensors(fr, base_seed=40):
         a = lie_derivative(t, xi, None)
         yield ctx.cfg.points, a - lie_derivative(t, xi, fr), a
@@ -614,7 +613,7 @@ def _chk_lie_dual(ctx, st_name):
 def _chk_killing(ctx, st_name):
     fr = ctx.frame(st_name)
     for xi in ctx.vector_stacks(spacetime(st_name).killing, fr):
-        yield _points(ctx, xi), lie_derivative(fr.g, xi, fr), fr.g
+        yield _points(xi), lie_derivative(fr.g, xi, fr), fr.g
 
 
 @_register(
@@ -628,7 +627,7 @@ def _chk_killing(ctx, st_name):
 def _chk_parallel(ctx, st_name):
     fr = ctx.frame(st_name)
     for xi in ctx.vector_stacks(spacetime(st_name).parallel, fr):
-        yield _points(ctx, xi), covariant_derivative(xi, fr), xi
+        yield _points(xi), covariant_derivative(xi, fr), xi
 
 
 @_register(
@@ -643,7 +642,7 @@ def _chk_parallel(ctx, st_name):
 def _chk_volume(ctx, st_name):
     fr = ctx.frame(st_name)
     for xis in ctx.xi_stacks(fr, 3):
-        yield _points(ctx, xis), volume_lie_residual(xis, fr), fr.sqrt_g
+        yield _points(xis), volume_lie_residual(xis, fr), fr.sqrt_g
 
 
 # --------------------------------------------------------------------------
@@ -698,7 +697,7 @@ def _chk_conn_dual(ctx, st_name):
     for xis in ctx.xi_stacks(fr, 3):
         a = lie_connection_tensor(xis, fr, form="direct")
         b = lie_connection_tensor(xis, fr, form="metric")
-        yield _points(ctx, xis), a - b, a
+        yield _points(xis), a - b, a
 
 
 @_register(
@@ -712,7 +711,7 @@ def _chk_conn_dual(ctx, st_name):
                 "tensor acting through index replacement.")
 def _chk_lie_grad(ctx, st_name):
     fr = ctx.frame(st_name)
-    xi = ctx.random_xis(fr, 1)
+    (xi,) = ctx.xi_stacks(fr, 1)
     C = lie_connection_tensor(xi, fr, form="direct")
     for t in ctx.random_tensors(fr, base_seed=90):
         got = lie_nabla_commutator(t, xi, fr)
@@ -733,7 +732,7 @@ def _chk_killing_commute(ctx, st_name):
     for xi in ctx.vector_stacks(spacetime(st_name).killing[:4], fr):
         for t in ts:
             res = lie_nabla_commutator(t, xi, fr)
-            yield _points(ctx, xi), res, covariant_derivative(t, fr)
+            yield _points(xi), res, covariant_derivative(t, fr)
 
 
 # --------------------------------------------------------------------------
@@ -769,7 +768,7 @@ _MAXWELL = TargetSpec("scenarios", _claimed_on_shell, keep=_is_maxwell)
 def _chk_chain(ctx, name):
     tf = ctx.theory_frame(name)
     for xis in ctx.xi_stacks(tf.frame, 3):
-        yield _points(ctx, xis), kinematic_lie_residual(tf, xis), tf.L
+        yield _points(xis), kinematic_lie_residual(tf, xis), tf.L
 
 
 @_register(
@@ -787,7 +786,7 @@ def _chk_chain_negative(ctx, _name):
     fr = ctx.frame(sc.spacetime)
     tf = evaluate_theory(broken_scalar_theory(0.5), sc.field, fr)
     for xis in ctx.xi_stacks(fr, 3):
-        yield _points(ctx, xis), kinematic_lie_residual(tf, xis), tf.L
+        yield _points(xis), kinematic_lie_residual(tf, xis), tf.L
 
 
 # --------------------------------------------------------------------------
@@ -844,9 +843,9 @@ def _chk_tb_tm(ctx, name):
 def _chk_master(ctx, name):
     tf = ctx.theory_frame(name)
     # both sides read xi at T_B's order
-    for xis in ctx.xi_stacks(_view(ctx, name, tf.emt_belinfante)):
+    for xis in ctx.xi_stacks(_view(tf, tf.emt_belinfante)):
         lhs, rhs = master_identity_terms(tf, xis)
-        yield _points(ctx, xis), lhs - rhs, lhs
+        yield _points(xis), lhs - rhs, lhs
 
 
 @_register(
@@ -862,8 +861,9 @@ def _chk_110(ctx, name):
     # one xi at a time: the stack's final pairing "ab,ba->" sums in another
     # order under np.einsum than each member's; both terms read xi at T_B's
     # order
-    for xi in _members(ctx.random_xis(_view(ctx, name, tf.emt_belinfante), 4)):
-        yield ctx.cfg.points, current_gradient_pairing_residual(tf, xi), tf.emt_metric
+    for xis in ctx.xi_stacks(_view(tf, tf.emt_belinfante), 4):
+        for xi in _members(xis):
+            yield ctx.cfg.points, current_gradient_pairing_residual(tf, xi), tf.emt_metric
 
 
 @_register(
@@ -877,7 +877,7 @@ def _chk_noether(ctx, name):
     tf = ctx.theory_frame(name)
     for xi in ctx.vector_stacks(spacetime(scenario(name).spacetime).killing, tf.frame):
         res = divergence(noether_current(tf, xi), tf.frame)
-        yield _points(ctx, xi), res, tf.emt_belinfante
+        yield _points(xi), res, tf.emt_belinfante
 
 
 @_register(
@@ -945,8 +945,8 @@ def _chk_can_div_magnitude(ctx, name):
 def _chk_diff_current(ctx, name):
     tf = ctx.theory_frame(name)
     # the current is at D Theta's order and reads xi one order above
-    for xis in ctx.xi_stacks(_view(ctx, name, tf.div_theta, 1), 4):
-        yield _points(ctx, xis), divergence(difference_current(tf, xis), tf.frame), tf.theta
+    for xis in ctx.xi_stacks(_view(tf, tf.div_theta, 1), 4):
+        yield _points(xis), divergence(difference_current(tf, xis), tf.frame), tf.theta
 
 
 @_register(
@@ -963,11 +963,11 @@ def _chk_current_decomp(ctx, name):
     tf = ctx.theory_frame(name)
     # a - b + c is at D Theta's order, which is T_B's, and b and c read xi
     # one order above it
-    for xis in ctx.xi_stacks(_view(ctx, name, tf.div_theta, 1), 4):
+    for xis in ctx.xi_stacks(_view(tf, tf.div_theta, 1), 4):
         a = noether_current(tf, xis)
         b = alternative_current(tf, xis)
         c = difference_current(tf, xis)
-        yield _points(ctx, xis), a - b + c, a
+        yield _points(xis), a - b + c, a
 
 
 @_register(
@@ -981,7 +981,7 @@ def _chk_matter_current(ctx, name):
     tf = ctx.theory_frame(name)
     for xi in ctx.vector_stacks(spacetime(scenario(name).spacetime).killing, tf.frame):
         res = divergence(lie_matter_current(tf, xi), tf.frame)
-        yield _points(ctx, xi), res, tf.L
+        yield _points(xi), res, tf.L
 
 
 @_register(

@@ -182,15 +182,16 @@ def test_random_fields_match_per_component_reference(space, order, batch, aux,
 @pytest.mark.parametrize("space", sorted(SPACETIMES))
 def test_run_fields_equal_standalone_evaluations(space, order):
     # a run sums each seeded field over the frame's shared basis, and its
-    # xis as one stack; the standalone field builds a basis of its own and
-    # sums alone: the same bits, member by member
+    # xis as one stack (at 5 points, the first 3 of a stack of 12); the
+    # standalone field builds a basis of its own and sums alone: the same
+    # bits, member by member
     ctx = RunContext(RunConfig(points=5, seed=4, xi_count=3), order)
     fr = ctx.frame(space)
     box = SPACETIMES[space].box
     got = ctx.random_tensors(fr, base_seed=26)   # seeds 4 + 26 + k
     want = [evaluate(random_tensor_field(var, box, 30 + k), fr)
             for k, var in enumerate(_TENSOR_RANKS)]
-    xis = ctx.random_xis(fr)
+    (xis,) = ctx.xi_stacks(fr)
     assert xis.variance == ("u",) and xis.components.batch_shape == (3, 5)
     got += _members(xis)
     want += [evaluate(random_tensor_field(("u",), box, 1004 + k), fr) for k in range(3)]

@@ -412,7 +412,7 @@ def test_each_vector_family_helper_keeps_the_bytes_of_its_uncut_formula(scen_nam
     tf = ctx.theory_frame(scen_name)
     killing = spacetime(SCENARIOS[scen_name].spacetime).killing
     formed = set()
-    for xi in [ctx.random_xis(tf.frame, 4), *ctx.vector_stacks(killing, tf.frame)]:
+    for xi in [*ctx.xi_stacks(tf.frame, 4), *ctx.vector_stacks(killing, tf.frame)]:
         assert _order(xi) == order
         for name, (helper, uncut, result_order) in _HELPERS.items():
             if result_order(tf) < 0:
@@ -434,7 +434,7 @@ def test_a_master_identity_call_forms_no_table_above_its_result_order_plus_one(
     # at order 1 or below
     ctx = RunContext(RunConfig(points=16, seed=7), 3)
     tf = ctx.theory_frame(scen_name)
-    xi = ctx.random_xis(tf.frame, 4)
+    (xi,) = ctx.xi_stacks(tf.frame, 4)
     tf.emt_belinfante, tf.emt_metric, tf.frame.dg    # formed once per theory frame
     orders = []
     real = jets.jet_einsum
@@ -456,7 +456,7 @@ def test_a_family_one_order_below_what_a_residual_reads_raises():
     ctx = RunContext(RunConfig(points=16, seed=7), 3)
     for name in ("schwarzschild-coulomb", "scalar-blob-2d"):
         tf = ctx.theory_frame(name)
-        xi = ctx.random_xis(tf.frame, 4)
+        (xi,) = ctx.xi_stacks(tf.frame, 4)
         with pytest.raises(JetOrderError):
             master_identity_terms(tf, _cut(xi, _order(tf.emt_belinfante) - 1))
         with pytest.raises(JetOrderError):

@@ -341,7 +341,7 @@ def test_lie_derivative_keeps_the_bytes_of_the_uncut_formula(st, order, points):
     # reads; the uncut formula, truncated afterwards, has the same bytes
     ctx = RunContext(RunConfig(points=points, seed=7), order)
     fr = ctx.frame(st)
-    families = [ctx.random_xis(fr, 4), *ctx.vector_stacks(SPACETIMES[st].killing, fr)]
+    families = [*ctx.xi_stacks(fr, 4), *ctx.vector_stacks(SPACETIMES[st].killing, fr)]
     tensors = [fr.g, *ctx.random_tensors(fr, base_seed=40)]
     for xi in families:
         for t in tensors:

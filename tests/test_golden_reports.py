@@ -10,7 +10,9 @@ that declare a lower order read truncated views, a path neither benchmark
 config takes.  Every one of those runs at 16 points, where each
 contraction of ``jet_einsum`` goes to np.einsum; ``lie-calculus``,
 ``commutator`` and ``emt-onshell`` at 128 points and 4 xis, seed 7, run
-its plain-matmul contractions as batched ``@`` too.  The sha256 of each report is compared with the value pinned
+its plain-matmul contractions as batched ``@`` too.  The four suites that
+evaluate vector families run at 40 points, seed 7, where every family runs
+one member at a time.  The sha256 of each report is compared with the value pinned
 for this numpy version and BLAS build.  On a numpy or BLAS not in the table
 the test still runs: it runs each configuration twice, requires the two
 reports to be identical, and prints their hash so that it can be pinned.
@@ -45,6 +47,8 @@ GOLDEN = {
             "69093b9058148ceae3e8c6c72bccf9c41edb359c3a43e9ef4a532219ef8798e8",
         ("matmul-128pt", 7):
             "789bfb97f2eb48966dc60f16008946146f530c71eaeb0f4752344205305673d3",
+        ("families-40pt", 7):
+            "1b5ec62c8dd0fdbcc539077aaa0fe5846aa898523a5025277b649a7ebf5dddfb",
     },
 }
 
@@ -61,14 +65,19 @@ _POINTWISE = [arg for suite in SUITE_ORDER if suite != "variational"
 # the suites in SUITE_ORDER, since the report echoes them as listed
 _MATMUL_CONFIG = ('{"suites": ["lie-calculus", "commutator", "emt-onshell"], '
                   '"points": 128, "xi_count": 4}')
+# every suite that evaluates a vector family, at a point count where each
+# family runs one member at a time
+_FAMILIES_CONFIG = ('{"suites": ["lie-calculus", "commutator", "kinematic-lagrangian", '
+                    '"emt-onshell"], "points": 40}')
+_CONFIGS = {"matmul-128pt": _MATMUL_CONFIG, "families-40pt": _FAMILIES_CONFIG}
 
 
 def _args(workload, tmp_path):
     if workload == "pointwise-suites":
         return _POINTWISE
-    if workload == "matmul-128pt":
-        config = tmp_path / "matmul-128pt.json"
-        config.write_text(_MATMUL_CONFIG)
+    if workload in _CONFIGS:
+        config = tmp_path / f"{workload}.json"
+        config.write_text(_CONFIGS[workload])
         return ["--config", str(config)]
     return ["--config", str(CONFIGS / f"{workload}.json")]
 
@@ -104,6 +113,10 @@ def test_the_pointwise_suites_report_has_its_pinned_bytes(tmp_path):
 
 def test_a_report_through_the_matmul_path_has_its_pinned_bytes(tmp_path):
     _check_pinned(tmp_path, "matmul-128pt", 7)
+
+
+def test_a_report_of_one_member_families_has_its_pinned_bytes(tmp_path):
+    _check_pinned(tmp_path, "families-40pt", 7)
 
 
 _OFF_SHELL = ("on-shell gate: scenario 'scalar-blob-2d' is claimed off shell, "

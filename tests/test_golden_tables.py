@@ -192,7 +192,7 @@ def _values_sha256(values):
 def _residuals(ctx, name):
     """The value tables of each vector-family residual of scenario ``name``."""
     tf = ctx.theory_frame(name)
-    xis = ctx.random_xis(tf.frame, 4)
+    (xis,) = ctx.xi_stacks(tf.frame, 4)
     killing = ctx.vector_stacks(spacetime(scenario(name).spacetime).killing, tf.frame)
     lhs, rhs = master_identity_terms(tf, xis)
     return {

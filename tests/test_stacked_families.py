@@ -5,9 +5,10 @@ contraction goes to np.einsum (16 points) and where plain matmuls go to
 ``@`` (128 points).
 
 The loops below are the check bodies written one member at a time: the
-members of a seeded family are the slices of ``random_xis``, each equal to
-its standalone evaluation (``tests/test_catalog.py``), and the catalog
-vectors are evaluated one by one."""
+members of a seeded family are the slices of the stacks of ``xi_stacks``,
+each equal to its standalone evaluation (``tests/test_catalog.py``), and
+the catalog vectors are evaluated one by one.  Above 32 points, every
+stack a run makes is a single member."""
 
 import pytest
 
@@ -35,7 +36,7 @@ from emtkit.tensors import tilde_contract
 
 
 def _xis(ctx, fr, count=None):
-    return _members(ctx.random_xis(fr, count))
+    return [xi for xis in ctx.xi_stacks(fr, count) for xi in _members(xis)]
 
 
 def _lie_dual(ctx, st_name):

@@ -6,7 +6,9 @@ build per frame and per theory through truncated views that equal fresh
 builds at that order and form no reference cycle.  The run's caches: one
 monomial basis per box and frame, each seeded random field and each catalog
 vector evaluated once per frame, vector families evaluated in stacks of at
-most 64 sample points, one gauge-shifted theory per scenario,
+most 64 sample points, which is below the point count of the batched ``@``
+path, with a stack of one member being that member, one gauge-shifted
+theory per scenario,
 read-only cached tables, and check rows that do not depend on which checks
 ran before.  Checks whose targets are fixed whatever the selection, and
 every check reporting exactly the targets its declaration names.  Selections
@@ -24,7 +26,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from emtkit import catalog, cli, fieldtheory, suites
+from emtkit import catalog, cli, fieldtheory, jets, suites
 from emtkit.catalog import SCENARIOS, CatalogClaimError, sample_points, scenario_box
 from emtkit.fieldtheory import evaluate_theory
 from emtkit.geometry import geometry_at
@@ -37,6 +39,7 @@ from emtkit.suites import (
     SUITE_ORDER,
     Target,
     _fold,
+    _members,
     build_report,
     run_checks,
 )
@@ -366,6 +369,20 @@ def test_truncated_view_equals_a_fresh_build_table_for_table(scen_name, order):
     assert formed >= 6
 
 
+def test_a_view_of_a_view_is_the_view_of_its_object():
+    """Truncating a view truncates the object it was cut from, so each order
+    of a Frame or a TheoryFrame is one object; truncating up raises."""
+    tf, _ = _top_and_fresh(SCENARIOS["schwarzschild-coulomb"], 2)
+    for top in (tf, tf.frame):
+        assert top.truncate(2).truncate(1) is top.truncate(1)
+        assert top.truncate(2).truncate(2) is top.truncate(2)
+        with pytest.raises(JetOrderError):
+            top.truncate(1).truncate(2)
+        with pytest.raises(JetOrderError):
+            top.truncate(4)
+    assert tf.truncate(2).frame.truncate(1) is tf.truncate(1).frame is tf.frame.truncate(1)
+
+
 def test_dropped_frames_and_their_views_are_freed_without_gc():
     """A view is memoised on the object it truncates and the object at its own
     order is itself, not a memo entry, so neither a Frame nor a TheoryFrame
@@ -407,72 +424,82 @@ def _count_calls(monkeypatch, name, key):
 
 
 def test_each_seeded_field_is_evaluated_once_per_frame(monkeypatch):
-    # each coefficient sum is counted under the (variance, seed, frame) of
-    # the random_field call or the frame of the random_xis call that makes
-    # it; a sum outside one has no key
+    # each coefficient sum is counted under the (variance, seeds, frame) of
+    # the random_field call that makes it
     counts, asked, xi_counts = Counter(), [], {}
-    random_field, random_xis = RunContext.random_field, RunContext.random_xis
+    random_field, xi_stacks = RunContext.random_field, RunContext.xi_stacks
     coefficient_sum = suites.coefficient_sum
 
-    def calling(key, method, *args):
-        asked.append(key)
+    def field(self, variance, seeds, fr):
+        asked.append((variance, seeds, id(fr)))
         try:
-            return method(*args)
+            return random_field(self, variance, seeds, fr)
         finally:
             asked.pop()
 
-    def field(self, variance, box, seed, fr):
-        return calling((variance, seed, id(fr)), random_field, self, variance, box, seed, fr)
-
-    def xis(self, fr, count=None):
+    def stacks(self, fr, count=None):
         xi_counts.setdefault(id(fr), set()).add(count or self.cfg.xi_count)
-        return calling(("xis", id(fr)), random_xis, self, fr, count)
+        return xi_stacks(self, fr, count)
 
     def summed(coef, basis, **kwargs):
         counts[asked[-1]] += 1
         return coefficient_sum(coef, basis, **kwargs)
 
     monkeypatch.setattr(RunContext, "random_field", field)
-    monkeypatch.setattr(RunContext, "random_xis", xis)
+    monkeypatch.setattr(RunContext, "xi_stacks", stacks)
     monkeypatch.setattr(suites, "coefficient_sum", summed)
     run_checks(RunConfig(suites=("lie-calculus", "kinematic-lagrangian", "emt-onshell"),
                          points=2, xi_count=4))
     assert set(counts.values()) == {1}
-    # one xi sum per frame view, whatever counts its checks ask for: the
-    # families of one, three and four members are leading slices of it
-    assert {key[1] for key in counts if key[0] == "xis"} == set(xi_counts)
+    # one xi sum per frame view, whatever counts its checks ask for: at 2
+    # points one stack of 32 members holds the families of one, three and
+    # four members as leading slices
+    xi_sums = [key for key in counts if isinstance(key[1], tuple)]
+    assert sorted(key[2] for key in xi_sums) == sorted(xi_counts)
+    assert {len(key[1]) for key in xi_sums} == {32}
     assert set().union(*xi_counts.values()) == {1, 3, 4}
     assert any(len(c) > 1 for c in xi_counts.values())
-    assert any(key[0] != "xis" for key in counts)
+    assert any(not isinstance(key[1], tuple) for key in counts)
 
 
 @pytest.mark.parametrize("points", [2, 16])
 def test_a_smaller_xi_family_is_a_slice_with_its_own_bits(points):
-    # asked in either order on one frame, each count has the bits of a
-    # family of that count summed in a context of its own
+    # asked in either order on one frame, each count's members have the
+    # bits of their seeds' fields summed one by one in a context of its own
     st = "schwarzschild"
     for counts in ((16, 3, 1, 4), (1, 3, 4, 16, 2)):
         ctx = RunContext(RunConfig(points=points, seed=5), 3)
         fr = ctx.frame(st)
+        alone = RunContext(RunConfig(points=points, seed=5), 3)
         for count in counts:
-            got = ctx.random_xis(fr, count).components
-            alone = RunContext(RunConfig(points=points, seed=5, xi_count=count), 3)
-            want = alone.random_xis(alone.frame(st), count).components
-            assert got.batch_shape == want.batch_shape == (count, points)
-            for g, w in zip(got.data, want.data, strict=True):
-                assert g.tobytes() == w.tobytes() and g.flags.c_contiguous
+            got = [xi for xis in ctx.xi_stacks(fr, count) for xi in _members(xis)]
+            want = [alone.random_field(("u",), 1005 + k, alone.frame(st)) for k in range(count)]
+            assert len(got) == count
+            for g, w in zip(got, want):
+                assert g.components.batch_shape == w.components.batch_shape == (points,)
+                for a, b in zip(g.components.data, w.components.data, strict=True):
+                    assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
 
 
 def test_a_run_builds_one_monomial_basis_per_box_and_frame(monkeypatch):
     bases = _count_calls(monkeypatch, "monomial_basis", lambda box, coords: (
         box, id(coords[0])))
-    sums = _count_calls(monkeypatch, "coefficient_sum", lambda coef, basis: id(basis))
+    fields = Counter()
+    coefficient_sum = suites.coefficient_sum
+
+    def summed(coef, basis, vdim=None):
+        # a stack's coefficients lead with one axis of its members
+        stacked = coef.ndim - 1 > (coef.ndim - 1 if vdim is None else vdim)
+        fields[id(basis)] += coef.shape[0] if stacked else 1
+        return coefficient_sum(coef, basis, vdim=vdim)
+
+    monkeypatch.setattr(suites, "coefficient_sum", summed)
     run_checks(RunConfig(suites=("tilde-algebra", "kinematic-lagrangian", "emt-onshell"),
                          points=2, xi_count=2))
     assert bases and set(bases.values()) == {1}
     # every basis is summed over, and most by more than one field
-    assert len(sums) == len(bases)
-    assert sum(sums.values()) > 2 * len(bases)
+    assert len(fields) == len(bases)
+    assert sum(n > 1 for n in fields.values()) > len(bases) / 2
 
 
 def test_each_catalog_vector_is_evaluated_once_per_frame(monkeypatch):
@@ -509,10 +536,15 @@ def test_gauge_shifted_theories_are_built_at_the_order_their_checks_read(monkeyp
 def test_cached_field_tables_are_read_only():
     ctx = RunContext(RunConfig(points=2, xi_count=2), 2)
     fr = ctx.frame("minkowski4")
-    xis = ctx.random_xis(fr)
-    assert ctx.random_xis(fr) is xis and ctx.random_xis(fr, 2) is xis
-    assert xis.components.batch_shape == (2, 2)
-    for table in xis.components.data:
+    # at 2 points the xis are summed as one stack of 32 members, of which
+    # the family of two is a leading slice
+    (xis,) = ctx.xi_stacks(fr)
+    seeds = tuple(range(1007, 1007 + 32))
+    stack = ctx.random_field(("u",), seeds, fr)
+    assert ctx.random_field(("u",), seeds, fr) is stack
+    assert xis.components.batch_shape == (2, 2) and stack.components.batch_shape == (32, 2)
+    for table, whole in zip(xis.components.data, stack.components.data, strict=True):
+        assert np.shares_memory(table, whole)
         with pytest.raises(ValueError):
             table += 1.0
     for t in ctx.gauge_shifted_emts("em-wave-4d"):
@@ -551,23 +583,52 @@ def test_cached_field_tables_are_read_only():
 def test_checks_evaluate_families_in_stacks_of_at_most_64_points(points, size):
     ctx = RunContext(RunConfig(points=points, xi_count=10), 2)
     fr = ctx.frame("minkowski4")
-    xis = ctx.random_xis(fr)
     stacks = ctx.xi_stacks(fr)
     counts = [min(size, 10 - k) for k in range(0, 10, size)]
-    assert [s.components.batch_shape for s in stacks] == [(c, points) for c in counts]
-    start = 0
-    for s in stacks:
-        for t, whole in zip(s.components.data, xis.components.data):
+    assert [s.components.batch_shape for s in stacks] == [
+        (c, points) if c > 1 else (points,) for c in counts]
+    # stack k reads the sum of the ``size`` seeds from 1007 + k * size: all
+    # of it, or a leading slice of it for the last stack
+    for k, (s, c) in enumerate(zip(stacks, counts)):
+        whole = ctx.random_field(("u",), tuple(range(1007 + k * size, 1007 + (k + 1) * size)), fr)
+        assert (s is whole) == (c == size > 1)
+        for t, w in zip(s.components.data, whole.components.data, strict=True):
             assert t.flags.c_contiguous and not t.flags.writeable
-            assert np.shares_memory(t, whole)
-            assert t.tobytes() == whole[start:start + t.shape[0]].tobytes()
-        start += s.components.batch_shape[0]
-    assert start == 10
+            assert np.shares_memory(t, w)
+            assert t.tobytes() == w[:c].tobytes()
     # Minkowski's ten affine Killing vectors: one zero pattern, cut into
     # stacks of ``size``, each keeping the structural zero of order 2
     stacks = ctx.vector_stacks(catalog.spacetime("minkowski4").killing, fr)
-    assert [s.components.batch_shape[0] for s in stacks] == counts
+    assert [s.components.batch_shape[0] if len(s.components.batch_shape) > 1 else 1
+            for s in stacks] == counts
     assert all(not any(s.components.data[2].strides) for s in stacks)
+
+
+@pytest.mark.parametrize("points", [1, 16, 32, 33, 64, 128])
+def test_every_stack_holds_fewer_points_than_the_matmul_path(points):
+    # a stack of two or more members holds at most 64 points, so it never
+    # reaches the batched ``@`` of ``jet_einsum``; a chunk of one member is
+    # that member, with the single batch axis of the sample points
+    ctx = RunContext(RunConfig(points=points), 2)
+    for st in ("minkowski4", "schwarzschild"):
+        fr = ctx.frame(st)
+        killing = catalog.spacetime(st).killing
+        families = {count: ctx.xi_stacks(fr, count) for count in (1, 3, 5, 16)}
+        families[len(killing)] = ctx.vector_stacks(killing, fr)
+        for count, family in families.items():
+            members = 0
+            for stack in family:
+                batch = stack.components.batch_shape
+                if len(batch) == 1:
+                    assert batch == (points,)
+                    members += 1
+                else:
+                    assert batch[0] > 1 and batch[1:] == (points,)
+                    assert math.prod(batch) < jets._MATMUL_MIN_POINTS
+                    members += batch[0]
+            assert members == count
+    # a family reaches its members one at a time once two would exceed 64 points
+    assert all(len(s.components.batch_shape) == 1 for s in ctx.xi_stacks(fr)) == (points > 32)
 
 
 def test_check_rows_do_not_depend_on_which_checks_ran_before():
