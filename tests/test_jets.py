@@ -5,6 +5,7 @@ The oracles are central finite differences with Richardson extrapolation
 differentiated polynomials where exactness to machine precision is expected.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -533,16 +534,20 @@ STACK_SUBSCRIPTS = ["ab,bc->ac", "abc,ac->ab", "abde,cdf->abcfe", "ab,b->a"]
 STACK_MEMBERS = 4
 
 
-@pytest.mark.parametrize("points", [16])
+@pytest.mark.parametrize("points", [16, 200])
 @pytest.mark.parametrize("stacked", ["x", "y", "both"])
 @pytest.mark.parametrize("subs", STACK_SUBSCRIPTS)
 def test_a_stack_contracts_to_the_bits_of_each_member(monkeypatch, subs, stacked, points):
     # members on a leading batch axis against a quantity of the sample
-    # points alone, or against a second stack: the stack holds fewer than
-    # ``_MATMUL_MIN_POINTS`` points, so every split goes through np.einsum,
-    # and each slice of the product has the bits of that member's product;
-    # x's order-2 table is a structural zero of every member, and of the stack
-    assert STACK_MEMBERS * points < jets._MATMUL_MIN_POINTS
+    # points alone, or against a second stack; each slice of the product
+    # has the bits of that member's product.  A run's stacks hold fewer than
+    # ``_MATMUL_MIN_POINTS`` points, so every split goes through np.einsum.
+    # At 200 points a stack against a stack has equal leading axes and goes
+    # through ``@``, as each member does; a stack against an unstacked
+    # operand goes through np.einsum, and has the bits of each member's
+    # np.einsum product.  x's order-2 table is a structural zero of every
+    # member, and of the stack
+    assert STACK_MEMBERS * 16 < jets._MATMUL_MIN_POINTS <= 200
     rng = np.random.default_rng(points)
     (sx, sy) = subs.split("->")[0].split(",")
 
@@ -569,8 +574,11 @@ def test_a_stack_contracts_to_the_bits_of_each_member(monkeypatch, subs, stacked
     monkeypatch.setattr(np, "einsum", counting)
     got = jet_einsum(subs, x, y)
     # x's live orders 0 and 1 against y's 0, 1 and 2: five splits
-    assert len(calls) == 5
+    assert len(calls) == (0 if points >= jets._MATMUL_MIN_POINTS and stacked == "both" else 5)
     assert got.batch_shape == (STACK_MEMBERS, points)
+    if stacked != "both":
+        # the members' reference products on the path the stack took
+        monkeypatch.setattr(jets, "_MATMUL_MIN_POINTS", math.inf)
     for k in range(STACK_MEMBERS):
         want = jet_einsum(subs, xs[k] if stacked != "y" else x, ys[k] if stacked != "x" else y)
         for g, w in zip(got.data, want.data, strict=True):
@@ -645,13 +653,34 @@ def test_subtraction_is_adding_the_negation_bitwise(lhs, rhs):
         assert g.tobytes() == w.tobytes()
 
 
-def test_division():
+def test_division_and_power():
+    # jets have no ``**``: the real power that stays is ``_jpow_float``,
+    # the ladder under ``jsqrt``
     x = np.array([0.7, 1.3])
     t, u = lift(x, 2, 3)
     f = (t * t + 1.0) / (u + 2.0)
     ref = lambda y: (y[0] ** 2 + 1) / (y[1] + 2)
     assert np.isclose(f.data[0], ref(x), rtol=1e-14)
     assert np.allclose(f.data[1], fd_gradient(ref, x), rtol=1e-8)
+    g = jets._jpow_float(1.0 + t * t, 1.5)
+    refg = lambda y: (1 + y[0] ** 2) ** 1.5
+    assert np.isclose(g.data[0], refg(x), rtol=1e-14)
+    assert np.allclose(g.data[1], fd_gradient(refg, x), rtol=1e-8)
+    h = jets._jpow_float(u, 3.0)
+    assert np.isclose(h.data[0], x[1] ** 3, rtol=1e-14)
+    assert np.isclose(h.data[1][1], 3 * x[1] ** 2, rtol=1e-12)
+
+
+def test_zeroth_power_keeps_batch_and_value_axes():
+    # ``_jpow_float`` takes strictly positive value parts
+    pts = np.random.default_rng(5).uniform(0.5, 1.5, (5, 2))
+    x, y = lift(pts, 2, 2)
+    one = jets._jpow_float(x, 0.0)
+    assert (one.vdim, one.batch_shape, one.vshape) == (0, (5,), ())
+    assert np.array_equal((x + one).data[0], pts[:, 0] + 1.0)
+    v = jets._jpow_float(jet_stack([x, y]), 0.0)
+    assert (v.vdim, v.batch_shape, v.vshape) == (1, (5,), (2,))
+    assert np.all(v.data[0] == 1.0) and not any(t.any() for t in v.data[1:])
 
 
 def test_differentiate_moves_axis():
